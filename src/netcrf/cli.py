@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -141,7 +141,8 @@ def read_frame_csv(source) -> tuple[SampleFrame, dict]:
         lines = source.read().splitlines()
     metadata = {}
     body = []
-    for line in lines:
+    line_numbers = []  # file line of each body row, for error messages
+    for line_no, line in enumerate(lines, start=1):
         if line.startswith("#"):
             try:
                 metadata.update(json.loads(line[1:].strip()))
@@ -150,13 +151,14 @@ def read_frame_csv(source) -> tuple[SampleFrame, dict]:
             continue
         if line.strip():
             body.append(line)
+            line_numbers.append(line_no)
     if not body:
         raise DataError("frame CSV has no rows")
-    rows = list(csv.reader(io.StringIO("\n".join(body))))
+    rows = list(csv.reader(body))
     if [c.strip() for c in rows[0]] != ["id", "y", "d", "t", "f"]:
         raise DataError("frame CSV must have header 'id,y,d,t,f'")
     ids, ys, ds, ts, fs = [], [], [], [], []
-    for row_no, row in enumerate(rows[1:], start=2):
+    for row_no, row in zip(line_numbers[1:], rows[1:]):
         try:
             ids.append(int(row[0]))
             ys.append(float(row[1]))
@@ -165,6 +167,8 @@ def read_frame_csv(source) -> tuple[SampleFrame, dict]:
             fs.append(int(row[4]))
         except (ValueError, IndexError):
             raise DataError(f"frame CSV row {row_no}: malformed row {row!r}") from None
+        if not math.isfinite(ys[-1]):
+            raise DataError(f"frame CSV row {row_no}: outcome y is not finite ({row[1]!r})")
     n_total = int(metadata.get("n_total", len(ids)))
     try:
         frame = SampleFrame(
@@ -190,6 +194,8 @@ def _load_real_data(nodes_path: str, edges_path: str) -> SampleFrame:
             ds.append(int(row[2]))
         except (ValueError, IndexError):
             raise DataError(f"nodes row {row_no}: malformed row {row!r}") from None
+        if not math.isfinite(ys[-1]):
+            raise DataError(f"nodes row {row_no}: outcome y is not finite ({row[1]!r})")
     with open(edges_path, encoding="utf-8") as handle:
         erows = [row for row in csv.reader(handle) if row]
     if not erows or [c.strip() for c in erows[0]][:2] != ["src", "dst"]:

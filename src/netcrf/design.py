@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .dgp import SampleFrame
 from .errors import OutOfSupportError
@@ -149,13 +151,14 @@ def format_model_spec(spec: ModelSpec) -> str:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Numeric design matrix plus per-column labels."""
+    """Numeric design matrix plus per-column labels; ``values`` is a read-only copy."""
 
     values: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d matrix")
         if values.shape[1] != len(self.labels):
@@ -176,35 +179,59 @@ class DesignMatrix:
     def column(self, label: str) -> np.ndarray:
         return self.values[:, self.labels.index(label)]
 
+    @cached_property
+    def qr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Economic column-pivoted QR ``(q, r, pivots)``, shared by every fit of the matrix."""
+        return scipy.linalg.qr(self.values, mode="economic", pivoting=True)
+
 
 def column_value(label: str, d, t, f):
     """Evaluate a column label on raw unit data (vectorized)."""
-    d = np.asarray(d, dtype=float)
-    t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
-    out = np.ones(np.broadcast(d, t, f).shape, dtype=float)
+    d, t, f = _floats(d, t, f)
+    return _column(label, np.ones(np.broadcast(d, t, f).shape), {}, d, t, f)
+
+
+def design_values(labels, d, t, f) -> np.ndarray:
+    """Columns for ``labels`` on raw unit data, one per label; shared atoms are evaluated once."""
+    d, t, f = _floats(d, t, f)
+    ones = np.ones(np.broadcast(d, t, f).shape)
+    atoms: dict[str, np.ndarray] = {}
+    return np.column_stack([_column(label, ones, atoms, d, t, f) for label in labels])
+
+
+def _floats(d, t, f):
+    return (np.asarray(d, dtype=float), np.asarray(t, dtype=float), np.asarray(f, dtype=float))
+
+
+def _column(label: str, out: np.ndarray, atoms: dict, d, t, f) -> np.ndarray:
+    """``out`` times every atom of ``label``; ``atoms`` memoizes atom values."""
     for atom in label.split(":"):
         if atom == "1":
             continue
-        elif atom == "D":
-            out = out * d
-        elif atom == "T":
-            out = out * t
-        elif atom == "F":
-            out = out * f
-        elif atom == "R":
-            out = out * (t / f)
-        elif atom == "T^2":
-            out = out * t * t
-        elif atom.startswith("F^"):
-            out = out * f ** int(atom[2:])
-        elif atom.startswith("F="):
-            out = out * (f == int(atom[2:]))
-        elif atom.startswith("T="):
-            out = out * (t == int(atom[2:]))
-        else:
-            raise ValueError(f"unknown column atom {atom!r} in label {label!r}")
+        if atom not in atoms:
+            atoms[atom] = _atom(atom, label, d, t, f)
+        out = out * atoms[atom]
     return out
+
+
+def _atom(atom: str, label: str, d, t, f):
+    if atom == "D":
+        return d
+    if atom == "T":
+        return t
+    if atom == "F":
+        return f
+    if atom == "R":
+        return t / f
+    if atom == "T^2":
+        return t * t
+    if atom.startswith("F^"):
+        return f ** int(atom[2:])
+    if atom.startswith("F="):
+        return f == int(atom[2:])
+    if atom.startswith("T="):
+        return t == int(atom[2:])
+    raise ValueError(f"unknown column atom {atom!r} in label {label!r}")
 
 
 def _crf1_long_labels(f_max: int, t_max: int) -> list[str]:
@@ -234,9 +261,6 @@ def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
     """
     if frame.n_selected == 0:
         raise ValueError("cannot build a design matrix on an empty frame")
-    d = frame.d.astype(float)
-    t = frame.t.astype(float)
-    f = frame.f.astype(float)
 
     if spec.kind == ModelKind.T:
         labels = ["1", "D", "T", "F"]
@@ -269,7 +293,7 @@ def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unsupported model kind {spec.kind}")
 
-    values = np.column_stack([column_value(label, d, t, f) for label in labels])
+    values = design_values(labels, frame.d, frame.t, frame.f)
     return DesignMatrix(values=values, labels=tuple(labels))
 
 

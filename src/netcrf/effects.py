@@ -9,9 +9,17 @@ follow from the identities
     tau_1t(f) = tau_0t(f) + tau_pm_t(f),
     delta_t(f) = delta_0(f) + tau_pm_t(f),
 
-so every effect table closes exactly. Each estimator maps its coefficients
-into these quantities differently; empty or dropped cells yield absent
-entries (never zeros) and are skipped by the aggregates with a logged
+so every effect table closes exactly. One formula serves every estimator:
+each estimand is a contrast of design rows x(d, t, f), evaluated from the
+column labels and applied to the coefficients,
+
+    baseline = x(0,0,f),            delta0 = x(1,0,f) - x(0,0,f),
+    tau0 = x(0,t,f) - x(0,0,f),     tau_pm = x(1,t,f) - x(1,0,f) - x(0,t,f) + x(0,0,f).
+
+An entry is absent (never zero) when its contrast weights a dropped column,
+when a saturated design has no column carrying it (its contrast is all zero,
+as for ``crf1long`` beyond ``f_max`` or ``t_max``), or for ``crf1short`` at a
+friend count other than its own. Aggregates skip absent cells with a logged
 warning.
 """
 
@@ -19,12 +27,13 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dgp import SampleFrame
-from .design import ModelKind, ModelSpec, format_model_spec
+from .design import ModelKind, ModelSpec, design_values, format_model_spec
 from .lsq import FitResult
 
 logger = logging.getLogger(__name__)
@@ -112,106 +121,26 @@ class EffectTable:
         return json.dumps(self.to_json_dict())
 
 
-class _CoefficientMissing(Exception):
-    pass
+def _contrasts(labels, f, t) -> np.ndarray:
+    """Contrast rows (baseline, delta0, tau0, tau_pm) per (f, t) pair: (4, pairs, columns)."""
+    zero, one = np.zeros_like(f), np.ones_like(f)
+    d = np.concatenate([zero, one, zero, one])
+    tt = np.concatenate([zero, zero, t, t])
+    x00, x10, x0t, x1t = np.split(design_values(labels, d, tt, np.tile(f, 4)), 4)
+    return np.stack([x00, x10 - x00, x0t - x00, x1t - x10 - x0t + x00])
 
 
-def _require(fit: FitResult, label: str) -> float:
-    if label not in fit.labels:
-        raise _CoefficientMissing(label)
-    value = fit.coef(label)
-    if value is None:
-        raise _CoefficientMissing(label)
-    return value
-
-
-def _poly(fit: FitResult, prefix: str, j_max: int, f: float) -> float:
-    total = 0.0
-    for j in range(j_max + 1):
-        total += _require(fit, f"{prefix}F^{j}") * f**j
-    return total
-
-
-def _delta0(fit: FitResult, spec: ModelSpec, f: int) -> float:
-    kind = spec.kind
-    if kind in (ModelKind.T, ModelKind.R, ModelKind.TR):
-        return _require(fit, "D")
-    if kind == ModelKind.CRF2:
-        return _poly(fit, "D:", spec.j, f)
-    if kind == ModelKind.CRF1_LONG:
-        return _require(fit, f"D:F={f}")
-    if kind == ModelKind.CRF1_SHORT:
-        if f != spec.f:
-            raise _CoefficientMissing(f"F={f}")
-        return _require(fit, "D")
-    raise ValueError(f"unsupported model kind {kind}")  # pragma: no cover
-
-
-def _tau0(fit: FitResult, spec: ModelSpec, f: int, t: int) -> float:
-    kind = spec.kind
-    if kind == ModelKind.T:
-        return _require(fit, "T") * t
-    if kind == ModelKind.R:
-        return (_require(fit, "R") / f) * t
-    if kind == ModelKind.TR:
-        return (_require(fit, "T") + _require(fit, "R") / f) * t
-    if kind == ModelKind.CRF2:
-        value = _poly(fit, "T:", spec.j, f) * t
-        if spec.t_order == 2:
-            value += _poly(fit, "T^2:", spec.j, f) * t**2
-        return value
-    if kind == ModelKind.CRF1_LONG:
-        return _require(fit, f"T={t}:F={f}")
-    if kind == ModelKind.CRF1_SHORT:
-        if f != spec.f:
-            raise _CoefficientMissing(f"F={f}")
-        return _require(fit, f"T={t}")
-    raise ValueError(f"unsupported model kind {kind}")  # pragma: no cover
-
-
-def _tau_pm(fit: FitResult, spec: ModelSpec, f: int, t: int) -> float:
-    kind = spec.kind
-    if kind in (ModelKind.T, ModelKind.R):
-        # these designs rule the interaction out by construction
-        return 0.0
-    if kind == ModelKind.TR:
-        return (_require(fit, "D:T") + _require(fit, "D:R") / f) * t
-    if kind == ModelKind.CRF2:
-        value = _poly(fit, "D:T:", spec.j, f) * t
-        if spec.t_order == 2:
-            value += _poly(fit, "D:T^2:", spec.j, f) * t**2
-        return value
-    if kind == ModelKind.CRF1_LONG:
-        return _require(fit, f"D:T={t}:F={f}")
-    if kind == ModelKind.CRF1_SHORT:
-        if f != spec.f:
-            raise _CoefficientMissing(f"F={f}")
-        return _require(fit, f"D:T={t}")
-    raise ValueError(f"unsupported model kind {kind}")  # pragma: no cover
-
-
-def _baseline(fit: FitResult, spec: ModelSpec, f: int) -> float:
-    kind = spec.kind
-    if kind in (ModelKind.T, ModelKind.TR):
-        return _require(fit, "1") + _require(fit, "F") * f
-    if kind == ModelKind.R:
-        return _require(fit, "1")
-    if kind == ModelKind.CRF2:
-        return _poly(fit, "", spec.j, f)
-    if kind == ModelKind.CRF1_LONG:
-        return _require(fit, f"F={f}")
-    if kind == ModelKind.CRF1_SHORT:
-        if f != spec.f:
-            raise _CoefficientMissing(f"F={f}")
-        return _require(fit, "1")
-    raise ValueError(f"unsupported model kind {kind}")  # pragma: no cover
-
-
-def _maybe(func, *args) -> float | None:
-    try:
-        return func(*args)
-    except _CoefficientMissing:
-        return None
+def _evaluate(fit: FitResult, spec: ModelSpec, f, t) -> np.ndarray:
+    """(baseline, delta0, tau0, tau_pm) at each (f, t) pair; NaN marks an absent entry."""
+    f = np.asarray(f, dtype=float)
+    weights = _contrasts(fit.labels, f, np.asarray(t, dtype=float))
+    dropped = np.isnan(fit.coefficients)
+    absent = (weights[..., dropped] != 0).any(axis=-1)
+    if spec.kind in (ModelKind.CRF1_LONG, ModelKind.CRF1_SHORT):
+        absent |= ~weights.any(axis=-1)
+    if spec.kind == ModelKind.CRF1_SHORT:
+        absent |= f != spec.f
+    return np.where(absent, np.nan, weights @ np.where(dropped, 0.0, fit.coefficients))
 
 
 def recover_effect_table(
@@ -225,57 +154,45 @@ def recover_effect_table(
     ``f_values`` is the realized friend-count column of the analyzed frame
     (with multiplicity); unique values define the table rows and the
     multiplicities weight the aggregates. ``t_grid`` restricts the treated
-    friend counts tabulated per f (default 1..f). Aggregates average the
-    per-unit effect functions evaluated at one treated friend over the
-    empirical f distribution, skipping absent cells with a warning.
+    friend counts tabulated per f (default 1..f; an empty grid yields the
+    aggregates alone). Aggregates average the per-unit effect functions
+    evaluated at one treated friend over the empirical f distribution,
+    skipping absent cells with a warning.
     """
     f_values = np.asarray(f_values, dtype=np.int64)
     if f_values.size == 0:
         raise ValueError("f_values must be nonempty")
     if (f_values < 1).any():
         raise ValueError("all f_values must be >= 1")
-    unique_f, counts = np.unique(f_values, return_counts=True)
+    counts = np.bincount(f_values)
+    unique_f = np.flatnonzero(counts)
+    counts = counts[unique_f]
 
+    pairs = [(int(f), int(t)) for f in unique_f
+             for t in (t_grid if t_grid is not None else range(1, int(f) + 1)) if 1 <= t <= f]
     cells = []
-    for f in unique_f:
-        ts = [t for t in (t_grid if t_grid is not None else range(1, int(f) + 1)) if 1 <= t <= f]
-        for t in ts:
-            delta0 = _maybe(_delta0, fit, spec, int(f))
-            tau0 = _maybe(_tau0, fit, spec, int(f), int(t))
-            tau_pm = _maybe(_tau_pm, fit, spec, int(f), int(t))
-            baseline = _maybe(_baseline, fit, spec, int(f))
-            if tau0 is not None and tau_pm is not None and delta0 is not None:
-                tau1, delta_t = complete_effects(delta0, tau0, tau_pm)
-            else:
-                tau1 = None if tau0 is None or tau_pm is None else tau0 + tau_pm
-                delta_t = None if delta0 is None or tau_pm is None else delta0 + tau_pm
-            cells.append(EffectCell(int(f), int(t), delta0, tau0, tau_pm, tau1, delta_t, baseline))
+    if pairs:
+        f_cells, t_cells = np.array(pairs, dtype=float).T
+        baseline, delta0, tau0, tau_pm = _evaluate(fit, spec, f_cells, t_cells)
+        tau1, delta_t = complete_effects(delta0, tau0, tau_pm)
+        rows = np.column_stack([delta0, tau0, tau_pm, tau1, delta_t, baseline]).tolist()
+        for (f, t), row in zip(pairs, rows):
+            cells.append(EffectCell(f, t, *(None if math.isnan(v) else v for v in row)))
 
-    direct = _weighted_aggregate(lambda f: _delta0(fit, spec, f), unique_f, counts, "direct")
-    network = _weighted_aggregate(lambda f: _tau0(fit, spec, f, 1), unique_f, counts, "network")
-    interaction = _weighted_aggregate(lambda f: _tau_pm(fit, spec, f, 1), unique_f, counts,
-                                      "interaction")
-
-    return EffectTable(
-        cells=tuple(cells),
-        aggregates=EffectAggregates(direct=direct, network=network, interaction=interaction),
-        model=format_model_spec(spec),
+    _, direct, network, interaction = _evaluate(fit, spec, unique_f, np.ones(unique_f.size))
+    aggregates = EffectAggregates(
+        direct=_weighted_aggregate(direct, counts, "direct"),
+        network=_weighted_aggregate(network, counts, "network"),
+        interaction=_weighted_aggregate(interaction, counts, "interaction"),
     )
+    return EffectTable(cells=tuple(cells), aggregates=aggregates, model=format_model_spec(spec))
 
 
-def _weighted_aggregate(evaluate, unique_f, counts, name) -> float | None:
-    """Average one effect function at t = 1 over the empirical f distribution."""
-    total = 0.0
-    weight = 0
-    skipped = 0
-    for f, count in zip(unique_f, counts):
-        try:
-            value = evaluate(int(f))
-        except _CoefficientMissing:
-            skipped += int(count)
-            continue
-        total += value * count
-        weight += int(count)
+def _weighted_aggregate(values, counts, name) -> float | None:
+    """Count-weighted mean of per-f values at t = 1, skipping absent (NaN) ones."""
+    present = ~np.isnan(values)
+    weight = int(counts[present].sum())
+    skipped = int(counts[~present].sum())
     if skipped:
         logger.warning(
             "aggregate %s effect skipped %d of %d units with absent cells",
@@ -283,7 +200,7 @@ def _weighted_aggregate(evaluate, unique_f, counts, name) -> float | None:
         )
     if weight == 0:
         return None
-    return float(total / weight)
+    return float(values[present] @ counts[present] / weight)
 
 
 @dataclass(frozen=True)

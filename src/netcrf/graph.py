@@ -217,12 +217,10 @@ def treated_neighbor_counts(network: Network, d: np.ndarray) -> np.ndarray:
         raise ValueError(f"treatment vector must have length {network.n}, got shape {d.shape}")
     if d.size and not np.isin(d, (0, 1)).all():
         raise ValueError("treatment vector entries must be 0 or 1")
-    t = np.zeros(network.n, dtype=np.int64)
-    if network.edges.size:
-        dd = d.astype(np.int64)
-        np.add.at(t, network.edges[:, 0], dd[network.edges[:, 1]])
-        np.add.at(t, network.edges[:, 1], dd[network.edges[:, 0]])
-    return t
+    # each edge (i, j) adds d_j to T_i and d_i to T_j
+    ends = network.edges.ravel()
+    partners = network.edges[:, ::-1].ravel()
+    return np.bincount(ends, weights=d[partners], minlength=network.n).astype(np.int64)
 
 
 def degree_stats(network: Network, treatment: np.ndarray | None = None) -> DegreeSummary:

@@ -6,13 +6,21 @@ appropriate for the linear models, which should never be silently altered)
 or drop the pivoted-out columns (policy ``drop``, appropriate for saturated
 dummy designs whose empty cells legitimately produce zero columns). Normal
 equations exist in the test suite only, as an independent oracle.
+
+The factorization belongs to the design (:attr:`DesignMatrix.qr`): it is
+computed by the first fit of a matrix and reused by every later fit of the
+same matrix, so fitting several outcome vectors on one design costs one QR
+plus a ``Q'y`` solve per vector. The variance matrices of a fit are computed
+on first access, so callers that read only the coefficients never pay for
+them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -35,8 +43,37 @@ class FitResult:
     residuals: np.ndarray
     fitted: np.ndarray
     n: int
-    vcov_classical: np.ndarray | None
-    vcov_robust: np.ndarray
+    design: DesignMatrix = field(repr=False, compare=False)
+
+    @cached_property
+    def _xtx_inv(self) -> np.ndarray:
+        """(X'X)^-1 over the retained columns, in ascending column order."""
+        _, r, pivots = self.design.qr
+        rank = self.rank
+        r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
+        order = np.argsort(pivots[:rank])
+        return (r_inv @ r_inv.T)[np.ix_(order, order)]
+
+    @cached_property
+    def vcov_classical(self) -> np.ndarray | None:
+        """s^2 (X'X)^-1, or None when n <= rank leaves no residual degrees of freedom."""
+        if self.rank == 0:
+            return np.zeros((0, 0))
+        if self.n <= self.rank:
+            return None
+        s2 = float(self.residuals @ self.residuals) / (self.n - self.rank)
+        return _symmetrize(s2 * self._xtx_inv)
+
+    @cached_property
+    def vcov_robust(self) -> np.ndarray:
+        """Heteroskedasticity-consistent sandwich with squared-residual weights."""
+        if self.rank == 0:
+            return np.zeros((0, 0))
+        _, _, pivots = self.design.qr
+        retained_cols = self.design.values[:, np.sort(pivots[:self.rank])]
+        weighted = retained_cols * self.residuals[:, None]
+        meat = weighted.T @ weighted
+        return _symmetrize(self._xtx_inv @ meat @ self._xtx_inv)
 
     @property
     def retained_labels(self) -> tuple[str, ...]:
@@ -86,7 +123,7 @@ def fit(
     if n < 1:
         raise ValueError("need at least one observation")
 
-    q, r, pivots = scipy.linalg.qr(x.values, mode="economic", pivoting=True)
+    q, r, pivots = x.qr
     diag = np.abs(np.diag(r))
     largest = diag[0] if diag.size else 0.0
     if largest == 0.0:
@@ -110,8 +147,6 @@ def fit(
         fitted = np.zeros(n)
     residuals = y - fitted
 
-    vcov_classical, vcov_robust = _variance_matrices(x.values, pivots, rank, residuals, r)
-
     return FitResult(
         coefficients=coefficients,
         labels=x.labels,
@@ -120,34 +155,8 @@ def fit(
         residuals=residuals,
         fitted=fitted,
         n=n,
-        vcov_classical=vcov_classical,
-        vcov_robust=vcov_robust,
+        design=x,
     )
-
-
-def _variance_matrices(values, pivots, rank, residuals, r):
-    n = values.shape[0]
-    if rank == 0:
-        empty = np.zeros((0, 0))
-        return (empty if n > 0 else None), empty
-
-    r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
-    xtx_inv_piv = r_inv @ r_inv.T
-    # reorder from pivot order to ascending original column order
-    order = np.argsort(pivots[:rank])
-    xtx_inv = xtx_inv_piv[np.ix_(order, order)]
-    retained_cols = values[:, np.sort(pivots[:rank])]
-
-    if n > rank:
-        s2 = float(residuals @ residuals) / (n - rank)
-        vcov_classical = _symmetrize(s2 * xtx_inv)
-    else:
-        vcov_classical = None
-
-    weighted = retained_cols * residuals[:, None]
-    meat = weighted.T @ weighted
-    vcov_robust = _symmetrize(xtx_inv @ meat @ xtx_inv)
-    return vcov_classical, vcov_robust
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:

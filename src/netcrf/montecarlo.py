@@ -8,6 +8,13 @@ friend-count distribution. Replications derive independent Philox streams
 from (master_seed, replication index), so results are bit-identical across
 runs and across worker counts.
 
+Scenarios share each replication's draws (the streams ignore the scenario),
+so only the outcome ``y`` differs between them. One replication loop serves
+every scenario of a grid: it builds the network once, each estimator's design
+and QR factorization once per distinct (d, t, f) frame (equal for the presets,
+checked for custom parameters), and fits every scenario's ``y`` against it.
+``run_study`` and ``run_replication`` are its one-scenario case.
+
 ``replicate_table`` reruns the benchmark study grids and compares the
 reproduced bias/SD values against reference values shipped with the package
 (``data/reference_tables.json``), flagging each cell against the default
@@ -20,8 +27,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
+from itertools import repeat
 
 import numpy as np
 
@@ -84,35 +92,54 @@ def run_replication(config: MCConfig, rep_index: int) -> ReplicationResult:
     """One simulate-fit-recover pass, seeded from (master_seed, rep_index)."""
     if not 0 <= rep_index < config.repetitions:
         raise ValueError(f"rep_index must be in [0, {config.repetitions}), got {rep_index}")
-    params = config.params()
+    return _replicate(config, (config.params(),), rep_index)[0]
+
+
+def _same_units(a, b) -> bool:
+    """Whether two frames have equal (d, t, f) columns, and so equal designs."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ("d", "t", "f"))
+
+
+def _replicate(config: MCConfig, scenarios, rep_index: int) -> tuple[ReplicationResult, ...]:
+    """One replication of every scenario in ``scenarios`` (a sequence of DgpParams)."""
     seed_positions, seed_frame = child_seeds(config.master_seed, rep_index, 2)
     positions = generate_positions(config.n_units, seed_positions)
     network = build_geometric_network(positions, config.radius)
-    frame = simulate_frame(network, params, seed_frame)
-    if frame.n_selected == 0:
-        raise DataError(
-            f"replication {rep_index}: no units with F > 0 "
-            f"(n_units={config.n_units}, radius={config.radius})"
-        )
-    true = true_aggregate_effects(params, frame.f)
+    groups: list[tuple] = []  # (frame, spec -> design), one per distinct (d, t, f)
+    results = []
+    for params in scenarios:
+        frame = simulate_frame(network, params, seed_frame)
+        if frame.n_selected == 0:
+            raise DataError(
+                f"replication {rep_index}: no units with F > 0 "
+                f"(n_units={config.n_units}, radius={config.radius})"
+            )
+        true = true_aggregate_effects(params, frame.f)
+        designs = next((built for other, built in groups if _same_units(other, frame)), None)
+        if designs is None:
+            designs = {}
+            groups.append((frame, designs))
 
-    estimates: dict[str, tuple[float, float, float]] = {}
-    failures: dict[str, str] = {}
-    for spec in config.estimators:
-        key = format_model_spec(spec)
-        policy = "drop" if spec.kind in _DROP_KINDS else "error"
-        try:
-            design = build_design(frame, spec)
-            result = lsq_fit(design, frame.y, on_rank_deficiency=policy)
-            table = recover_effect_table(result, spec, frame.f)
-            agg = table.aggregates
+        estimates: dict[str, tuple[float, float, float]] = {}
+        failures: dict[str, str] = {}
+        for spec in config.estimators:
+            key = format_model_spec(spec)
+            policy = "drop" if spec.kind in _DROP_KINDS else "error"
+            try:
+                if spec not in designs:
+                    designs[spec] = build_design(frame, spec)
+                result = lsq_fit(designs[spec], frame.y, on_rank_deficiency=policy)
+                agg = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
+            except (NumericalError, DataError, ValueError) as exc:
+                failures[key] = f"{type(exc).__name__}: {exc}"
+                continue
             if agg.direct is None or agg.network is None or agg.interaction is None:
                 failures[key] = "aggregate effects unavailable (all cells absent)"
                 continue
             estimates[key] = (float(agg.direct), float(agg.network), float(agg.interaction))
-        except (NumericalError, DataError, ValueError) as exc:
-            failures[key] = f"{type(exc).__name__}: {exc}"
-    return ReplicationResult(rep_index=rep_index, true=true, estimates=estimates, failures=failures)
+        results.append(ReplicationResult(rep_index=rep_index, true=true,
+                                         estimates=estimates, failures=failures))
+    return tuple(results)
 
 
 @dataclass(frozen=True)
@@ -171,11 +198,6 @@ class MCReport:
         return "\n".join(lines)
 
 
-def _replication_task(args) -> ReplicationResult:
-    config, rep_index = args
-    return run_replication(config, rep_index)
-
-
 def run_study(config: MCConfig) -> MCReport:
     """Run all replications and aggregate per (estimator, target).
 
@@ -183,14 +205,24 @@ def run_study(config: MCConfig) -> MCReport:
     on worker scheduling. Replications where an estimator failed are excluded
     from that estimator's aggregate and counted in ``n_failed``.
     """
+    return _run_scenarios(config, (config.scenario,))[0]
+
+
+def _run_scenarios(config: MCConfig, scenarios) -> list[MCReport]:
+    """One report per scenario; ``config`` supplies everything but the scenario."""
+    configs = [replace(config, scenario=scenario) for scenario in scenarios]
+    params = tuple(c.params() for c in configs)
     indices = range(config.repetitions)
     if config.n_jobs > 1 and config.repetitions > 1:
         with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
-            results = list(pool.map(_replication_task, [(config, i) for i in indices], chunksize=16))
+            per_rep = list(pool.map(_replicate, repeat(config), repeat(params), indices,
+                                    chunksize=16))
     else:
-        results = [run_replication(config, i) for i in indices]
-    results.sort(key=lambda r: r.rep_index)
+        per_rep = [_replicate(config, params, i) for i in indices]
+    return [_report(c, [rep[pos] for rep in per_rep]) for pos, c in enumerate(configs)]
 
+
+def _report(config: MCConfig, results: list[ReplicationResult]) -> MCReport:
     rows = []
     estimate_store: dict[str, np.ndarray] = {}
     for spec in config.estimators:
@@ -341,19 +373,19 @@ def replicate_table(
     scale = max(1.0, float(np.sqrt(table["repetitions"] / reps)))
     estimators = tuple(parse_model_spec(s) for s in table["estimators"])
 
+    config = MCConfig(
+        n_units=units,
+        scenario=table["scenarios"][0],
+        estimators=estimators,
+        repetitions=reps,
+        master_seed=master_seed,
+        radius=table["radius"],
+        n_jobs=n_jobs,
+    )
+    reports = _run_scenarios(config, table["scenarios"])
     cells = []
     true_means: dict[str, dict[str, float]] = {}
-    for scenario in table["scenarios"]:
-        config = MCConfig(
-            n_units=units,
-            scenario=scenario,
-            estimators=estimators,
-            repetitions=reps,
-            master_seed=master_seed,
-            radius=table["radius"],
-            n_jobs=n_jobs,
-        )
-        report = run_study(config)
+    for scenario, report in zip(table["scenarios"], reports):
         true_means[scenario] = {
             target: report.row(table["estimators"][0], target).true_value for target in TARGETS
         }

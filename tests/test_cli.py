@@ -155,6 +155,27 @@ class TestFit:
         assert code == 3
         assert "row 2" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_frame_outcome_is_data_error(self, tmp_path, capsys, value):
+        bad = tmp_path / "frame.csv"
+        # the metadata line counts: the error names the line of the file
+        bad.write_text(f'# {{"n_total": 2}}\nid,y,d,t,f\n1,0.5,0,0,1\n2,{value},1,1,1\n')
+        code, _, err = run_cli(capsys, "fit", "--frame", str(bad), "--model", "t",
+                               "--out", str(tmp_path))
+        assert code == 3
+        assert "row 4" in err and "not finite" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_real_data_outcome_is_data_error(self, tmp_path, capsys, value):
+        nodes = tmp_path / "nodes.csv"
+        edges = tmp_path / "edges.csv"
+        nodes.write_text(f"id,y,d\n1,0.5,1\n2,{value},0\n3,1.5,1\n")
+        edges.write_text("src,dst\n1,2\n2,3\n")
+        code, _, err = run_cli(capsys, "fit", "--nodes", str(nodes), "--edges", str(edges),
+                               "--model", "t", "--out", str(tmp_path))
+        assert code == 3
+        assert "nodes row 3" in err and "not finite" in err
+
     def test_real_data_mode(self, tmp_path, capsys):
         # small graph with varied degrees; outcomes follow an exact linear
         # model so the fit recovers the coefficients to rounding error

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from netcrf import (
+    EffectTable,
     ModelSpec,
     build_design,
     build_geometric_network,
@@ -275,6 +278,78 @@ class TestAbsentCells:
             table = recover_effect_table(result, spec, frame.f)
         assert table.aggregates.network is not None
         assert any("skipped" in rec.message for rec in caplog.records)
+
+    def test_crf1short_other_f_is_absent(self, noisy_small_f_frame, caplog):
+        frame = noisy_small_f_frame
+        sub = frame.restrict_to_f(3)
+        spec = ModelSpec.crf1_short(3)
+        result = exact_fit(sub, spec, on_rank_deficiency="drop")
+        f_values = np.concatenate([sub.f, [2, 2, 4]])
+        with caplog.at_level("WARNING", logger="netcrf.effects"):
+            table = recover_effect_table(result, spec, f_values)
+        for cell in table.cells:
+            values = [getattr(cell, name) for name in EffectTable.CSV_COLUMNS[2:]]
+            if cell.f == 3:
+                assert cell.baseline is not None and cell.delta0 is not None
+            else:
+                assert values == [None] * 6, cell
+        own = recover_effect_table(result, spec, sub.f).aggregates
+        assert table.aggregates == own
+        assert any("skipped 3 of" in rec.message for rec in caplog.records)
+
+    def test_crf1long_beyond_f_max_and_t_max_is_absent(self, noisy_small_f_frame):
+        frame = noisy_small_f_frame
+        keep = frame.t <= 2
+        sub = make_frame(frame.y[keep], frame.d[keep], frame.t[keep], frame.f[keep])
+        spec = ModelSpec.crf1_long(f_max=6, t_max=2)
+        result = exact_fit(sub, spec, on_rank_deficiency="drop")
+        table = recover_effect_table(result, spec, np.concatenate([sub.f, [7]]))
+        beyond_t = table.cell(5, 3)
+        assert beyond_t.baseline is not None and beyond_t.delta0 is not None
+        for name in ("tau0", "tau_pm", "tau1", "delta_t"):
+            assert getattr(beyond_t, name) is None, name
+        assert table.cell(5, 2).tau0 is not None
+        for t in range(1, 8):
+            cell = table.cell(7, t)
+            assert [getattr(cell, name) for name in EffectTable.CSV_COLUMNS[2:]] == [None] * 6
+
+    def test_dropped_column_makes_its_cells_absent(self):
+        # F is constant, so one of the collinear columns 1 and F is dropped:
+        # the baseline weights both and is absent; delta0, tau0 and tau_pm
+        # weight neither and stay present
+        rng = np.random.default_rng(4)
+        d = rng.integers(0, 2, size=40)
+        t = rng.integers(0, 4, size=40)
+        f = np.full(40, 3)
+        frame = make_frame(1.0 + 2.0 * d + 0.5 * t + rng.standard_normal(40), d, t, f)
+        spec = ModelSpec.t_model()
+        result = exact_fit(frame, spec, on_rank_deficiency="drop")
+        assert len(result.dropped_columns) == 1
+        table = recover_effect_table(result, spec, frame.f)
+        for cell in table.cells:
+            assert cell.baseline is None
+            assert None not in (cell.delta0, cell.tau0, cell.tau_pm, cell.tau1, cell.delta_t)
+
+    @pytest.mark.parametrize("spec", [ModelSpec.t_model(), ModelSpec.r_model()])
+    def test_count_and_ratio_designs_give_exact_zero_interaction(self, noisy_small_f_frame,
+                                                                 spec):
+        frame = noisy_small_f_frame
+        table = recover_effect_table(exact_fit(frame, spec), spec, frame.f)
+        values = [cell.tau_pm for cell in table.cells] + [table.aggregates.interaction]
+        # +0.0 exactly: a negative zero would print as "-0" in the CSV
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.t_model(), ModelSpec.r_model(), ModelSpec.tr_model(), ModelSpec.crf2(2),
+        ModelSpec.crf2(1, t_order=2), ModelSpec.crf1_long(f_max=6, t_max=6),
+    ])
+    def test_empty_t_grid_gives_full_table_aggregates(self, noisy_small_f_frame, spec):
+        frame = noisy_small_f_frame
+        result = exact_fit(frame, spec, on_rank_deficiency="drop")
+        full = recover_effect_table(result, spec, frame.f)
+        aggregates_only = recover_effect_table(result, spec, frame.f, t_grid=())
+        assert aggregates_only.cells == ()
+        assert aggregates_only.aggregates == full.aggregates
 
     def test_requires_nonempty_f_values(self, noiseless_iii_frame):
         result = exact_fit(noiseless_iii_frame, ModelSpec.t_model())

@@ -154,6 +154,21 @@ class TestDegreeStats:
         with pytest.raises(ValueError):
             treated_neighbor_counts(network_1000, bad)
 
+    def test_treated_neighbor_counts_match_scatter_add_reference(self):
+        net = build_geometric_network(generate_positions(5000, 31), 0.025)
+        d = np.random.default_rng(32).integers(0, 2, size=net.n)
+        expected = np.zeros(net.n, dtype=np.int64)
+        np.add.at(expected, net.edges[:, 0], d[net.edges[:, 1]])
+        np.add.at(expected, net.edges[:, 1], d[net.edges[:, 0]])
+        got = treated_neighbor_counts(net, d)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_treated_neighbor_counts_without_edges(self):
+        net = Network(n=3, edges=np.empty((0, 2), dtype=int), degree=np.zeros(3, dtype=int))
+        got = treated_neighbor_counts(net, np.array([1, 0, 1]))
+        assert got.dtype == np.int64 and np.array_equal(got, [0, 0, 0])
+
 
 class TestIngestNetwork:
     def test_basic_degrees(self):

@@ -104,6 +104,26 @@ class TestFit:
         assert result.dropped_columns == ("empty",)
         assert result.coef("1") == pytest.approx(5.5)
 
+    def test_shared_design_fits_equal_fresh_fits_bitwise(self):
+        rng = np.random.default_rng(9)
+        x, y1 = random_system(rng, n=200, k=5)
+        y2 = rng.standard_normal(200)
+        shared = [fit(x, y1), fit(x, y2)]
+        fresh = [fit(DesignMatrix(values=x.values.copy(), labels=x.labels), y) for y in (y1, y2)]
+        for a, b in zip(shared, fresh):
+            for name in ("coefficients", "residuals", "fitted", "vcov_classical", "vcov_robust"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert not np.array_equal(shared[0].coefficients, shared[1].coefficients)
+
+    def test_design_values_are_read_only(self):
+        rng = np.random.default_rng(10)
+        raw = rng.standard_normal((20, 2))
+        x = DesignMatrix(values=raw, labels=("a", "b"))
+        raw[0, 0] = 99.0  # the design keeps its own copy
+        assert x.values[0, 0] != 99.0
+        with pytest.raises(ValueError):
+            x.values[0, 0] = 1.0
+
     def test_serialization(self):
         rng = np.random.default_rng(4)
         x, y = random_system(rng)

@@ -6,6 +6,7 @@ from netcrf import (
     ModelSpec,
     dgp_scenario,
     load_reference_tables,
+    parse_model_spec,
     replicate_table,
     run_replication,
     run_study,
@@ -195,3 +196,36 @@ class TestReplicateTable:
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError):
             replicate_table("table9")
+
+
+class TestSharedReplications:
+    def test_table_csv_identical_across_worker_counts(self):
+        serial = replicate_table("table1", repetitions=4, master_seed=17, n_units=300, n_jobs=1)
+        parallel = replicate_table("table1", repetitions=4, master_seed=17, n_units=300, n_jobs=2)
+        assert serial.to_csv_text() == parallel.to_csv_text()
+
+    def test_single_scenario_study_equals_grid_rows(self):
+        tables = load_reference_tables()
+        grid = replicate_table("table1", repetitions=4, master_seed=17, n_units=300)
+        for scenario in ("ii", "iv"):
+            report = run_study(MCConfig(
+                n_units=300, scenario=scenario,
+                estimators=tuple(parse_model_spec(e) for e in tables["table1"]["estimators"]),
+                repetitions=4, master_seed=17, radius=tables["table1"]["radius"],
+            ))
+            for row in report.rows:
+                cell = grid.cell(row.estimator, scenario, row.target)
+                assert (cell.bias, cell.sd, cell.true_value) == (row.abs_bias, row.sd,
+                                                                  row.true_value)
+
+    def test_scenarios_with_different_treatments_do_not_share_designs(self):
+        # p_treat changes the treatment draw, so the second scenario's
+        # (d, t) differ and it must be fitted on its own design
+        from netcrf.montecarlo import _run_scenarios
+
+        base = small_config(repetitions=3)
+        scenarios = (dgp_scenario("iii"), dgp_scenario("iii", p_treat=0.3))
+        reports = _run_scenarios(base, scenarios)
+        for scenario, report in zip(scenarios, reports):
+            alone = run_study(small_config(repetitions=3, scenario=scenario))
+            assert report.rows == alone.rows
