@@ -14,7 +14,6 @@ from .dgp import (
     SampleFrame,
     TrueEffects,
     assign_treatment,
-    count_treated_neighbors,
     dgp_scenario,
     potential_outcome,
     simulate_frame,
@@ -74,7 +73,7 @@ from .rng import GENERATOR_NAME, rng_from_seed
 __all__ = [
     "__version__",
     "DgpParams", "PotentialOutcomeGrid", "SampleFrame", "TrueEffects",
-    "assign_treatment", "count_treated_neighbors", "dgp_scenario",
+    "assign_treatment", "dgp_scenario",
     "potential_outcome", "simulate_frame", "true_aggregate_effects",
     "DesignMatrix", "ModelKind", "ModelSpec", "build_design", "column_value",
     "format_model_spec", "parse_model_spec", "split_by_f",

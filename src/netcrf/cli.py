@@ -48,7 +48,7 @@ from .graph import (
     degree_stats,
     generate_positions,
     ingest_network,
-    network_from_edge_pairs,
+    ingest_node_rows,
     treated_neighbor_counts,
 )
 from .lsq import fit as lsq_fit
@@ -182,41 +182,27 @@ def read_frame_csv(source) -> tuple[SampleFrame, dict]:
 
 def _load_real_data(nodes_path: str, edges_path: str) -> SampleFrame:
     """Real-data mode: nodes.csv has header id,y,d; edges.csv has src,dst."""
-    with open(nodes_path, encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if not rows or [c.strip() for c in rows[0]][:3] != ["id", "y", "d"]:
-        raise DataError("nodes file must start with header 'id,y,d'")
-    ids, ys, ds = [], [], []
-    for row_no, row in enumerate(rows[1:], start=2):
+    network, rows = ingest_node_rows(nodes_path, edges_path, ("id", "y", "d"))
+    ys, ds = [], []
+    for line, row in rows:
         try:
-            ids.append(int(row[0]))
             ys.append(float(row[1]))
             ds.append(int(row[2]))
         except (ValueError, IndexError):
-            raise DataError(f"nodes row {row_no}: malformed row {row!r}") from None
+            raise DataError(f"nodes row {line}: malformed row {row!r}") from None
         if not math.isfinite(ys[-1]):
-            raise DataError(f"nodes row {row_no}: outcome y is not finite ({row[1]!r})")
-    with open(edges_path, encoding="utf-8") as handle:
-        erows = [row for row in csv.reader(handle) if row]
-    if not erows or [c.strip() for c in erows[0]][:2] != ["src", "dst"]:
-        raise DataError("edges file must start with header 'src,dst'")
-    pairs = []
-    for row_no, row in enumerate(erows[1:], start=2):
-        try:
-            pairs.append((int(row[0]), int(row[1])))
-        except (ValueError, IndexError):
-            raise DataError(f"edges row {row_no}: malformed row {row!r}") from None
-    network = network_from_edge_pairs(ids, pairs, first_row=2)
+            raise DataError(f"nodes row {line}: outcome y is not finite ({row[1]!r})")
+        if ds[-1] not in (0, 1):
+            raise DataError(f"nodes row {line}: treatment column d must be 0/1, got {row[2]!r}")
+    ids = np.array([int(row[0]) for _, row in rows])  # checked by ingest_node_rows
     d = np.array(ds)
-    if d.size and not np.isin(d, (0, 1)).all():
-        raise DataError("treatment column d must be 0/1")
     t = treated_neighbor_counts(network, d)
     retained = network.degree > 0
     if not retained.any():
         raise DataError("no units with F > 0; nothing to estimate on")
     return SampleFrame(
         y=np.array(ys)[retained], d=d[retained], t=t[retained],
-        f=network.degree[retained], ids=np.array(ids)[retained], n_total=network.n,
+        f=network.degree[retained], ids=ids[retained], n_total=network.n,
     )
 
 
@@ -311,7 +297,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         text = format_model_spec(spec)
         policy = rank_policy
         if policy == "auto":
-            policy = "drop" if spec.kind in (ModelKind.CRF1_LONG, ModelKind.CRF1_SHORT) else "error"
+            policy = "drop" if spec.saturated else "error"
         work = frame
         if spec.kind == ModelKind.CRF1_SHORT:
             work = frame.restrict_to_f(spec.f)

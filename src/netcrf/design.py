@@ -60,6 +60,12 @@ class ModelSpec:
             if self.f is None or self.f < 1:
                 raise ValueError("crf1short requires f >= 1")
 
+    @property
+    def saturated(self) -> bool:
+        """Saturated dummy designs drop the columns of empty cells, and an effect
+        no column carries is absent; other models fail on rank deficiency."""
+        return self.kind in (ModelKind.CRF1_LONG, ModelKind.CRF1_SHORT)
+
     @classmethod
     def t_model(cls) -> "ModelSpec":
         return cls(kind=ModelKind.T)

@@ -159,11 +159,6 @@ def assign_treatment(n: int, p_treat: float, seed: int) -> np.ndarray:
     return (rng.random(n) < p_treat).astype(np.int64)
 
 
-def count_treated_neighbors(network: Network, d: np.ndarray) -> np.ndarray:
-    """T_i = number of treated friends of unit i; satisfies 0 <= T_i <= F_i."""
-    return treated_neighbor_counts(network, d)
-
-
 def _outcome_mean(params: DgpParams, f, d, t):
     f = np.asarray(f, dtype=float)
     log_f = np.log(f)
@@ -204,7 +199,7 @@ def simulate_frame(
         raise ValueError("network must contain at least one unit")
     seed_d, seed_u = child_seeds(seed, 0, 2)
     d = assign_treatment(network.n, params.p_treat, seed_d)
-    t = count_treated_neighbors(network, d)
+    t = treated_neighbor_counts(network, d)
     u = rng_from_seed(seed_u).normal(0.0, params.noise_sd, size=network.n)
 
     retained = network.degree > 0

@@ -136,7 +136,7 @@ def _evaluate(fit: FitResult, spec: ModelSpec, f, t) -> np.ndarray:
     weights = _contrasts(fit.labels, f, np.asarray(t, dtype=float))
     dropped = np.isnan(fit.coefficients)
     absent = (weights[..., dropped] != 0).any(axis=-1)
-    if spec.kind in (ModelKind.CRF1_LONG, ModelKind.CRF1_SHORT):
+    if spec.saturated:
         absent |= ~weights.any(axis=-1)
     if spec.kind == ModelKind.CRF1_SHORT:
         absent |= f != spec.f

@@ -8,12 +8,15 @@ friend counts feed the sampling frames used by every estimator downstream.
 Neighbor search uses uniform grid bucketing with cell size equal to the
 radius, which gives O(n) expected construction; the test suite keeps a
 brute-force all-pairs oracle.
+
+External networks are parsed here only, from a nodes CSV (header starting
+``id``) and an edges CSV (``src,dst``) with blank lines skipped; every error,
+such as a duplicate id, unknown endpoint or self-loop, names its file line.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -248,69 +251,79 @@ def degree_stats(network: Network, treatment: np.ndarray | None = None) -> Degre
     )
 
 
-def _read_rows(source: str | Path | IO[str] | Iterable[str]) -> list[list[str]]:
+def _read_rows(
+    source: str | Path | IO[str], header: Sequence[str], what: str,
+) -> list[tuple[int, list[str]]]:
+    """(file line, cells) of every nonblank row below a header starting with ``header``."""
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as handle:
-            return [row for row in csv.reader(handle) if row]
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        return [row for row in csv.reader(source) if row]
-    return [row for row in csv.reader(iter(source)) if row]
+            return _read_rows(handle, header, what)
+    reader = csv.reader(source)
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or [c.strip() for c in rows[0][1]][:len(header)] != list(header):
+        raise DataError(f"{what} file must start with header '{','.join(header)}'")
+    return rows[1:]
 
 
 def network_from_edge_pairs(
     node_ids: Sequence[int],
     pairs: Iterable[tuple[int, int]],
-    first_row: int = 1,
+    lines: tuple[Sequence[int], Sequence[int]] | None = None,
 ) -> Network:
     """Build an undirected, deduplicated network from external id pairs.
 
     Node order follows ``node_ids``; duplicate ids, unknown endpoints and
-    self-loops are rejected. ``first_row`` sets the row number reported for
-    the first entry (file sources pass 2 to account for the header line).
+    self-loops are rejected. ``lines`` gives the file line of each node id
+    and of each pair, for error messages; without it entries count from 1.
     """
+    pairs = list(pairs)
+    node_lines, edge_lines = lines or (range(1, len(node_ids) + 1), range(1, len(pairs) + 1))
     index: dict[int, int] = {}
-    for pos, node_id in enumerate(node_ids):
+    for line, node_id in zip(node_lines, node_ids, strict=True):
         if node_id in index:
-            raise DataError(f"nodes row {pos + first_row}: duplicate node id {node_id}")
-        index[node_id] = pos
+            raise DataError(f"nodes row {line}: duplicate node id {node_id}")
+        index[node_id] = len(index)
     n = len(index)
     seen: set[tuple[int, int]] = set()
-    for row_no, (src, dst) in enumerate(pairs, start=first_row):
+    for line, (src, dst) in zip(edge_lines, pairs, strict=True):
         if src not in index:
-            raise DataError(f"edges row {row_no}: unknown node id {src}")
+            raise DataError(f"edges row {line}: unknown node id {src}")
         if dst not in index:
-            raise DataError(f"edges row {row_no}: unknown node id {dst}")
+            raise DataError(f"edges row {line}: unknown node id {dst}")
         if src == dst:
-            raise DataError(f"edges row {row_no}: self-loop on node id {src}")
+            raise DataError(f"edges row {line}: self-loop on node id {src}")
         a, b = index[src], index[dst]
         seen.add((min(a, b), max(a, b)))
     edges = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
-    degree = np.bincount(edges.ravel(), minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
-    return Network(n=n, edges=edges, degree=degree, radius=None)
+    return Network(n=n, edges=edges, degree=np.bincount(edges.ravel(), minlength=n))
+
+
+def ingest_node_rows(
+    nodes_source, edges_source, node_header: Sequence[str] = ("id",),
+) -> tuple[Network, list[tuple[int, list[str]]]]:
+    """``ingest_network`` for a nodes header starting with ``node_header`` (the
+    first column being the id), also returning each node row with its file line."""
+    node_rows = _read_rows(nodes_source, node_header, "nodes")
+    node_ids = []
+    for line, row in node_rows:
+        try:
+            node_ids.append(int(row[0]))
+        except (ValueError, IndexError):
+            raise DataError(f"nodes row {line}: expected an integer id, got {row!r}") from None
+    edge_rows = _read_rows(edges_source, ("src", "dst"), "edges")
+    pairs = []
+    for line, row in edge_rows:
+        try:
+            pairs.append((int(row[0]), int(row[1])))
+        except (ValueError, IndexError):
+            raise DataError(f"edges row {line}: expected two integer ids, got {row!r}") from None
+    lines = ([line for line, _ in node_rows], [line for line, _ in edge_rows])
+    return network_from_edge_pairs(node_ids, pairs, lines), node_rows
 
 
 def ingest_network(nodes_source, edges_source) -> Network:
     """Read a network from a nodes CSV (header ``id``) and an edges CSV (``src,dst``)."""
-    node_rows = _read_rows(nodes_source)
-    if not node_rows or [c.strip() for c in node_rows[0]][:1] != ["id"]:
-        raise DataError("nodes file must start with header 'id'")
-    node_ids = []
-    for row_no, row in enumerate(node_rows[1:], start=2):
-        try:
-            node_ids.append(int(row[0]))
-        except (ValueError, IndexError):
-            raise DataError(f"nodes row {row_no}: expected an integer id, got {row!r}") from None
-
-    edge_rows = _read_rows(edges_source)
-    if not edge_rows or [c.strip() for c in edge_rows[0]][:2] != ["src", "dst"]:
-        raise DataError("edges file must start with header 'src,dst'")
-    pairs = []
-    for row_no, row in enumerate(edge_rows[1:], start=2):
-        try:
-            pairs.append((int(row[0]), int(row[1])))
-        except (ValueError, IndexError):
-            raise DataError(f"edges row {row_no}: expected two integer ids, got {row!r}") from None
-    return network_from_edge_pairs(node_ids, pairs, first_row=2)
+    return ingest_node_rows(nodes_source, edges_source)[0]
 
 
 def calibrate_radius(

@@ -44,10 +44,6 @@ from .rng import GENERATOR_NAME, child_seeds
 
 TARGETS = ("direct", "network", "interaction")
 
-# saturated dummy designs may legitimately contain empty cells; linear models
-# must never be silently altered
-_DROP_KINDS = (ModelKind.CRF1_LONG, ModelKind.CRF1_SHORT)
-
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -70,6 +66,8 @@ class MCConfig:
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if any(spec.kind == ModelKind.CRF1_SHORT for spec in self.estimators):
+            raise ValueError("crf1short fits one F subsample; the study averages over every F")
 
     def params(self) -> DgpParams:
         if isinstance(self.scenario, DgpParams):
@@ -124,7 +122,7 @@ def _replicate(config: MCConfig, scenarios, rep_index: int) -> tuple[Replication
         failures: dict[str, str] = {}
         for spec in config.estimators:
             key = format_model_spec(spec)
-            policy = "drop" if spec.kind in _DROP_KINDS else "error"
+            policy = "drop" if spec.saturated else "error"
             try:
                 if spec not in designs:
                     designs[spec] = build_design(frame, spec)

@@ -176,6 +176,17 @@ class TestFit:
         assert code == 3
         assert "nodes row 3" in err and "not finite" in err
 
+    @pytest.mark.parametrize("value", ["2", "-1"])
+    def test_real_data_treatment_not_binary_is_data_error(self, tmp_path, capsys, value):
+        nodes = tmp_path / "nodes.csv"
+        edges = tmp_path / "edges.csv"
+        nodes.write_text(f"id,y,d\n1,0.5,1\n2,1.0,0\n3,1.5,{value}\n")
+        edges.write_text("src,dst\n1,2\n2,3\n")
+        code, _, err = run_cli(capsys, "fit", "--nodes", str(nodes), "--edges", str(edges),
+                               "--model", "t", "--out", str(tmp_path))
+        assert code == 3
+        assert "nodes row 4" in err and "d must be 0/1" in err
+
     def test_real_data_mode(self, tmp_path, capsys):
         # small graph with varied degrees; outcomes follow an exact linear
         # model so the fit recovers the coefficients to rounding error
@@ -251,3 +262,55 @@ class TestDegreeStats:
         assert code == 0
         payload = json.loads(out)
         assert 0.01 < payload["calibrated_radius"] < 0.08
+
+
+# blank lines (here line 3 of each file) are skipped, but every error still
+# names the line of the file that holds the offending row
+BLANK_LINE_FAULTS = {
+    "nodes value": ("id,y,d\n1,0.5,1\n\n2,{bad},0\n3,1.5,1\n", "src,dst\n1,2\n2,3\n",
+                    "nodes row 4"),
+    "edges value": ("id,y,d\n1,0.5,1\n2,1.0,0\n", "src,dst\n1,2\n\n1,x\n", "edges row 4"),
+    "unknown id": ("id,y,d\n1,0.5,1\n2,1.0,0\n", "src,dst\n1,2\n\n1,9\n", "edges row 4"),
+    "self-loop": ("id,y,d\n1,0.5,1\n2,1.0,0\n", "src,dst\n1,2\n\n2,2\n", "edges row 4"),
+    "duplicate id": ("id,y,d\n1,0.5,1\n\n1,1.0,0\n", "src,dst\n1,2\n", "nodes row 4"),
+}
+
+
+class TestBlankLines:
+    @pytest.mark.parametrize("fault", sorted(BLANK_LINE_FAULTS))
+    def test_fit_names_file_line(self, tmp_path, capsys, fault):
+        nodes_text, edges_text, where = BLANK_LINE_FAULTS[fault]
+        (tmp_path / "nodes.csv").write_text(nodes_text.format(bad="inf"))
+        (tmp_path / "edges.csv").write_text(edges_text)
+        code, _, err = run_cli(capsys, "fit", "--nodes", str(tmp_path / "nodes.csv"),
+                               "--edges", str(tmp_path / "edges.csv"),
+                               "--model", "t", "--out", str(tmp_path))
+        assert code == 3
+        assert where + ":" in err
+
+    @pytest.mark.parametrize("fault", sorted(BLANK_LINE_FAULTS))
+    def test_degree_stats_names_file_line(self, tmp_path, capsys, fault):
+        nodes_text, edges_text, where = BLANK_LINE_FAULTS[fault]
+        # degree-stats reads only the id column, so the bad value goes there
+        nodes_text = nodes_text.replace("id,y,d", "id").replace("2,{bad}", "{bad},0")
+        (tmp_path / "nodes.csv").write_text(nodes_text.format(bad="x"))
+        (tmp_path / "edges.csv").write_text(edges_text)
+        code, _, err = run_cli(capsys, "degree-stats", "--nodes", str(tmp_path / "nodes.csv"),
+                               "--edges", str(tmp_path / "edges.csv"))
+        assert code == 3
+        assert where + ":" in err
+
+    def test_blank_lines_do_not_change_the_fit(self, tmp_path, capsys):
+        nodes = "id,y,d\n1,0.5,1\n2,1.0,0\n3,2.5,1\n4,1.0,0\n5,3.5,1\n"
+        edges = "src,dst\n1,2\n2,3\n3,4\n4,5\n5,1\n1,3\n"
+        payloads = []
+        for name, newline in (("plain", "\n"), ("blank", "\n\n")):
+            (tmp_path / f"{name}_nodes.csv").write_text(nodes.replace("\n", newline))
+            (tmp_path / f"{name}_edges.csv").write_text(edges.replace("\n", newline))
+            code, _, _ = run_cli(capsys, "fit", "--nodes", str(tmp_path / f"{name}_nodes.csv"),
+                                 "--edges", str(tmp_path / f"{name}_edges.csv"),
+                                 "--model", "t", "--out", str(tmp_path / name))
+            assert code == 0
+            payloads.append(json.loads((tmp_path / name / "fit_t.json").read_text()))
+        plain, blank = payloads
+        assert plain["coefficients"] == blank["coefficients"]

@@ -215,6 +215,13 @@ class TestSpecStrings:
         with pytest.raises(ValueError):
             parse_model_spec("crf1short:f=0")
 
+    @pytest.mark.parametrize("text, saturated", [
+        ("t", False), ("r", False), ("tr", False), ("crf2:J=2", False),
+        ("crf1long", True), ("crf1short:f=3", True),
+    ])
+    def test_saturated_kinds(self, text, saturated):
+        assert parse_model_spec(text).saturated is saturated
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ModelSpec.crf2(-1)

@@ -7,12 +7,12 @@ from netcrf import (
     DgpParams,
     Network,
     assign_treatment,
-    count_treated_neighbors,
     dgp_scenario,
     potential_outcome,
     simulate_frame,
     true_aggregate_effects,
 )
+from netcrf.graph import treated_neighbor_counts
 from conftest import make_frame
 
 
@@ -39,12 +39,12 @@ class TestCountTreatedNeighbors:
         # center is unit 0 with leaves 1..3; two treated leaves
         edges = np.array([[0, 1], [0, 2], [0, 3]])
         net = Network(n=4, edges=edges, degree=np.array([3, 1, 1, 1]))
-        t = count_treated_neighbors(net, np.array([0, 1, 1, 0]))
+        t = treated_neighbor_counts(net, np.array([0, 1, 1, 0]))
         assert t[0] == 2
         assert list(t[1:]) == [0, 0, 0]
 
     def test_all_controls(self, network_1000):
-        t = count_treated_neighbors(network_1000, np.zeros(1000, dtype=int))
+        t = treated_neighbor_counts(network_1000, np.zeros(1000, dtype=int))
         assert not t.any()
 
     def test_matches_double_loop_oracle(self):
@@ -52,7 +52,7 @@ class TestCountTreatedNeighbors:
 
         net = build_geometric_network(generate_positions(100, 21), 0.15)
         d = assign_treatment(100, 0.5, 22)
-        t = count_treated_neighbors(net, d)
+        t = treated_neighbor_counts(net, d)
         neighbor_sets = [set() for _ in range(net.n)]
         for a, b in net.edges:
             neighbor_sets[a].add(b)
@@ -63,7 +63,7 @@ class TestCountTreatedNeighbors:
 
     def test_length_mismatch_rejected(self, network_1000):
         with pytest.raises(ValueError):
-            count_treated_neighbors(network_1000, np.zeros(5, dtype=int))
+            treated_neighbor_counts(network_1000, np.zeros(5, dtype=int))
 
 
 class TestPotentialOutcome:

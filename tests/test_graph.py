@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcrf import (
     DataError,
@@ -13,6 +15,7 @@ from netcrf import (
     degree_stats,
     generate_positions,
     ingest_network,
+    network_from_edge_pairs,
 )
 from netcrf.graph import treated_neighbor_counts
 
@@ -206,6 +209,92 @@ class TestIngestNetwork:
             ingest_network(io.StringIO("node\n1\n"), io.StringIO("src,dst\n"))
         with pytest.raises(DataError):
             ingest_network(io.StringIO("id\n1\n"), io.StringIO("a,b\n"))
+
+    def test_blank_lines_keep_file_lines(self):
+        nodes = "id\n1\n\n2\n"
+        with pytest.raises(DataError, match="edges row 5:"):
+            ingest_network(io.StringIO(nodes), io.StringIO("\nsrc,dst\n1,2\n\n1,9\n"))
+        with pytest.raises(DataError, match="nodes row 4: expected an integer id"):
+            ingest_network(io.StringIO("id\n1\n\nx\n"), io.StringIO("src,dst\n"))
+        with pytest.raises(DataError, match="nodes row 4: duplicate"):
+            ingest_network(io.StringIO("id\n1\n\n1\n"), io.StringIO("src,dst\n"))
+
+    def test_crlf_line_endings(self):
+        net = ingest_network(io.StringIO("id\r\n1\r\n2\r\n\r\n3\r\n"),
+                             io.StringIO("src,dst\r\n3,1\r\n"))
+        assert list(net.degree) == [1, 0, 1]
+
+    def test_pairs_without_lines_count_from_one(self):
+        with pytest.raises(DataError, match="edges row 2: self-loop"):
+            network_from_edge_pairs([5, 6], [(5, 6), (6, 6)])
+        with pytest.raises(DataError, match="nodes row 3: duplicate"):
+            network_from_edge_pairs([5, 6, 5], [])
+
+    def test_pairs_report_given_lines(self):
+        with pytest.raises(DataError, match="edges row 12: unknown node id 7"):
+            network_from_edge_pairs([5, 6], [(5, 6), (6, 7)], ([2, 3], [10, 12]))
+
+
+def _csv_text(header: str, rows: list[str], blanks: list[int]) -> tuple[str, list[int]]:
+    """CSV text with ``blanks[k]`` blank lines before line k (the header is
+    line 0), and the file line of each row in ``rows``."""
+    lines, numbers = [], []
+    for blank, line in zip(blanks, [header] + rows):
+        lines += [""] * blank
+        lines.append(line)
+        numbers.append(len(lines))
+    return "\n".join(lines) + "\n", numbers[1:]
+
+
+@st.composite
+def network_files(draw):
+    """Node ids, id pairs (some reversed or repeated), and both CSV texts with
+    random blank lines, plus the file line of every node and edge row."""
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12, unique=True))
+    pairs = []
+    if len(ids) > 1:
+        endpoint = st.sampled_from(ids)
+        pairs = draw(st.lists(st.tuples(endpoint, endpoint).filter(lambda p: p[0] != p[1]),
+                              max_size=25))
+    if pairs:
+        pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=5))]
+        pairs = draw(st.permutations(pairs))
+    nodes_text, node_lines = _csv_text(
+        "id", [str(i) for i in ids],
+        draw(st.lists(st.integers(0, 2), min_size=len(ids) + 1, max_size=len(ids) + 1)))
+    edges_text, edge_lines = _csv_text(
+        "src,dst", [f"{a},{b}" for a, b in pairs],
+        draw(st.lists(st.integers(0, 2), min_size=len(pairs) + 1, max_size=len(pairs) + 1)))
+    return ids, pairs, (nodes_text, node_lines), (edges_text, edge_lines)
+
+
+class TestIngestProperties:
+    @settings(deadline=None)
+    @given(network_files())
+    def test_ingest_equals_edge_pairs(self, files):
+        ids, pairs, (nodes_text, _), (edges_text, _) = files
+        got = ingest_network(io.StringIO(nodes_text), io.StringIO(edges_text))
+        expected = network_from_edge_pairs(ids, pairs)
+        assert got.n == expected.n == len(ids)
+        assert np.array_equal(got.edges, expected.edges)
+        assert np.array_equal(got.degree, expected.degree)
+        index = {node_id: pos for pos, node_id in enumerate(ids)}
+        assert {tuple(e) for e in got.edges.tolist()} == {
+            tuple(sorted((index[a], index[b]))) for a, b in pairs}
+
+    @settings(deadline=None)
+    @given(network_files(), st.data())
+    def test_corrupted_row_names_its_file_line(self, files, data):
+        ids, pairs, (nodes_text, node_lines), (edges_text, edge_lines) = files
+        targets = [("nodes", n) for n in node_lines] + [("edges", n) for n in edge_lines]
+        what, line = data.draw(st.sampled_from(targets))
+        text = nodes_text if what == "nodes" else edges_text
+        rows = text.split("\n")
+        rows[line - 1] = "x" if what == "nodes" else rows[line - 1].split(",")[0] + ",x"
+        text = "\n".join(rows)
+        sources = (text, edges_text) if what == "nodes" else (nodes_text, text)
+        with pytest.raises(DataError, match=f"^{what} row {line}: expected"):
+            ingest_network(*map(io.StringIO, sources))
 
 
 class TestNetworkSerialization:

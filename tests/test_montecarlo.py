@@ -160,6 +160,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(n_jobs=0)
 
+    def test_crf1short_rejected(self):
+        # the study targets average over every F; crf1short sees one F only
+        with pytest.raises(ValueError, match="crf1short"):
+            small_config(estimators=(ModelSpec.t_model(), ModelSpec.crf1_short(4)))
+
 
 class TestReplicateTable:
     def test_reference_tables_shape(self):
