@@ -17,6 +17,7 @@ from .dgp import (
     dgp_scenario,
     potential_outcome,
     simulate_frame,
+    simulate_frames,
     true_aggregate_effects,
 )
 from .design import (
@@ -74,7 +75,7 @@ __all__ = [
     "__version__",
     "DgpParams", "PotentialOutcomeGrid", "SampleFrame", "TrueEffects",
     "assign_treatment", "dgp_scenario",
-    "potential_outcome", "simulate_frame", "true_aggregate_effects",
+    "potential_outcome", "simulate_frame", "simulate_frames", "true_aggregate_effects",
     "DesignMatrix", "ModelKind", "ModelSpec", "build_design", "column_value",
     "format_model_spec", "parse_model_spec", "split_by_f",
     "CellMeans", "EffectAggregates", "EffectCell", "EffectTable",

@@ -349,9 +349,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     )
     csv_path = out / f"{args.table}_comparison.csv"
     txt_path = out / f"{args.table}_report.txt"
+    report = comparison.to_text_report()
     csv_path.write_text(comparison.to_csv_text(), encoding="utf-8")
-    txt_path.write_text(comparison.to_text_report(), encoding="utf-8")
-    print(comparison.to_text_report())
+    txt_path.write_text(report, encoding="utf-8")
+    print(report)
     print(f"wrote {csv_path} and {txt_path}")
     return 0
 

@@ -10,11 +10,18 @@ with u ~ Normal(0, noise_sd) drawn independently of (d, t, f). Four named
 scenarios toggle the heterogeneity coefficients so that the count-based,
 ratio-based, both, or neither of the linear estimators is correctly
 specified. Estimation frames keep only units with f >= 1.
+
+A seed fixes one uniform and one standard-normal draw per unit, shared by
+every parameter set: d = uniform < p_treat and u = noise_sd * z. So
+:func:`simulate_frames` draws once for a whole scenario grid, counts treated
+friends once per distinct ``p_treat``, and evaluates only the outcome mean
+per scenario; :func:`simulate_frame` is its one-scenario case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -81,6 +88,7 @@ class SampleFrame:
                 raise ValueError("t must satisfy 0 <= t <= f")
         if n > self.n_total:
             raise ValueError("n_selected cannot exceed n_total")
+        check_finite_y(y)
         for name, arr in (("y", y), ("d", d), ("t", t), ("f", f), ("ids", ids)):
             object.__setattr__(self, name, arr)
 
@@ -128,6 +136,14 @@ class TrueEffects:
     direct: float
     network: float
     interaction: float
+
+
+def check_finite_y(y: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite entry of a 1-D or 2-D outcome array."""
+    finite = np.isfinite(y)
+    if not finite.all():
+        index = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"y[{', '.join(map(str, index))}] is not finite ({y[index]})")
 
 
 def dgp_scenario(scenario: str, **overrides) -> DgpParams:
@@ -182,6 +198,43 @@ def potential_outcome(params: DgpParams, f: int, d: int, t: int, u: float) -> fl
     return float(_outcome_mean(params, f, d, t) + u)
 
 
+def _simulate(network: Network, scenarios: Sequence[DgpParams], seed: int):
+    """Frames of every scenario from one draw, plus the retained units' standard normals."""
+    if network.n < 1:
+        raise ValueError("network must contain at least one unit")
+    seed_d, seed_u = child_seeds(seed, 0, 2)
+    uniforms = rng_from_seed(seed_d).random(network.n)
+    z = rng_from_seed(seed_u).standard_normal(network.n)
+
+    retained = network.degree > 0
+    f_sel = network.degree[retained]
+    ids = np.flatnonzero(retained)
+    z_sel = z[retained]
+    units: dict[float, tuple[np.ndarray, np.ndarray]] = {}  # p_treat -> (d, t) retained
+    frames = []
+    for params in scenarios:
+        if params.p_treat not in units:
+            d = (uniforms < params.p_treat).astype(np.int64)
+            t = treated_neighbor_counts(network, d)
+            units[params.p_treat] = (d[retained], t[retained])
+        d_sel, t_sel = units[params.p_treat]
+        y_sel = _outcome_mean(params, f_sel, d_sel, t_sel) + params.noise_sd * z_sel
+        frames.append(SampleFrame(y=y_sel, d=d_sel, t=t_sel, f=f_sel, ids=ids,
+                                  n_total=network.n))
+    return tuple(frames), z_sel
+
+
+def simulate_frames(
+    network: Network, scenarios: Sequence[DgpParams], seed: int,
+) -> tuple[SampleFrame, ...]:
+    """One frame per parameter set, all from the same draws of ``seed``.
+
+    Each frame equals ``simulate_frame(network, params, seed)``; frames with
+    the same ``p_treat`` share their ``d``, ``t``, ``f`` and ``ids`` arrays.
+    """
+    return _simulate(network, scenarios, seed)[0]
+
+
 def simulate_frame(
     network: Network,
     params: DgpParams,
@@ -195,36 +248,20 @@ def simulate_frame(
     unit with the same realized noise draw, so the realized outcome equals
     the grid value at the realized (d, t).
     """
-    if network.n < 1:
-        raise ValueError("network must contain at least one unit")
-    seed_d, seed_u = child_seeds(seed, 0, 2)
-    d = assign_treatment(network.n, params.p_treat, seed_d)
-    t = treated_neighbor_counts(network, d)
-    u = rng_from_seed(seed_u).normal(0.0, params.noise_sd, size=network.n)
-
-    retained = network.degree > 0
-    f_sel = network.degree[retained]
-    d_sel = d[retained]
-    t_sel = t[retained]
-    u_sel = u[retained]
-    y_sel = _outcome_mean(params, f_sel, d_sel, t_sel) + u_sel
-
-    frame = SampleFrame(
-        y=y_sel, d=d_sel, t=t_sel, f=f_sel,
-        ids=np.flatnonzero(retained), n_total=network.n,
-    )
+    (frame,), z_sel = _simulate(network, (params,), seed)
     if not track_grid:
         return frame
 
+    u_sel = params.noise_sd * z_sel
     grids = []
-    for fi, ui in zip(f_sel, u_sel):
+    for fi, ui in zip(frame.f, u_sel):
         ts = np.arange(fi + 1)
         grid = np.vstack([
             _outcome_mean(params, float(fi), 0, ts) + ui,
             _outcome_mean(params, float(fi), 1, ts) + ui,
         ])
         grids.append(grid)
-    return frame, PotentialOutcomeGrid(f=f_sel.copy(), u=u_sel.copy(), values=tuple(grids))
+    return frame, PotentialOutcomeGrid(f=frame.f.copy(), u=u_sel, values=tuple(grids))
 
 
 def true_aggregate_effects(params: DgpParams, f_values) -> TrueEffects:

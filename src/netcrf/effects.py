@@ -20,7 +20,8 @@ An entry is absent (never zero) when its contrast weights a dropped column,
 when a saturated design has no column carrying it (its contrast is all zero,
 as for ``crf1long`` beyond ``f_max`` or ``t_max``), or for ``crf1short`` at a
 friend count other than its own. Aggregates skip absent cells with a logged
-warning.
+warning. Contrasts and the absent rule depend on the design alone, so a
+multi-outcome fit evaluates them once and aggregates each column separately.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,7 +83,7 @@ class EffectAggregates:
 @dataclass(frozen=True)
 class EffectTable:
     cells: tuple[EffectCell, ...]
-    aggregates: EffectAggregates
+    aggregates: EffectAggregates | tuple[EffectAggregates, ...]
     model: str
 
     CSV_COLUMNS = ("f", "t", "delta0", "tau0", "tau_pm", "tau1", "delta_t", "baseline")
@@ -106,15 +107,8 @@ class EffectTable:
     def to_json_dict(self) -> dict:
         return {
             "model": self.model,
-            "aggregates": {
-                "direct": self.aggregates.direct,
-                "network": self.aggregates.network,
-                "interaction": self.aggregates.interaction,
-            },
-            "cells": [
-                {name: getattr(c, name) for name in self.CSV_COLUMNS}
-                for c in self.cells
-            ],
+            "aggregates": asdict(self.aggregates),
+            "cells": [asdict(c) for c in self.cells],
         }
 
     def to_json(self) -> str:
@@ -130,17 +124,19 @@ def _contrasts(labels, f, t) -> np.ndarray:
     return np.stack([x00, x10 - x00, x0t - x00, x1t - x10 - x0t + x00])
 
 
-def _evaluate(fit: FitResult, spec: ModelSpec, f, t) -> np.ndarray:
-    """(baseline, delta0, tau0, tau_pm) at each (f, t) pair; NaN marks an absent entry."""
+def _evaluate(fit: FitResult, spec: ModelSpec, f, t) -> list[np.ndarray]:
+    """Per outcome column, (baseline, delta0, tau0, tau_pm) at each (f, t); NaN = absent."""
     f = np.asarray(f, dtype=float)
     weights = _contrasts(fit.labels, f, np.asarray(t, dtype=float))
-    dropped = np.isnan(fit.coefficients)
+    coefficients = fit.coefficients.reshape(len(fit.labels), -1)  # one column per outcome
+    dropped = np.isnan(coefficients[:, 0])
     absent = (weights[..., dropped] != 0).any(axis=-1)
     if spec.saturated:
         absent |= ~weights.any(axis=-1)
     if spec.kind == ModelKind.CRF1_SHORT:
         absent |= f != spec.f
-    return np.where(absent, np.nan, weights @ np.where(dropped, 0.0, fit.coefficients))
+    coefficients = np.ascontiguousarray(np.where(dropped[:, None], 0.0, coefficients).T)
+    return [np.where(absent, np.nan, weights @ column) for column in coefficients]
 
 
 def recover_effect_table(
@@ -157,7 +153,8 @@ def recover_effect_table(
     friend counts tabulated per f (default 1..f; an empty grid yields the
     aggregates alone). Aggregates average the per-unit effect functions
     evaluated at one treated friend over the empirical f distribution,
-    skipping absent cells with a warning.
+    skipping absent cells with a warning. A multi-outcome fit needs
+    ``t_grid=()`` and yields a tuple of aggregates, one per outcome column.
     """
     f_values = np.asarray(f_values, dtype=np.int64)
     if f_values.size == 0:
@@ -170,21 +167,23 @@ def recover_effect_table(
 
     pairs = [(int(f), int(t)) for f in unique_f
              for t in (t_grid if t_grid is not None else range(1, int(f) + 1)) if 1 <= t <= f]
-    cells = []
+    rows = []
     if pairs:
+        if fit.n_outcomes is not None:
+            raise ValueError("per-cell effect tables need a one-outcome fit; pass t_grid=()")
         f_cells, t_cells = np.array(pairs, dtype=float).T
-        baseline, delta0, tau0, tau_pm = _evaluate(fit, spec, f_cells, t_cells)
+        [(baseline, delta0, tau0, tau_pm)] = _evaluate(fit, spec, f_cells, t_cells)
         tau1, delta_t = complete_effects(delta0, tau0, tau_pm)
         rows = np.column_stack([delta0, tau0, tau_pm, tau1, delta_t, baseline]).tolist()
-        for (f, t), row in zip(pairs, rows):
-            cells.append(EffectCell(f, t, *(None if math.isnan(v) else v for v in row)))
+    cells = [EffectCell(f, t, *(None if math.isnan(v) else v for v in row))
+             for (f, t), row in zip(pairs, rows)]
 
-    _, direct, network, interaction = _evaluate(fit, spec, unique_f, np.ones(unique_f.size))
-    aggregates = EffectAggregates(
-        direct=_weighted_aggregate(direct, counts, "direct"),
-        network=_weighted_aggregate(network, counts, "network"),
-        interaction=_weighted_aggregate(interaction, counts, "interaction"),
-    )
+    aggregates = tuple(
+        EffectAggregates(*(_weighted_aggregate(v, counts, name) for v, name in
+                           zip(values[1:], ("direct", "network", "interaction"))))
+        for values in _evaluate(fit, spec, unique_f, np.ones(unique_f.size)))
+    if fit.n_outcomes is None:
+        (aggregates,) = aggregates
     return EffectTable(cells=tuple(cells), aggregates=aggregates, model=format_model_spec(spec))
 
 

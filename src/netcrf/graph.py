@@ -199,18 +199,18 @@ def build_geometric_network(positions: PositionSet, radius: float) -> Network:
     """Connect every pair at Euclidean distance <= ``radius`` (ties included)."""
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    coords = positions.coords
-    ci, cj = _candidate_pairs(coords, radius)
+    n = positions.n
+    ci, cj = _candidate_pairs(positions.coords, radius)
     if ci.size:
-        diff = coords[ci] - coords[cj]
-        close = diff[:, 0] ** 2 + diff[:, 1] ** 2 <= radius * radius
+        x, y = np.ascontiguousarray(positions.coords.T)
+        dx, dy = x[ci] - x[cj], y[ci] - y[cj]
+        close = dx ** 2 + dy ** 2 <= radius * radius
         ci, cj = ci[close], cj[close]
-    lo = np.minimum(ci, cj)
-    hi = np.maximum(ci, cj)
-    sorter = np.lexsort((hi, lo))
-    edges = np.column_stack([lo[sorter], hi[sorter]])
-    degree = np.bincount(edges.ravel(), minlength=positions.n) if edges.size else np.zeros(positions.n, dtype=np.int64)
-    return Network(n=positions.n, edges=edges, degree=degree, radius=radius)
+    # each pair is a candidate once, so sorting the keys lo * n + hi sorts the edges
+    lo, hi = np.divmod(np.sort(np.minimum(ci, cj) * n + np.maximum(ci, cj)), n)
+    edges = np.column_stack([lo, hi])
+    degree = np.bincount(edges.ravel(), minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
+    return Network(n=n, edges=edges, degree=degree, radius=radius)
 
 
 def treated_neighbor_counts(network: Network, d: np.ndarray) -> np.ndarray:
@@ -256,8 +256,11 @@ def _read_rows(
 ) -> list[tuple[int, list[str]]]:
     """(file line, cells) of every nonblank row below a header starting with ``header``."""
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as handle:
-            return _read_rows(handle, header, what)
+        try:
+            with open(source, newline="", encoding="utf-8") as handle:
+                return _read_rows(handle, header, what)
+        except FileNotFoundError:
+            raise DataError(f"{what} file not found: {source}") from None
     reader = csv.reader(source)
     rows = [(reader.line_num, row) for row in reader if row]
     if not rows or [c.strip() for c in rows[0][1]][:len(header)] != list(header):

@@ -9,10 +9,14 @@ equations exist in the test suite only, as an independent oracle.
 
 The factorization belongs to the design (:attr:`DesignMatrix.qr`): it is
 computed by the first fit of a matrix and reused by every later fit of the
-same matrix, so fitting several outcome vectors on one design costs one QR
-plus a ``Q'y`` solve per vector. The variance matrices of a fit are computed
-on first access, so callers that read only the coefficients never pay for
-them.
+same matrix. ``y`` may also hold several outcomes as columns, shape
+``(n, s)`` as in ``numpy.linalg.lstsq``; one call then computes the rank and
+the dropped columns once and solves each column with exactly the
+one-outcome arithmetic (its own ``Q'y`` and triangular solve), so a
+column's numbers never depend on the columns fitted alongside it. The
+variance matrices of a fit are computed on first access, so callers that
+read only the coefficients never pay for them; they, ``coef`` and the JSON
+form need a one-outcome fit.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .design import DesignMatrix
+from .dgp import check_finite_y
 from .errors import DegreesOfFreedomError, RankDeficiencyError
 
 DEFAULT_RANK_TOL = 1e-10
@@ -34,7 +39,11 @@ DEFAULT_RANK_TOL = 1e-10
 @dataclass(frozen=True)
 class FitResult:
     """OLS output: coefficients (NaN where a column was dropped), diagnostics,
-    residuals, and both variance estimates over the retained columns."""
+    residuals, and both variance estimates over the retained columns.
+
+    For an ``(n, s)`` outcome, ``coefficients`` is ``(k, s)`` and
+    ``residuals``/``fitted`` are ``(n, s)``, one column per outcome.
+    """
 
     coefficients: np.ndarray
     labels: tuple[str, ...]
@@ -44,6 +53,15 @@ class FitResult:
     fitted: np.ndarray
     n: int
     design: DesignMatrix = field(repr=False, compare=False)
+
+    @property
+    def n_outcomes(self) -> int | None:
+        """Outcome columns of a multi-outcome fit; None for a one-outcome fit."""
+        return None if self.coefficients.ndim == 1 else int(self.coefficients.shape[1])
+
+    def _one_outcome(self, what: str) -> None:
+        if self.n_outcomes is not None:
+            raise ValueError(f"{what} needs a one-outcome fit, got {self.n_outcomes} outcomes")
 
     @cached_property
     def _xtx_inv(self) -> np.ndarray:
@@ -57,6 +75,7 @@ class FitResult:
     @cached_property
     def vcov_classical(self) -> np.ndarray | None:
         """s^2 (X'X)^-1, or None when n <= rank leaves no residual degrees of freedom."""
+        self._one_outcome("vcov_classical")
         if self.rank == 0:
             return np.zeros((0, 0))
         if self.n <= self.rank:
@@ -67,6 +86,7 @@ class FitResult:
     @cached_property
     def vcov_robust(self) -> np.ndarray:
         """Heteroskedasticity-consistent sandwich with squared-residual weights."""
+        self._one_outcome("vcov_robust")
         if self.rank == 0:
             return np.zeros((0, 0))
         _, _, pivots = self.design.qr
@@ -82,10 +102,12 @@ class FitResult:
 
     def coef(self, label: str) -> float | None:
         """Coefficient by column label; None when the column was dropped."""
+        self._one_outcome("coef")
         value = self.coefficients[self.labels.index(label)]
         return None if math.isnan(value) else float(value)
 
     def to_json_dict(self) -> dict:
+        self._one_outcome("to_json_dict")
         return {
             "labels": list(self.labels),
             "coefficients": [None if math.isnan(c) else c for c in self.coefficients],
@@ -106,22 +128,24 @@ def fit(
     on_rank_deficiency: str = "error",
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> FitResult:
-    """Least-squares fit of ``y`` on the columns of ``x``.
+    """Least-squares fit of ``y``, shape ``(n,)`` or ``(n, s)``, on the columns of ``x``.
 
     Rank is the number of leading pivots whose magnitude exceeds
     ``rank_tol`` times the largest pivot. With ``on_rank_deficiency="drop"``
     the pivoted-out columns are reported in ``dropped_columns`` and their
     coefficients are NaN; with ``"error"`` a deficient design raises
-    :class:`RankDeficiencyError` listing the dependent columns.
+    :class:`RankDeficiencyError` listing the dependent columns. A non-finite
+    ``y`` raises ValueError naming its first bad entry.
     """
     if on_rank_deficiency not in ("error", "drop"):
         raise ValueError(f"unknown rank policy {on_rank_deficiency!r}")
     y = np.asarray(y, dtype=float)
     n, k = x.values.shape
-    if y.shape != (n,):
-        raise ValueError(f"y must have length {n}, got shape {y.shape}")
+    if y.ndim not in (1, 2) or y.shape[0] != n:
+        raise ValueError(f"y must have shape ({n},) or ({n}, s), got {y.shape}")
     if n < 1:
         raise ValueError("need at least one observation")
+    check_finite_y(y)
 
     q, r, pivots = x.qr
     diag = np.abs(np.diag(r))
@@ -137,14 +161,17 @@ def fit(
     if dropped and on_rank_deficiency == "error":
         raise RankDeficiencyError(dropped)
 
-    coefficients = np.full(k, np.nan)
-    if rank > 0:
-        qty = q.T @ y
-        beta = scipy.linalg.solve_triangular(r[:rank, :rank], qty[:rank])
-        coefficients[pivots[:rank]] = beta
-        fitted = x.values[:, pivots[:rank]] @ beta
-    else:
-        fitted = np.zeros(n)
+    retained = x.values[:, pivots[:rank]]
+    columns = [y] if y.ndim == 1 else list(np.asfortranarray(y).T)
+    coefficients = np.full((k, len(columns)), np.nan)
+    fitted = np.zeros((n, len(columns)))
+    for j, column in enumerate(columns if rank > 0 else ()):
+        beta = scipy.linalg.solve_triangular(r[:rank, :rank], (q.T @ column)[:rank],
+                                             check_finite=False)
+        coefficients[pivots[:rank], j] = beta
+        fitted[:, j] = retained @ beta
+    if y.ndim == 1:
+        coefficients, fitted = coefficients[:, 0], fitted[:, 0]
     residuals = y - fitted
 
     return FitResult(

@@ -10,10 +10,11 @@ runs and across worker counts.
 
 Scenarios share each replication's draws (the streams ignore the scenario),
 so only the outcome ``y`` differs between them. One replication loop serves
-every scenario of a grid: it builds the network once, each estimator's design
-and QR factorization once per distinct (d, t, f) frame (equal for the presets,
-checked for custom parameters), and fits every scenario's ``y`` against it.
-``run_study`` and ``run_replication`` are its one-scenario case.
+every scenario of a grid: it builds the network and draws the frames once
+(``simulate_frames``); then, per estimator and distinct ``p_treat`` (which
+fixes d, t and f), one design, one ``lsq.fit`` of the stacked scenario
+outcomes and one ``recover_effect_table`` call give every scenario's
+aggregates. ``run_study`` and ``run_replication`` are its one-scenario case.
 
 ``replicate_table`` reruns the benchmark study grids and compares the
 reproduced bias/SD values against reference values shipped with the package
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .design import ModelKind, ModelSpec, build_design, format_model_spec, parse_model_spec
-from .dgp import DgpParams, TrueEffects, dgp_scenario, simulate_frame, true_aggregate_effects
+from .dgp import DgpParams, TrueEffects, dgp_scenario, simulate_frames, true_aggregate_effects
 from .effects import recover_effect_table
 from .errors import DataError, NumericalError
 from .graph import DEFAULT_RADIUS, build_geometric_network, generate_positions
@@ -93,51 +94,42 @@ def run_replication(config: MCConfig, rep_index: int) -> ReplicationResult:
     return _replicate(config, (config.params(),), rep_index)[0]
 
 
-def _same_units(a, b) -> bool:
-    """Whether two frames have equal (d, t, f) columns, and so equal designs."""
-    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ("d", "t", "f"))
-
-
 def _replicate(config: MCConfig, scenarios, rep_index: int) -> tuple[ReplicationResult, ...]:
     """One replication of every scenario in ``scenarios`` (a sequence of DgpParams)."""
     seed_positions, seed_frame = child_seeds(config.master_seed, rep_index, 2)
     positions = generate_positions(config.n_units, seed_positions)
     network = build_geometric_network(positions, config.radius)
-    groups: list[tuple] = []  # (frame, spec -> design), one per distinct (d, t, f)
-    results = []
-    for params in scenarios:
-        frame = simulate_frame(network, params, seed_frame)
-        if frame.n_selected == 0:
-            raise DataError(
-                f"replication {rep_index}: no units with F > 0 "
-                f"(n_units={config.n_units}, radius={config.radius})"
-            )
-        true = true_aggregate_effects(params, frame.f)
-        designs = next((built for other, built in groups if _same_units(other, frame)), None)
-        if designs is None:
-            designs = {}
-            groups.append((frame, designs))
-
-        estimates: dict[str, tuple[float, float, float]] = {}
-        failures: dict[str, str] = {}
+    frames = simulate_frames(network, scenarios, seed_frame)
+    if frames[0].n_selected == 0:
+        raise DataError(
+            f"replication {rep_index}: no units with F > 0 "
+            f"(n_units={config.n_units}, radius={config.radius})"
+        )
+    results = tuple(ReplicationResult(rep_index, true_aggregate_effects(params, frame.f), {}, {})
+                    for params, frame in zip(scenarios, frames))
+    groups: dict[float, list[int]] = {}  # p_treat -> scenario positions sharing (d, t, f)
+    for pos, params in enumerate(scenarios):
+        groups.setdefault(params.p_treat, []).append(pos)
+    for group in groups.values():
+        frame = frames[group[0]]
+        y = np.column_stack([frames[pos].y for pos in group])
         for spec in config.estimators:
             key = format_model_spec(spec)
             policy = "drop" if spec.saturated else "error"
             try:
-                if spec not in designs:
-                    designs[spec] = build_design(frame, spec)
-                result = lsq_fit(designs[spec], frame.y, on_rank_deficiency=policy)
-                agg = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
+                result = lsq_fit(build_design(frame, spec), y, on_rank_deficiency=policy)
+                aggregates = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
             except (NumericalError, DataError, ValueError) as exc:
-                failures[key] = f"{type(exc).__name__}: {exc}"
+                for pos in group:
+                    results[pos].failures[key] = f"{type(exc).__name__}: {exc}"
                 continue
-            if agg.direct is None or agg.network is None or agg.interaction is None:
-                failures[key] = "aggregate effects unavailable (all cells absent)"
-                continue
-            estimates[key] = (float(agg.direct), float(agg.network), float(agg.interaction))
-        results.append(ReplicationResult(rep_index=rep_index, true=true,
-                                         estimates=estimates, failures=failures))
-    return tuple(results)
+            for pos, agg in zip(group, aggregates):
+                if agg.direct is None or agg.network is None or agg.interaction is None:
+                    results[pos].failures[key] = "aggregate effects unavailable (all cells absent)"
+                else:
+                    results[pos].estimates[key] = (float(agg.direct), float(agg.network),
+                                                   float(agg.interaction))
+    return results
 
 
 @dataclass(frozen=True)

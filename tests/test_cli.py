@@ -210,6 +210,21 @@ class TestFit:
         assert coef["F"] == pytest.approx(-0.25, abs=1e-8)
 
 
+class TestMissingNetworkFiles:
+    @pytest.mark.parametrize("missing", ["nodes", "edges"])
+    @pytest.mark.parametrize("command", ["fit", "degree-stats"])
+    def test_missing_file_is_data_error(self, tmp_path, capsys, command, missing):
+        paths = {"nodes": tmp_path / "nodes.csv", "edges": tmp_path / "edges.csv"}
+        if missing == "edges":
+            paths["nodes"].write_text("id,y,d\n1,0.5,1\n2,1.5,0\n")
+        argv = [command, "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"])]
+        if command == "fit":
+            argv += ["--model", "t", "--out", str(tmp_path / "out")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err == f"data error: {missing} file not found: {paths[missing]}\n"
+
+
 class TestReplicate:
     def test_smoke_run_writes_reports(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -219,6 +234,8 @@ class TestReplicate:
         assert code == 0
         report = (tmp_path / "table2_report.txt").read_text()
         assert "bias cells failing" in report
+        assert out == (f"{report}\nwrote {tmp_path / 'table2_comparison.csv'} and "
+                       f"{tmp_path / 'table2_report.txt'}\n")
         csv_lines = (tmp_path / "table2_comparison.csv").read_text().splitlines()
         assert len(csv_lines) == 14  # metadata + header + 12 cells
         metadata = json.loads(csv_lines[0][1:])

@@ -10,6 +10,7 @@ from netcrf import (
     dgp_scenario,
     potential_outcome,
     simulate_frame,
+    simulate_frames,
     true_aggregate_effects,
 )
 from netcrf.graph import treated_neighbor_counts
@@ -172,6 +173,36 @@ class TestSimulateFrame:
             assert frame.y[i] == pytest.approx(expected, abs=1e-12)
 
 
+class TestSimulateFrames:
+    SCENARIOS = (
+        dgp_scenario("i"), dgp_scenario("iv"), dgp_scenario("iii", p_treat=0.3),
+        dgp_scenario("ii", noise_sd=2.5), dgp_scenario("iv", p_treat=0.3, noise_sd=0.0),
+    )
+
+    def test_each_frame_equals_simulate_frame_bitwise(self, network_1000):
+        frames = simulate_frames(network_1000, self.SCENARIOS, 31)
+        assert len(frames) == len(self.SCENARIOS)
+        for params, frame in zip(self.SCENARIOS, frames):
+            alone = simulate_frame(network_1000, params, 31)
+            for name in ("y", "d", "t", "f", "ids"):
+                got, want = getattr(frame, name), getattr(alone, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert frame.n_total == alone.n_total
+
+    def test_frames_with_equal_p_treat_share_units(self, network_1000):
+        frames = simulate_frames(network_1000, self.SCENARIOS, 31)
+        assert frames[0].d is frames[1].d and frames[0].t is frames[3].t
+        assert frames[2].d is frames[4].d
+        assert not np.array_equal(frames[0].d, frames[2].d)
+        assert all(frame.f is frames[0].f for frame in frames)
+
+    def test_grid_noise_matches_frame(self, network_1000):
+        params = self.SCENARIOS[3]
+        frame, grid = simulate_frame(network_1000, params, 31, track_grid=True)
+        for i in range(0, frame.n_selected, 41):
+            assert frame.y[i] == grid.value(i, int(frame.d[i]), int(frame.t[i]))
+
+
 class TestDecompositionIdentity:
     @pytest.mark.parametrize("scenario", ["i", "ii", "iii", "iv"])
     def test_exact_per_unit(self, scenario, network_1000):
@@ -271,3 +302,8 @@ class TestSampleFrameValidation:
             DgpParams(noise_sd=-1.0)
         with pytest.raises(ValueError):
             DgpParams(p_treat=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_y_names_row(self, value):
+        with pytest.raises(ValueError, match=r"y\[2\] is not finite"):
+            make_frame([1.0, 2.0, value, math.nan], [0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 2, 2])

@@ -375,3 +375,48 @@ class TestEffectTableOutput:
         assert payload["model"] == "tr"
         assert payload["aggregates"]["direct"] == pytest.approx(2.0, abs=1e-8)
         assert len(payload["cells"]) == len(table.cells)
+
+
+class TestMultiOutcomeAggregates:
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.t_model(), ModelSpec.r_model(), ModelSpec.tr_model(), ModelSpec.crf2(2),
+        ModelSpec.crf2(1, t_order=2), ModelSpec.crf1_long(f_max=6, t_max=6),
+    ])
+    def test_equal_per_column_aggregates_bitwise(self, noisy_small_f_frame, spec):
+        frame = noisy_small_f_frame
+        rng = np.random.default_rng(21)
+        y = np.column_stack([frame.y, frame.y + rng.standard_normal(frame.n_selected),
+                             2.0 * frame.y - 1.0])
+        design = build_design(frame, spec)
+        multi = recover_effect_table(fit(design, y, on_rank_deficiency="drop"), spec, frame.f,
+                                     t_grid=())
+        assert multi.cells == () and len(multi.aggregates) == 3
+        for j, got in enumerate(multi.aggregates):
+            one = fit(build_design(frame, spec), y[:, j].copy(), on_rank_deficiency="drop")
+            want = recover_effect_table(one, spec, frame.f, t_grid=()).aggregates
+            for name in ("direct", "network", "interaction"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a == b and (a is None or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+    def test_absent_cells_are_skipped_in_every_column(self):
+        # no unit has t=1 at f=2, so each column's network aggregate skips f=2
+        frame = make_frame([1.0, 2.0, 1.5, 0.5, 2.5, 1.0],
+                           [0, 1, 0, 1, 0, 1],
+                           [0, 2, 1, 0, 1, 1],
+                           [2, 2, 1, 1, 1, 1])
+        spec = ModelSpec.crf1_long(f_max=2, t_max=2)
+        y = np.column_stack([frame.y, frame.y * 3.0])
+        table = recover_effect_table(fit(build_design(frame, spec), y, on_rank_deficiency="drop"),
+                                     spec, frame.f, t_grid=())
+        for j, agg in enumerate(table.aggregates):
+            one = fit(build_design(frame, spec), y[:, j].copy(), on_rank_deficiency="drop")
+            assert agg == recover_effect_table(one, spec, frame.f, t_grid=()).aggregates
+
+    def test_per_cell_table_needs_one_outcome_fit(self, noisy_small_f_frame):
+        frame = noisy_small_f_frame
+        spec = ModelSpec.tr_model()
+        result = fit(build_design(frame, spec), np.column_stack([frame.y, frame.y]))
+        with pytest.raises(ValueError, match="one-outcome"):
+            recover_effect_table(result, spec, frame.f)
+        with pytest.raises(ValueError, match="one-outcome"):
+            recover_effect_table(result, spec, frame.f, t_grid=(1,))

@@ -17,7 +17,7 @@ from netcrf import (
     ingest_network,
     network_from_edge_pairs,
 )
-from netcrf.graph import treated_neighbor_counts
+from netcrf.graph import _candidate_pairs, treated_neighbor_counts
 
 
 def brute_force_edges(coords, radius):
@@ -110,6 +110,22 @@ class TestBuildGeometricNetwork:
         assert np.all(edges[:, 0] < edges[:, 1])
         keys = edges[:, 0] * net.n + edges[:, 1]
         assert np.all(np.diff(keys) > 0)
+
+    @pytest.mark.parametrize("n,radius", [(300, 0.05), (2000, 0.025), (5000, 0.025)])
+    def test_edges_equal_lexsort_reference(self, n, radius):
+        # reference: the same candidate pairs, filtered with 2-D differences
+        # and ordered by lexsort, as the build did before key sorting
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            pos = PositionSet(n=n, coords=rng.random((n, 2)))
+            ci, cj = _candidate_pairs(pos.coords, radius)
+            diff = pos.coords[ci] - pos.coords[cj]
+            close = diff[:, 0] ** 2 + diff[:, 1] ** 2 <= radius * radius
+            lo, hi = np.minimum(ci, cj)[close], np.maximum(ci, cj)[close]
+            order = np.lexsort((hi, lo))
+            reference = np.column_stack([lo[order], hi[order]])
+            edges = build_geometric_network(pos, radius).edges
+            assert edges.dtype == reference.dtype and np.array_equal(edges, reference)
 
     def test_degree_moments_match_binomial_oracle(self):
         # closed-form oracle: the marginal degree is Binomial(n-1, p) with

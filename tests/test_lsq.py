@@ -180,3 +180,97 @@ class TestVcov:
         x, y = random_system(rng)
         with pytest.raises(ValueError):
             vcov(fit(x, y), "cluster")
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def multi_outcome_designs():
+    rng = np.random.default_rng(11)
+    full, _ = random_system(rng, n=120, k=5)
+    base = rng.standard_normal((120, 3))
+    deficient = DesignMatrix(values=np.column_stack([np.ones(120), base, base[:, 1], np.zeros(120)]),
+                             labels=("1", "a", "b", "c", "b_copy", "empty"))
+    rank_zero = DesignMatrix(values=np.zeros((120, 2)), labels=("z1", "z2"))
+    return {"full": full, "deficient": deficient, "rank_zero": rank_zero}
+
+
+class TestMultiOutcome:
+    @pytest.mark.parametrize("name", ["full", "deficient", "rank_zero"])
+    def test_columns_equal_one_outcome_fits_bitwise(self, name):
+        x = multi_outcome_designs()[name]
+        rng = np.random.default_rng(12)
+        y = rng.standard_normal((x.n_rows, 4)) + np.arange(4.0)
+        multi = fit(x, y, on_rank_deficiency="drop")
+        assert multi.n_outcomes == 4
+        assert multi.coefficients.shape == (x.n_cols, 4)
+        assert multi.residuals.shape == multi.fitted.shape == (x.n_rows, 4)
+        for j in range(4):
+            fresh = DesignMatrix(values=x.values.copy(), labels=x.labels)
+            one = fit(fresh, y[:, j].copy(), on_rank_deficiency="drop")
+            assert one.n_outcomes is None
+            assert (one.rank, one.dropped_columns) == (multi.rank, multi.dropped_columns)
+            for field_name in ("coefficients", "residuals", "fitted"):
+                assert same_bits(getattr(multi, field_name)[:, j], getattr(one, field_name)), \
+                    (field_name, j)
+        expected_rank = {"full": 5, "deficient": 4, "rank_zero": 0}[name]
+        assert multi.rank == expected_rank
+
+    def test_column_does_not_depend_on_its_neighbours(self):
+        x = multi_outcome_designs()["full"]
+        rng = np.random.default_rng(13)
+        y = rng.standard_normal((x.n_rows, 3))
+        wide = fit(x, y)
+        narrow = fit(x, y[:, [2, 0]])
+        assert same_bits(wide.coefficients[:, 2], narrow.coefficients[:, 0])
+        assert same_bits(wide.coefficients[:, 0], narrow.coefficients[:, 1])
+
+    def test_single_column_matrix_stays_multi_outcome(self):
+        x = multi_outcome_designs()["full"]
+        y = np.random.default_rng(14).standard_normal(x.n_rows)
+        multi = fit(x, y[:, None])
+        assert multi.n_outcomes == 1
+        assert same_bits(multi.coefficients[:, 0], fit(x, y).coefficients)
+
+    def test_error_policy_rejects_deficient_multi_outcome_fit(self):
+        x = multi_outcome_designs()["deficient"]
+        with pytest.raises(RankDeficiencyError):
+            fit(x, np.zeros((x.n_rows, 3)))
+
+    @pytest.mark.parametrize("read", [
+        lambda r: r.vcov_classical, lambda r: r.vcov_robust, lambda r: vcov(r, "robust"),
+        lambda r: r.to_json_dict(), lambda r: r.coef("c0"),
+    ])
+    def test_one_outcome_outputs_reject_multi_outcome_fits(self, read):
+        x = multi_outcome_designs()["full"]
+        result = fit(x, np.ones((x.n_rows, 2)))
+        with pytest.raises(ValueError, match="one-outcome"):
+            read(result)
+
+    def test_bad_shapes_rejected(self):
+        x = multi_outcome_designs()["full"]
+        with pytest.raises(ValueError):
+            fit(x, np.ones((x.n_rows, 2, 2)))
+        with pytest.raises(ValueError):
+            fit(x, np.ones((x.n_rows + 1, 2)))
+
+
+class TestNonFiniteOutcome:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_one_outcome_names_row(self, value):
+        x = multi_outcome_designs()["full"]
+        y = np.ones(x.n_rows)
+        y[7] = value
+        y[9] = np.nan
+        with pytest.raises(ValueError, match=r"y\[7\] is not finite"):
+            fit(x, y)
+
+    def test_multi_outcome_names_row_and_column(self):
+        x = multi_outcome_designs()["full"]
+        y = np.ones((x.n_rows, 3))
+        y[5, 2] = np.nan
+        y[6, 0] = np.inf
+        with pytest.raises(ValueError, match=r"y\[5, 2\] is not finite"):
+            fit(x, y)

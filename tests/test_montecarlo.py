@@ -5,6 +5,7 @@ from netcrf import (
     MCConfig,
     ModelSpec,
     dgp_scenario,
+    format_model_spec,
     load_reference_tables,
     parse_model_spec,
     replicate_table,
@@ -234,3 +235,37 @@ class TestSharedReplications:
         for scenario, report in zip(scenarios, reports):
             alone = run_study(small_config(repetitions=3, scenario=scenario))
             assert report.rows == alone.rows
+
+    def test_grid_replication_equals_one_scenario_pipeline(self):
+        # the public one-scenario functions, composed per scenario, give
+        # bit for bit what one shared grid replication gives
+        from netcrf import (
+            build_design,
+            build_geometric_network,
+            fit,
+            generate_positions,
+            recover_effect_table,
+            simulate_frame,
+            true_aggregate_effects,
+        )
+        from netcrf.montecarlo import _replicate
+        from netcrf.rng import child_seeds
+
+        estimators = ALL_FOUR + (ModelSpec.crf1_long(f_max=1, t_max=1),)
+        config = small_config(estimators=estimators)
+        scenarios = (dgp_scenario("i"), dgp_scenario("iv"), dgp_scenario("iii", p_treat=0.3),
+                     dgp_scenario("ii", noise_sd=0.5))
+        for rep_index in (0, 3):
+            shared = _replicate(config, scenarios, rep_index)
+            seed_positions, seed_frame = child_seeds(config.master_seed, rep_index, 2)
+            network = build_geometric_network(
+                generate_positions(config.n_units, seed_positions), config.radius)
+            for params, result in zip(scenarios, shared):
+                frame = simulate_frame(network, params, seed_frame)
+                assert result.true == true_aggregate_effects(params, frame.f)
+                assert "crf1long:f_max=1,t_max=1" in result.failures
+                for spec in ALL_FOUR:
+                    one = fit(build_design(frame, spec), frame.y)
+                    agg = recover_effect_table(one, spec, frame.f, t_grid=()).aggregates
+                    assert result.estimates[format_model_spec(spec)] == (
+                        agg.direct, agg.network, agg.interaction)
