@@ -156,8 +156,24 @@ def format_model_spec(spec: ModelSpec) -> str:
 
 
 @dataclass(frozen=True)
+class QRBlock:
+    """Economic column-pivoted QR ``(q, r, pivots)`` of one diagonal block of a design.
+
+    ``rows`` selects the block's rows (``slice(None)`` when it spans them all),
+    ``columns`` holds its design column indices in ascending order, and
+    ``pivots`` indexes ``columns``.
+    """
+
+    rows: np.ndarray | slice
+    columns: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    pivots: np.ndarray
+
+
+@dataclass(frozen=True)
 class DesignMatrix:
-    """Numeric design matrix plus per-column labels; ``values`` is a read-only copy."""
+    """Numeric design matrix plus per-column labels; ``values`` is a finite, read-only copy."""
 
     values: np.ndarray
     labels: tuple[str, ...]
@@ -171,6 +187,10 @@ class DesignMatrix:
             raise ValueError("one label per column required")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("column labels must be unique")
+        if not np.isfinite(values).all():
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            raise ValueError(f"design row {row}, column {self.labels[col]!r} "
+                             f"is not finite ({values[row, col]})")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -186,9 +206,52 @@ class DesignMatrix:
         return self.values[:, self.labels.index(label)]
 
     @cached_property
-    def qr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Economic column-pivoted QR ``(q, r, pivots)``, shared by every fit of the matrix."""
-        return scipy.linalg.qr(self.values, mode="economic", pivoting=True)
+    def qr(self) -> tuple[QRBlock, ...]:
+        """Pivoted QR of each diagonal block, shared by every fit of the matrix.
+
+        A block is a connected set of rows and columns in the nonzero pattern,
+        so the design is block-diagonal up to a permutation; blocks come in
+        the order of their first column. A design with a column that has no
+        zero entry (``1``, ``F^0``) is one block and is factored whole.
+        """
+        return tuple(
+            QRBlock(rows, columns, *scipy.linalg.qr(block, mode="economic", pivoting=True,
+                                                   check_finite=False))
+            for rows, columns, block in _diagonal_blocks(self.values))
+
+
+def _diagonal_blocks(values: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray,
+                                                      np.ndarray]]:
+    """(rows, columns, values) of each connected block of the nonzero pattern,
+    by first column; a one-block design hands over ``values`` uncopied.
+
+    Columns are tested one at a time for a zero-free one, which joins every
+    row and column into one block; only designs without one pay for the
+    search. A block grows from its first column: take the rows where its
+    columns are nonzero, then every column nonzero in those rows, until no
+    column is new. All-zero rows belong to no block, and an all-zero column
+    is a block without rows.
+    """
+    n, k = values.shape
+    for j in range(k):
+        if np.count_nonzero(values[:, j]) == n:
+            return [(slice(None), np.arange(k), values)]
+    nonzero = values != 0
+    blocks, seen = [], np.zeros(k, dtype=bool)
+    for first in range(k):
+        if seen[first]:
+            continue
+        cols = np.arange(k) == first
+        while True:
+            rows = nonzero[:, cols].any(axis=1)
+            grown = cols | nonzero[rows].any(axis=0)
+            if (grown == cols).all():
+                break
+            cols = grown
+        seen |= cols
+        rows, cols = np.flatnonzero(rows), np.flatnonzero(cols)
+        blocks.append((rows, cols, values[np.ix_(rows, cols)]))
+    return blocks
 
 
 def column_value(label: str, d, t, f):

@@ -1,6 +1,6 @@
 """Ordinary least squares with rank diagnostics; the shared numerical core.
 
-Fitting goes through a column-pivoted QR factorization with tolerance-based
+Fitting goes through column-pivoted QR factorizations with tolerance-based
 rank detection. Rank-deficient designs either raise (policy ``error``,
 appropriate for the linear models, which should never be silently altered)
 or drop the pivoted-out columns (policy ``drop``, appropriate for saturated
@@ -9,14 +9,26 @@ equations exist in the test suite only, as an independent oracle.
 
 The factorization belongs to the design (:attr:`DesignMatrix.qr`): it is
 computed by the first fit of a matrix and reused by every later fit of the
-same matrix. ``y`` may also hold several outcomes as columns, shape
-``(n, s)`` as in ``numpy.linalg.lstsq``; one call then computes the rank and
-the dropped columns once and solves each column with exactly the
-one-outcome arithmetic (its own ``Q'y`` and triangular solve), so a
-column's numbers never depend on the columns fitted alongside it. The
-variance matrices of a fit are computed on first access, so callers that
-read only the coefficients never pay for them; they, ``coef`` and the JSON
-form need a one-outcome fit.
+same matrix. It is one pivoted QR per diagonal block, a block being a
+connected set of rows and columns in the nonzero pattern. Every linear
+design has a column without zeros (``1`` or ``F^0``) and is one block; a
+``crf1long`` design has one block per friend count. **Rank rule:** a block
+keeps its leading pivots whose magnitude exceeds ``rank_tol`` times that
+block's largest pivot and drops the rest; the fit's rank is the sum over
+blocks, and ``dropped_columns`` the union. Coefficients, fitted values,
+residuals, ``(X'X)^-1`` and both variance matrices assemble block by block,
+so no product runs over the whole design; ``min_pivot_ratio`` reports the
+smallest retained pivot relative to its block's largest, i.e. how close the
+fit came to dropping another column.
+
+``y`` may also hold several outcomes as columns, shape ``(n, s)`` as in
+``numpy.linalg.lstsq``; one call then computes the rank and the dropped
+columns once and solves each column with exactly the one-outcome
+arithmetic (its own ``Q'y`` and triangular solve per block), so a column's
+numbers never depend on the columns fitted alongside it. The variance
+matrices of a fit are computed on first access, so callers that read only
+the coefficients never pay for them; they, ``coef`` and the JSON form need
+a one-outcome fit.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .design import DesignMatrix
+from .design import DesignMatrix, QRBlock
 from .dgp import check_finite_y
 from .errors import DegreesOfFreedomError, RankDeficiencyError
 
@@ -43,6 +55,9 @@ class FitResult:
 
     For an ``(n, s)`` outcome, ``coefficients`` is ``(k, s)`` and
     ``residuals``/``fitted`` are ``(n, s)``, one column per outcome.
+    ``block_ranks`` holds the rank of each block of ``design.qr``, and
+    ``min_pivot_ratio`` the smallest retained pivot over its block's largest
+    (None at rank 0).
     """
 
     coefficients: np.ndarray
@@ -52,6 +67,8 @@ class FitResult:
     residuals: np.ndarray
     fitted: np.ndarray
     n: int
+    min_pivot_ratio: float | None
+    block_ranks: tuple[int, ...] = field(repr=False)
     design: DesignMatrix = field(repr=False, compare=False)
 
     @property
@@ -64,13 +81,33 @@ class FitResult:
             raise ValueError(f"{what} needs a one-outcome fit, got {self.n_outcomes} outcomes")
 
     @cached_property
+    def _blocks(self) -> list[tuple[QRBlock, np.ndarray, np.ndarray]]:
+        """Per block with retained columns: the block, those columns ascending,
+        and their (X'X)^-1 in that order."""
+        out = []
+        for block, rank in zip(self.design.qr, self.block_ranks):
+            if rank == 0:
+                continue
+            r_inv = scipy.linalg.solve_triangular(block.r[:rank, :rank], np.eye(rank),
+                                                  check_finite=False)
+            order = np.argsort(block.pivots[:rank])
+            out.append((block, np.sort(block.columns[block.pivots[:rank]]),
+                        (r_inv @ r_inv.T)[np.ix_(order, order)]))
+        return out
+
+    def _block_diagonal(self, pieces) -> np.ndarray:
+        """Assemble per-block square matrices over all retained columns, ascending."""
+        retained = np.sort(np.concatenate([cols for _, cols, _ in self._blocks]))
+        out = np.zeros((self.rank, self.rank))
+        for (_, cols, _), piece in zip(self._blocks, pieces):
+            at = np.searchsorted(retained, cols)
+            out[np.ix_(at, at)] = piece
+        return out
+
+    @cached_property
     def _xtx_inv(self) -> np.ndarray:
         """(X'X)^-1 over the retained columns, in ascending column order."""
-        _, r, pivots = self.design.qr
-        rank = self.rank
-        r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
-        order = np.argsort(pivots[:rank])
-        return (r_inv @ r_inv.T)[np.ix_(order, order)]
+        return self._block_diagonal([inv for _, _, inv in self._blocks])
 
     @cached_property
     def vcov_classical(self) -> np.ndarray | None:
@@ -89,11 +126,12 @@ class FitResult:
         self._one_outcome("vcov_robust")
         if self.rank == 0:
             return np.zeros((0, 0))
-        _, _, pivots = self.design.qr
-        retained_cols = self.design.values[:, np.sort(pivots[:self.rank])]
-        weighted = retained_cols * self.residuals[:, None]
-        meat = weighted.T @ weighted
-        return _symmetrize(self._xtx_inv @ meat @ self._xtx_inv)
+        pieces = []
+        for block, cols, inv in self._blocks:
+            weighted = self.design.values[block.rows][:, cols] * self.residuals[block.rows, None]
+            meat = weighted.T @ weighted
+            pieces.append(inv @ meat @ inv)
+        return _symmetrize(self._block_diagonal(pieces))
 
     @property
     def retained_labels(self) -> tuple[str, ...]:
@@ -112,6 +150,7 @@ class FitResult:
             "labels": list(self.labels),
             "coefficients": [None if math.isnan(c) else c for c in self.coefficients],
             "rank": self.rank,
+            "min_pivot_ratio": self.min_pivot_ratio,
             "dropped_columns": list(self.dropped_columns),
             "n": self.n,
             "vcov_classical": None if self.vcov_classical is None else self.vcov_classical.tolist(),
@@ -130,9 +169,11 @@ def fit(
 ) -> FitResult:
     """Least-squares fit of ``y``, shape ``(n,)`` or ``(n, s)``, on the columns of ``x``.
 
-    Rank is the number of leading pivots whose magnitude exceeds
-    ``rank_tol`` times the largest pivot. With ``on_rank_deficiency="drop"``
-    the pivoted-out columns are reported in ``dropped_columns`` and their
+    The design is factored block by block (:attr:`DesignMatrix.qr`). A
+    block's rank is the number of its leading pivots whose magnitude exceeds
+    ``rank_tol`` times the block's largest pivot; the fit's rank is their
+    sum. With ``on_rank_deficiency="drop"`` the pivoted-out columns of
+    every block are reported in ``dropped_columns`` and their
     coefficients are NaN; with ``"error"`` a deficient design raises
     :class:`RankDeficiencyError` listing the dependent columns. A non-finite
     ``y`` raises ValueError naming its first bad entry.
@@ -147,29 +188,37 @@ def fit(
         raise ValueError("need at least one observation")
     check_finite_y(y)
 
-    q, r, pivots = x.qr
-    diag = np.abs(np.diag(r))
-    largest = diag[0] if diag.size else 0.0
-    if largest == 0.0:
-        rank = 0
-    else:
+    block_ranks, ratios = [], []
+    for block in x.qr:
+        diag = np.abs(np.diag(block.r))
+        largest = diag[0] if diag.size else 0.0
+        if largest == 0.0:
+            block_ranks.append(0)
+            continue
         below = diag <= rank_tol * largest
-        rank = int(np.argmax(below)) if below.any() else int(diag.size)
+        block_ranks.append(int(np.argmax(below)) if below.any() else int(diag.size))
+        ratios.append(diag[:block_ranks[-1]].min() / largest)
+    rank = sum(block_ranks)
 
-    dropped_idx = pivots[rank:]
+    dropped_idx = [i for b, r in zip(x.qr, block_ranks) for i in b.columns[b.pivots[r:]]]
     dropped = tuple(x.labels[i] for i in sorted(dropped_idx))
     if dropped and on_rank_deficiency == "error":
         raise RankDeficiencyError(dropped)
 
-    retained = x.values[:, pivots[:rank]]
     columns = [y] if y.ndim == 1 else list(np.asfortranarray(y).T)
     coefficients = np.full((k, len(columns)), np.nan)
     fitted = np.zeros((n, len(columns)))
-    for j, column in enumerate(columns if rank > 0 else ()):
-        beta = scipy.linalg.solve_triangular(r[:rank, :rank], (q.T @ column)[:rank],
-                                             check_finite=False)
-        coefficients[pivots[:rank], j] = beta
-        fitted[:, j] = retained @ beta
+    for block, block_rank in zip(x.qr, block_ranks):
+        if block_rank == 0:
+            continue
+        kept = block.columns[block.pivots[:block_rank]]
+        r = block.r[:block_rank, :block_rank]
+        retained = x.values[block.rows][:, kept]
+        for j, column in enumerate(columns):
+            beta = scipy.linalg.solve_triangular(r, (block.q.T @ column[block.rows])[:block_rank],
+                                                 check_finite=False)
+            coefficients[kept, j] = beta
+            fitted[block.rows, j] = retained @ beta
     if y.ndim == 1:
         coefficients, fitted = coefficients[:, 0], fitted[:, 0]
     residuals = y - fitted
@@ -182,6 +231,8 @@ def fit(
         residuals=residuals,
         fitted=fitted,
         n=n,
+        min_pivot_ratio=float(min(ratios)) if ratios else None,
+        block_ranks=tuple(block_ranks),
         design=x,
     )
 

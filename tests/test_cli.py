@@ -1,9 +1,15 @@
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netcrf.cli import main, read_frame_csv
+from netcrf import DataError, SampleFrame
+from netcrf.cli import main, read_frame_csv, write_frame_csv
 
 
 def run_cli(capsys, *argv):
@@ -331,3 +337,56 @@ class TestBlankLines:
             payloads.append(json.loads((tmp_path / name / "fit_t.json").read_text()))
         plain, blank = payloads
         assert plain["coefficients"] == blank["coefficients"]
+
+
+@st.composite
+def frames_with_metadata(draw):
+    """A valid frame with any finite float outcomes, and JSON metadata holding its n_total."""
+    n = draw(st.integers(1, 15))
+    f = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    frame = SampleFrame(
+        y=np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=n, max_size=n)), dtype=float),
+        d=np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        t=np.array([draw(st.integers(0, fi)) for fi in f]),
+        f=np.array(f),
+        ids=np.array(draw(st.lists(st.integers(0, 10**12), min_size=n, max_size=n, unique=True))),
+        n_total=n + draw(st.integers(0, 5)),
+    )
+    value = st.none() | st.booleans() | st.integers() | st.text() | st.floats(allow_nan=False)
+    metadata = draw(st.dictionaries(st.text(), value, max_size=4))
+    metadata["n_total"] = frame.n_total
+    return frame, metadata
+
+
+def written_frame_text(frame, metadata):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.csv"
+        write_frame_csv(path, frame, metadata)
+        return path.read_text(encoding="utf-8")
+
+
+class TestFrameCsvProperties:
+    @settings(deadline=None)
+    @given(frames_with_metadata())
+    def test_round_trip_preserves_frame_and_metadata(self, case):
+        frame, metadata = case
+        got, got_metadata = read_frame_csv(io.StringIO(written_frame_text(frame, metadata)))
+        assert got.y.tobytes() == frame.y.tobytes()
+        for name in ("d", "t", "f", "ids"):
+            assert np.array_equal(getattr(got, name), getattr(frame, name)), name
+        assert got.n_total == frame.n_total
+        assert got_metadata == metadata
+
+    @settings(deadline=None)
+    @given(frames_with_metadata(), st.data())
+    def test_corrupted_row_names_its_file_line(self, case, data):
+        frame, metadata = case
+        lines = written_frame_text(frame, metadata).split("\n")
+        # line 1 is the metadata comment and line 2 the header
+        line = data.draw(st.integers(3, frame.n_selected + 2))
+        fields = lines[line - 1].split(",")
+        fields[data.draw(st.integers(0, 4))] = "x"
+        lines[line - 1] = ",".join(fields)
+        with pytest.raises(DataError, match=f"^frame CSV row {line}: malformed row"):
+            read_frame_csv(io.StringIO("\n".join(lines)))

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from netcrf import (
+    DesignMatrix,
     ModelKind,
     ModelSpec,
     OutOfSupportError,
@@ -234,3 +237,21 @@ class TestSpecStrings:
         frame = make_frame([], [], [], [])
         with pytest.raises(ValueError):
             build_design(frame, ModelSpec.t_model())
+
+
+class TestNonFiniteDesign:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_entry_by_row_and_column_label(self, value):
+        values = np.ones((6, 3))
+        values[4, 2] = value
+        values[5, 0] = np.nan
+        message = re.escape(f"design row 4, column 'c' is not finite ({value})")
+        with pytest.raises(ValueError, match=message):
+            DesignMatrix(values=values, labels=("a", "b", "c"))
+
+    def test_overflowing_power_column_is_rejected(self):
+        # 40.0 ** 193 is the first power of 40 beyond the float64 range
+        frame = make_frame(np.zeros(3), [0, 1, 0], [0, 1, 2], [2, 3, 40])
+        message = re.escape("design row 2, column 'F^193' is not finite (inf)")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            build_design(frame, ModelSpec.crf2(200))

@@ -1,13 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from netcrf import (
     DegreesOfFreedomError,
     DesignMatrix,
+    ModelSpec,
     RankDeficiencyError,
+    build_design,
+    cell_means,
+    dgp_scenario,
     fit,
+    parse_model_spec,
+    recover_effect_table,
+    simulate_frame,
     vcov,
 )
+from netcrf.lsq import DEFAULT_RANK_TOL
+from conftest import identified_effects, make_frame
 
 
 def normal_equations_oracle(x, y):
@@ -274,3 +286,185 @@ class TestNonFiniteOutcome:
         y[6, 0] = np.inf
         with pytest.raises(ValueError, match=r"y\[5, 2\] is not finite"):
             fit(x, y)
+
+
+def saturated_frame(seed):
+    """A crf1long frame with empty F=3 cells, a one-row F=5 block and an F=6
+    block without a t=0 unit; elsewhere d and t are random."""
+    rng = np.random.default_rng(seed)
+    f = np.concatenate([rng.choice([1, 2, 4], size=150), [5], np.full(12, 6)])
+    t = rng.integers(0, f + 1)
+    t[-12:] = rng.integers(1, 7, size=12)
+    d = rng.integers(0, 2, size=f.size)
+    y = rng.standard_normal(f.size) + f - 2.0 * d * t
+    return make_frame(y, d, t, f)
+
+
+def dense_fit(x, y):
+    """One dense pivoted QR of the whole design, rank against its largest pivot,
+    and the variance arithmetic of a one-block fit, written out directly."""
+    q, r, pivots = scipy.linalg.qr(x.values, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    below = diag <= DEFAULT_RANK_TOL * diag[0]
+    rank = int(np.argmax(below)) if below.any() else diag.size
+    beta = scipy.linalg.solve_triangular(r[:rank, :rank], (q.T @ y)[:rank])
+    coefficients = np.full(x.n_cols, np.nan)
+    coefficients[pivots[:rank]] = beta
+    residuals = y - x.values[:, pivots[:rank]] @ beta
+    r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
+    order = np.argsort(pivots[:rank])
+    xtx_inv = (r_inv @ r_inv.T)[np.ix_(order, order)]
+    classical = float(residuals @ residuals) / (x.n_rows - rank) * xtx_inv
+    weighted = x.values[:, np.sort(pivots[:rank])] * residuals[:, None]
+    robust = xtx_inv @ (weighted.T @ weighted) @ xtx_inv
+    return {"coefficients": coefficients, "residuals": residuals,
+            "dropped_columns": tuple(x.labels[i] for i in sorted(pivots[rank:])),
+            "vcov_classical": 0.5 * (classical + classical.T),
+            "vcov_robust": 0.5 * (robust + robust.T)}
+
+
+def sandwich(x, retained, residuals):
+    """Classical and robust variances on the given columns from their own dense QR."""
+    cols = x.values[:, retained]
+    _, r = scipy.linalg.qr(cols, mode="economic")
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0]))
+    xtx_inv = r_inv @ r_inv.T
+    weighted = cols * residuals[:, None]
+    s2 = float(residuals @ residuals) / (x.n_rows - len(retained))
+    return s2 * xtx_inv, xtx_inv @ (weighted.T @ weighted) @ xtx_inv
+
+
+def assert_close(a, b, tol=1e-12):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) <= tol * max(1.0, np.max(np.abs(b), initial=0.0))
+
+
+class TestBlockFit:
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_blocks_partition_the_nonzero_pattern(self, seed):
+        x = build_design(saturated_frame(seed), ModelSpec.crf1_long())
+        covered = np.zeros(x.values.shape, dtype=bool)
+        for block in x.qr:
+            rows = np.zeros(x.n_rows, dtype=bool)
+            rows[block.rows] = True
+            assert not x.values[~rows][:, block.columns].any()
+            covered[np.ix_(rows, np.isin(np.arange(x.n_cols), block.columns))] = True
+        assert not x.values[~covered].any()
+        assert sorted(np.concatenate([b.columns for b in x.qr]).tolist()) == list(range(x.n_cols))
+        with_rows = [b for b in x.qr if b.q.shape[0]]
+        assert len(with_rows) == 5  # F = 1, 2, 4, 5, 6
+        assert min(b.q.shape[0] for b in with_rows) == 1  # the one-row F=5 block
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_dropped_columns_are_spanned_within_their_block(self, seed):
+        x = build_design(saturated_frame(seed), ModelSpec.crf1_long())
+        result = fit(x, saturated_frame(seed).y, on_rank_deficiency="drop")
+        dropped = []
+        for block, rank in zip(x.qr, result.block_ranks):
+            sub = x.values[block.rows][:, block.columns]
+            kept = sub[:, block.pivots[:rank]]
+            for j in block.pivots[rank:]:
+                dropped.append(block.columns[j])
+                coef = np.linalg.lstsq(kept, sub[:, j], rcond=None)[0] if rank else np.zeros(0)
+                left = np.linalg.norm(sub[:, j] - kept @ coef)
+                assert left <= 1e-10 * max(1.0, np.linalg.norm(sub[:, j]))
+        assert tuple(x.labels[i] for i in sorted(dropped)) == result.dropped_columns
+        # without a t=0 unit, F=6 is the sum of the T=t:F=6 columns: one twin goes
+        assert any(label == "F=6" or (label.startswith("T=") and label.endswith(":F=6"))
+                   for label in result.dropped_columns)
+        assert {"F=3", "D:F=3"} <= set(result.dropped_columns)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_identified_effects_and_variances_equal_the_dense_fit(self, seed):
+        frame = saturated_frame(seed)
+        spec = ModelSpec.crf1_long()
+        x = build_design(frame, spec)
+        result = fit(x, frame.y, on_rank_deficiency="drop")
+        dense = dense_fit(x, frame.y)
+        assert len(dense["dropped_columns"]) == len(result.dropped_columns)
+        assert_close(result.residuals, dense["residuals"])
+
+        as_dense = dataclasses.replace(result, coefficients=dense["coefficients"],
+                                       dropped_columns=dense["dropped_columns"])
+        block_table = recover_effect_table(result, spec, frame.f)
+        dense_table = recover_effect_table(as_dense, spec, frame.f)
+        means = cell_means(frame)
+        checked = 0
+        for cell in block_table.cells:
+            for name in identified_effects(means, cell.f, cell.t):
+                got, want = getattr(cell, name), getattr(dense_table.cell(cell.f, cell.t), name)
+                assert got is not None and want is not None, (cell.f, cell.t, name)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (cell.f, cell.t, name)
+                checked += 1
+        assert checked > 10
+
+        retained = [i for i, label in enumerate(x.labels) if label not in result.dropped_columns]
+        classical, robust = sandwich(x, retained, result.residuals)
+        assert_close(result.vcov_classical, classical)
+        assert_close(result.vcov_robust, robust)
+
+    @pytest.mark.parametrize("text", ["t", "r", "tr", "crf2:J=2", "crf2:J=2,t_order=2"])
+    def test_linear_designs_equal_a_direct_dense_factorization_bitwise(self, network_1000, text):
+        frame = simulate_frame(network_1000, dgp_scenario("iv"), 31)
+        x = build_design(frame, parse_model_spec(text))
+        result = fit(x, frame.y)
+        assert len(x.qr) == 1
+        for name, want in dense_fit(x, frame.y).items():
+            got = getattr(result, name)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert same_bits(got, want), name
+
+    def test_rank_is_decided_per_block(self):
+        # the second block is 1e-12 times smaller than the first: a rule against
+        # the largest pivot of the whole design would drop it
+        rng = np.random.default_rng(24)
+        values = np.zeros((40, 4))
+        values[:20, :2] = rng.standard_normal((20, 2))
+        values[20:, 2:] = 1e-12 * rng.standard_normal((20, 2))
+        x = DesignMatrix(values=values, labels=("a", "b", "c", "d"))
+        result = fit(x, rng.standard_normal(40))
+        assert len(x.qr) == 2 and result.rank == 4 and result.block_ranks == (2, 2)
+        assert result.min_pivot_ratio > 0.1
+
+    def test_all_zero_rows_and_columns(self):
+        values = np.zeros((6, 3))
+        values[:4, 0] = 1.0
+        values[2:4, 2] = 1.0
+        x = DesignMatrix(values=values, labels=("a", "empty", "c"))
+        y = np.arange(6.0)
+        result = fit(x, y, on_rank_deficiency="drop")
+        assert result.dropped_columns == ("empty",)
+        assert np.array_equal(result.residuals[4:], y[4:])
+        assert result.coef("a") == pytest.approx(0.5)
+        assert result.coef("c") == pytest.approx(2.0)
+
+
+class TestMinPivotRatio:
+    def test_well_conditioned_design(self):
+        n = 64
+        x = DesignMatrix(values=np.column_stack([np.ones(n), np.resize([1.0, -1.0], n)]),
+                         labels=("1", "s"))
+        payload = fit(x, np.arange(n, dtype=float)).to_json_dict()
+        assert payload["min_pivot_ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_near_collinear_design_sits_just_above_rank_tol(self):
+        rng = np.random.default_rng(25)
+        a, b = rng.standard_normal((2, 200))
+        values = np.column_stack([np.ones(200), a, a + 5e-10 * b])
+        x = DesignMatrix(values=values, labels=("1", "a", "a_near"))
+        y = rng.standard_normal(200)
+        result = fit(x, y)
+        assert result.rank == 3
+        assert DEFAULT_RANK_TOL < result.min_pivot_ratio < 10 * DEFAULT_RANK_TOL
+        diag = np.abs(np.diag(scipy.linalg.qr(values, mode="r", pivoting=True)[0]))
+        assert result.min_pivot_ratio == pytest.approx(diag[-1] / diag[0], rel=1e-6)
+        # a tolerance just above the ratio drops the near twin
+        tighter = fit(x, y, on_rank_deficiency="drop", rank_tol=2 * result.min_pivot_ratio)
+        assert tighter.rank == 2 and tighter.min_pivot_ratio > 0.01
+
+    def test_rank_zero_has_no_ratio(self):
+        x = DesignMatrix(values=np.zeros((5, 2)), labels=("z1", "z2"))
+        payload = fit(x, np.ones(5), on_rank_deficiency="drop").to_json_dict()
+        assert payload["rank"] == 0 and payload["min_pivot_ratio"] is None
