@@ -315,13 +315,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "source": frame_meta,
         }
         slug = _spec_slug(text)
+        agg = table.aggregates
+        skipped = dict(zip(("direct", "network", "interaction"), agg.skipped_units))
         fit_payload = result.to_json_dict()
+        fit_payload["skipped_units"] = skipped
         fit_payload["metadata"] = metadata
         (out / f"fit_{slug}.json").write_text(json.dumps(fit_payload), encoding="utf-8")
         effects_path = out / f"effects_{slug}.csv"
         effects_path.write_text("# " + json.dumps(metadata) + "\n" + table.to_csv_text(),
                                 encoding="utf-8")
-        agg = table.aggregates
         print(json.dumps({
             "model": text,
             "n": result.n,
@@ -329,6 +331,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "dropped_columns": list(result.dropped_columns),
             "aggregates": {"direct": agg.direct, "network": agg.network,
                            "interaction": agg.interaction},
+            "skipped_units": skipped,
             "files": [str(out / f"fit_{slug}.json"), str(effects_path)],
         }))
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .dgp import SampleFrame
-from .errors import OutOfSupportError
+from .errors import NumericalError, OutOfSupportError
 
 
 class ModelKind(str, Enum):
@@ -159,7 +159,8 @@ def format_model_spec(spec: ModelSpec) -> str:
 class QRBlock:
     """Economic column-pivoted QR ``(q, r, pivots)`` of one diagonal block of a design.
 
-    ``rows`` selects the block's rows (``slice(None)`` when it spans them all),
+    ``rows`` selects the block's cells, i.e. rows of the design's
+    ``cell_values`` (``slice(None)`` when it spans them all),
     ``columns`` holds its design column indices in ascending order, and
     ``pivots`` indexes ``columns``.
     """
@@ -171,53 +172,104 @@ class QRBlock:
     pivots: np.ndarray
 
 
-@dataclass(frozen=True)
 class DesignMatrix:
-    """Numeric design matrix plus per-column labels; ``values`` is a finite, read-only copy."""
+    """Design matrix plus per-column labels, stored by cell.
 
-    values: np.ndarray
-    labels: tuple[str, ...]
+    ``cell_values`` holds one finite, read-only row per cell, ``cell_counts``
+    the units in each cell, ``cell_weights`` their square roots, and
+    ``cell_of_unit`` the cell of each unit. :func:`build_design` makes one
+    cell per occupied (d, t, f) combination, since every design row is a
+    function of (d, t, f) alone. A design built directly from ``values`` has
+    one cell per row with count 1. ``values`` is the read-only n x k
+    unit-level matrix, gathered from the cells on first use.
+    """
 
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
+    def __init__(self, values, labels):
+        values = np.array(values, dtype=float)
+        labels = tuple(labels)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d matrix")
-        if values.shape[1] != len(self.labels):
+        if values.shape[1] != len(labels):
             raise ValueError("one label per column required")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("column labels must be unique")
-        if not np.isfinite(values).all():
-            row, col = np.argwhere(~np.isfinite(values))[0]
-            raise ValueError(f"design row {row}, column {self.labels[col]!r} "
-                             f"is not finite ({values[row, col]})")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        n = values.shape[0]
+        bad = _non_finite(values, labels, np.arange(n))
+        if bad:
+            raise ValueError(bad)
+        self._set(values, labels, np.ones(n, dtype=np.int64), np.arange(n))
+
+    @classmethod
+    def from_cells(cls, cell_values, labels, cell_counts, cell_of_unit) -> "DesignMatrix":
+        """The design whose unit ``i`` has row ``cell_values[cell_of_unit[i]]``;
+        the caller guarantees finite values and unique labels."""
+        design = cls.__new__(cls)
+        design._set(np.asarray(cell_values, dtype=float), tuple(labels),
+                    np.asarray(cell_counts), np.asarray(cell_of_unit))
+        return design
+
+    def _set(self, cell_values, labels, cell_counts, cell_of_unit) -> None:
+        cell_values.setflags(write=False)
+        self.cell_values, self.labels = cell_values, labels
+        self.cell_counts, self.cell_of_unit = cell_counts, cell_of_unit
+        self.cell_weights = np.sqrt(cell_counts)
 
     @property
     def n_rows(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.cell_of_unit.shape[0])
 
     @property
     def n_cols(self) -> int:
-        return int(self.values.shape[1])
+        return len(self.labels)
+
+    @property
+    def n_cells(self) -> int:
+        return int(self.cell_values.shape[0])
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = self.to_units(self.cell_values)
+        values.setflags(write=False)
+        return values
 
     def column(self, label: str) -> np.ndarray:
         return self.values[:, self.labels.index(label)]
 
+    def cell_sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-cell sums of a unit-level vector."""
+        return np.bincount(self.cell_of_unit, weights=v, minlength=self.n_cells)
+
+    def to_units(self, a: np.ndarray) -> np.ndarray:
+        """Per-cell rows of ``a`` repeated for each unit."""
+        return a[self.cell_of_unit]
+
     @cached_property
     def qr(self) -> tuple[QRBlock, ...]:
-        """Pivoted QR of each diagonal block, shared by every fit of the matrix.
+        """Pivoted QR of each diagonal block of the sqrt(count)-weighted cell
+        rows, shared by every fit of the matrix.
 
         A block is a connected set of rows and columns in the nonzero pattern,
         so the design is block-diagonal up to a permutation; blocks come in
         the order of their first column. A design with a column that has no
         zero entry (``1``, ``F^0``) is one block and is factored whole.
         """
+        weighted = self.cell_values * self.cell_weights[:, None]
         return tuple(
             QRBlock(rows, columns, *scipy.linalg.qr(block, mode="economic", pivoting=True,
                                                    check_finite=False))
-            for rows, columns, block in _diagonal_blocks(self.values))
+            for rows, columns, block in _diagonal_blocks(weighted))
+
+
+def _non_finite(values: np.ndarray, labels, cell_of_unit: np.ndarray) -> str | None:
+    """Message naming the first non-finite entry of the cell rows ``values``
+    by unit row and column label, or None."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    row = int(np.argmax(~finite.all(axis=1)[cell_of_unit]))
+    cell = int(cell_of_unit[row])
+    col = int(np.argmax(~finite[cell]))
+    return f"design row {row}, column {labels[col]!r} is not finite ({values[cell, col]})"
 
 
 def _diagonal_blocks(values: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray,
@@ -327,6 +379,11 @@ def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
       crf1long   per f = 1..f_max: [F=f, D:F=f, T=t:F=f for t<=min(f,t_max),
                  D:T=t:F=f ...]; rows with F > f_max or T > t_max are rejected
       crf1short  [1, D, T=1..T=f, D:T=1..D:T=f]; frame must satisfy F == f
+
+    The labels are evaluated once per occupied (d, t, f) cell of the frame
+    (:attr:`SampleFrame.cells`). An entry that is not finite, such as an
+    ``F^j`` beyond the float64 range, raises :class:`NumericalError` naming
+    the first unit row it reaches and the column label.
     """
     if frame.n_selected == 0:
         raise ValueError("cannot build a design matrix on an empty frame")
@@ -362,8 +419,13 @@ def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unsupported model kind {spec.kind}")
 
-    values = design_values(labels, frame.d, frame.t, frame.f)
-    return DesignMatrix(values=values, labels=tuple(labels))
+    cells = frame.cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = design_values(labels, cells.d, cells.t, cells.f)
+    bad = _non_finite(values, labels, cells.of_unit)
+    if bad:
+        raise NumericalError(bad)
+    return DesignMatrix.from_cells(values, labels, cells.counts, cells.of_unit)
 
 
 def split_by_f(frame: SampleFrame) -> list[tuple[int, SampleFrame]]:

@@ -21,6 +21,7 @@ per scenario; :func:`simulate_frame` is its one-scenario case.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -96,6 +97,12 @@ class SampleFrame:
     def n_selected(self) -> int:
         return int(self.y.shape[0])
 
+    @cached_property
+    def cells(self) -> "FrameCells":
+        """The occupied (d, t, f) cells, computed on first use and shared by
+        every design built on this frame."""
+        return frame_cells(self.d, self.t, self.f)
+
     def restrict_to_f(self, value: int) -> "SampleFrame":
         """Subframe of rows with f equal to ``value``."""
         mask = self.f == value
@@ -103,6 +110,34 @@ class SampleFrame:
             y=self.y[mask], d=self.d[mask], t=self.t[mask], f=self.f[mask],
             ids=self.ids[mask], n_total=self.n_total,
         )
+
+
+@dataclass(frozen=True)
+class FrameCells:
+    """Occupied (d, t, f) cells of a frame in ascending (f, t, d) order.
+
+    ``d``, ``t``, ``f`` and ``counts`` (units per cell) hold one entry per
+    cell; ``of_unit`` holds the cell of each unit.
+    """
+
+    d: np.ndarray
+    t: np.ndarray
+    f: np.ndarray
+    counts: np.ndarray
+    of_unit: np.ndarray
+
+
+def frame_cells(d, t, f) -> FrameCells:
+    """Group units by (d, t, f) through one integer key ``(f * width + t) * 2 + d``
+    with ``width = max t + 1``, whose ascending order is the (f, t, d) order."""
+    d, t, f = (np.asarray(a, dtype=np.int64) for a in (d, t, f))
+    if d.size == 0:
+        raise ValueError("an empty frame has no cells")
+    width = int(t.max()) + 1
+    keys, of_unit, counts = np.unique((f * width + t) * 2 + d, return_inverse=True,
+                                      return_counts=True)
+    return FrameCells(d=keys % 2, t=keys // 2 % width, f=keys // (2 * width), counts=counts,
+                      of_unit=of_unit.reshape(-1))
 
 
 @dataclass(frozen=True)

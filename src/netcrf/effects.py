@@ -19,15 +19,15 @@ column labels and applied to the coefficients,
 An entry is absent (never zero) when its contrast weights a dropped column,
 when a saturated design has no column carrying it (its contrast is all zero,
 as for ``crf1long`` beyond ``f_max`` or ``t_max``), or for ``crf1short`` at a
-friend count other than its own. Aggregates skip absent cells with a logged
-warning. Contrasts and the absent rule depend on the design alone, so a
-multi-outcome fit evaluates them once and aggregates each column separately.
+friend count other than its own. Aggregates skip absent cells and count the
+units they leave out. Contrasts and the absent rule depend on the design
+alone, so a multi-outcome fit evaluates them once and aggregates each column
+separately.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -36,9 +36,6 @@ import numpy as np
 from .dgp import SampleFrame
 from .design import ModelKind, ModelSpec, design_values, format_model_spec
 from .lsq import FitResult
-
-logger = logging.getLogger(__name__)
-
 
 def complete_effects(delta0: float, tau0: float, tau_pm: float) -> tuple[float, float]:
     """Complete (tau1, delta_t) from the identity-closing decomposition."""
@@ -73,11 +70,16 @@ class EffectCell:
 
 @dataclass(frozen=True)
 class EffectAggregates:
-    """Frame-weighted aggregate effects; None when no cell was available."""
+    """Frame-weighted aggregate effects; None when no cell was available.
+
+    ``skipped_units`` counts, per aggregate (direct, network, interaction),
+    the units whose cell at one treated friend is absent and so left out.
+    """
 
     direct: float | None
     network: float | None
     interaction: float | None
+    skipped_units: tuple[int, int, int] = (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,8 @@ def recover_effect_table(
     friend counts tabulated per f (default 1..f; an empty grid yields the
     aggregates alone). Aggregates average the per-unit effect functions
     evaluated at one treated friend over the empirical f distribution,
-    skipping absent cells with a warning. A multi-outcome fit needs
+    skipping absent cells (``EffectAggregates.skipped_units`` counts the
+    units left out). A multi-outcome fit needs
     ``t_grid=()`` and yields a tuple of aggregates, one per outcome column.
     """
     f_values = np.asarray(f_values, dtype=np.int64)
@@ -178,28 +181,24 @@ def recover_effect_table(
     cells = [EffectCell(f, t, *(None if math.isnan(v) else v for v in row))
              for (f, t), row in zip(pairs, rows)]
 
-    aggregates = tuple(
-        EffectAggregates(*(_weighted_aggregate(v, counts, name) for v, name in
-                           zip(values[1:], ("direct", "network", "interaction"))))
-        for values in _evaluate(fit, spec, unique_f, np.ones(unique_f.size)))
+    aggregates = tuple(_aggregates(values[1:], counts)
+                       for values in _evaluate(fit, spec, unique_f, np.ones(unique_f.size)))
     if fit.n_outcomes is None:
         (aggregates,) = aggregates
     return EffectTable(cells=tuple(cells), aggregates=aggregates, model=format_model_spec(spec))
 
 
-def _weighted_aggregate(values, counts, name) -> float | None:
-    """Count-weighted mean of per-f values at t = 1, skipping absent (NaN) ones."""
-    present = ~np.isnan(values)
-    weight = int(counts[present].sum())
-    skipped = int(counts[~present].sum())
-    if skipped:
-        logger.warning(
-            "aggregate %s effect skipped %d of %d units with absent cells",
-            name, skipped, skipped + weight,
-        )
-    if weight == 0:
-        return None
-    return float(values[present] @ counts[present] / weight)
+def _aggregates(per_f, counts) -> EffectAggregates:
+    """Count-weighted means of the per-f (delta0, tau0, tau_pm) at t = 1 over
+    their present (non-NaN) values, with the units each skips; a mean is None
+    when every value is absent."""
+    means, skipped = [], []
+    for values in per_f:
+        present = ~np.isnan(values)
+        weight = int(counts[present].sum())
+        skipped.append(int(counts[~present].sum()))
+        means.append(float(values[present] @ counts[present] / weight) if weight else None)
+    return EffectAggregates(*means, skipped_units=tuple(skipped))
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,32 @@ or drop the pivoted-out columns (policy ``drop``, appropriate for saturated
 dummy designs whose empty cells legitimately produce zero columns). Normal
 equations exist in the test suite only, as an independent oracle.
 
+**Cells.** A design stores one row ``x_c`` per cell ``c`` with its unit
+count ``n_c`` (:class:`DesignMatrix`); :func:`build_design` makes a cell of
+every occupied (d, t, f) combination, so a frame of ~2000 units has ~100
+cells. Writing ``ybar_c`` for the cell mean of ``y``,
+
+    ||y - X b||^2 = sum_c n_c (ybar_c - x_c'b)^2 + sum_i (y_i - ybar_c(i))^2,
+
+and the last sum does not depend on ``b``. Least squares on the units is
+therefore least squares on the rows ``sqrt(n_c) x_c`` with outcome
+``sum_{i in c} y_i / sqrt(n_c)``: the same ``R``, pivots, rank and
+coefficients, from a QR whose size is the number of cells. Fitted values
+and residuals are the cell fits repeated for each unit. The sufficient
+statistics are, per cell, the count, the sum of ``y`` and, for the robust
+variance, the sum of squared residuals: its meat is
+``sum_c (sum_{i in c} e_i^2) x_c x_c'``. The classical variance keeps
+``n - rank`` residual degrees of freedom over units. A design built
+directly from a matrix has one cell per row with count 1 and is fitted
+with the same arithmetic as a unit-level design.
+
 The factorization belongs to the design (:attr:`DesignMatrix.qr`): it is
 computed by the first fit of a matrix and reused by every later fit of the
-same matrix. It is one pivoted QR per diagonal block, a block being a
-connected set of rows and columns in the nonzero pattern. Every linear
-design has a column without zeros (``1`` or ``F^0``) and is one block; a
-``crf1long`` design has one block per friend count. **Rank rule:** a block
-keeps its leading pivots whose magnitude exceeds ``rank_tol`` times that
+same matrix. It is one pivoted QR per diagonal block of the weighted cell
+rows, a block being a connected set of rows and columns in the nonzero
+pattern. Every linear design has a column without zeros (``1`` or ``F^0``)
+and is one block; a ``crf1long`` design has one block per friend count.
+**Rank rule:** a block keeps its leading pivots whose magnitude exceeds ``rank_tol`` times that
 block's largest pivot and drops the rest; the fit's rank is the sum over
 blocks, and ``dropped_columns`` the union. Coefficients, fitted values,
 residuals, ``(X'X)^-1`` and both variance matrices assemble block by block,
@@ -126,9 +145,11 @@ class FitResult:
         self._one_outcome("vcov_robust")
         if self.rank == 0:
             return np.zeros((0, 0))
+        x = self.design
+        residual_scale = np.sqrt(x.cell_sums(np.square(self.residuals)))
         pieces = []
         for block, cols, inv in self._blocks:
-            weighted = self.design.values[block.rows][:, cols] * self.residuals[block.rows, None]
+            weighted = x.cell_values[block.rows][:, cols] * residual_scale[block.rows, None]
             meat = weighted.T @ weighted
             pieces.append(inv @ meat @ inv)
         return _symmetrize(self._block_diagonal(pieces))
@@ -181,7 +202,7 @@ def fit(
     if on_rank_deficiency not in ("error", "drop"):
         raise ValueError(f"unknown rank policy {on_rank_deficiency!r}")
     y = np.asarray(y, dtype=float)
-    n, k = x.values.shape
+    n, k = x.n_rows, x.n_cols
     if y.ndim not in (1, 2) or y.shape[0] != n:
         raise ValueError(f"y must have shape ({n},) or ({n}, s), got {y.shape}")
     if n < 1:
@@ -206,19 +227,21 @@ def fit(
         raise RankDeficiencyError(dropped)
 
     columns = [y] if y.ndim == 1 else list(np.asfortranarray(y).T)
+    cell_columns = [x.cell_sums(column) / x.cell_weights for column in columns]
     coefficients = np.full((k, len(columns)), np.nan)
-    fitted = np.zeros((n, len(columns)))
+    cell_fitted = np.zeros((x.n_cells, len(columns)))
     for block, block_rank in zip(x.qr, block_ranks):
         if block_rank == 0:
             continue
         kept = block.columns[block.pivots[:block_rank]]
         r = block.r[:block_rank, :block_rank]
-        retained = x.values[block.rows][:, kept]
-        for j, column in enumerate(columns):
+        retained = x.cell_values[block.rows][:, kept]
+        for j, column in enumerate(cell_columns):
             beta = scipy.linalg.solve_triangular(r, (block.q.T @ column[block.rows])[:block_rank],
                                                  check_finite=False)
             coefficients[kept, j] = beta
-            fitted[block.rows, j] = retained @ beta
+            cell_fitted[block.rows, j] = retained @ beta
+    fitted = x.to_units(cell_fitted)
     if y.ndim == 1:
         coefficients, fitted = coefficients[:, 0], fitted[:, 0]
     residuals = y - fitted

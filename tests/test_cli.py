@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,35 @@ class TestFit:
                                "--model", "t", "--out", str(tmp_path))
         assert code == 3
         assert "nodes row 4" in err and "d must be 0/1" in err
+
+    def test_crf1long_reports_skipped_units_instead_of_logging(self, noiseless_frame_path,
+                                                                tmp_path, capsys):
+        code, out, err = run_cli(capsys, "fit", "--frame", str(noiseless_frame_path),
+                                 "--model", "crf1long", "--out", str(tmp_path))
+        assert code == 0 and err == ""
+        skipped = json.loads(out)["skipped_units"]
+        assert json.loads((tmp_path / "fit_crf1long.json").read_text())["skipped_units"] == skipped
+        # a unit is skipped when its friend count's t=1 cell lacks the effect
+        frame, _ = read_frame_csv(noiseless_frame_path)
+        counts = np.bincount(frame.f)
+        lines = (tmp_path / "effects_crf1long.csv").read_text().splitlines()[1:]
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        at_one = {int(row["f"]): row for row in rows if row["t"] == "1"}
+        for name, field in (("direct", "delta0"), ("network", "tau0"), ("interaction", "tau_pm")):
+            assert skipped[name] == sum(int(counts[f]) for f, row in at_one.items()
+                                        if row[field] == ""), name
+        assert sum(skipped.values()) > 0
+
+    def test_overflowing_design_is_numerical_failure_without_warnings(self, tmp_path, capsys):
+        frame = tmp_path / "frame.csv"
+        frame.write_text('# {"n_total": 4}\nid,y,d,t,f\n'
+                         "1,0.5,0,0,2\n2,1.0,1,3,3\n3,1.5,0,2,40\n4,2.0,1,0,40\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "fit", "--frame", str(frame), "--model", "crf2:J=200",
+                                   "--out", str(tmp_path))
+        assert code == 4
+        assert err == "numerical failure: design row 2, column 'F^193' is not finite (inf)\n"
 
     def test_real_data_mode(self, tmp_path, capsys):
         # small graph with varied degrees; outcomes follow an exact linear

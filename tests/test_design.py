@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from netcrf import (
     DesignMatrix,
     ModelKind,
     ModelSpec,
+    NumericalError,
     OutOfSupportError,
     build_design,
     dgp_scenario,
@@ -250,8 +252,12 @@ class TestNonFiniteDesign:
             DesignMatrix(values=values, labels=("a", "b", "c"))
 
     def test_overflowing_power_column_is_rejected(self):
-        # 40.0 ** 193 is the first power of 40 beyond the float64 range
-        frame = make_frame(np.zeros(3), [0, 1, 0], [0, 1, 2], [2, 3, 40])
-        message = re.escape("design row 2, column 'F^193' is not finite (inf)")
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
-            build_design(frame, ModelSpec.crf2(200))
+        # 40.0 ** 193 is the first power of 40 beyond the float64 range; an
+        # overflowing design is a numerical failure, reported without warnings
+        # and by unit row (unit 0 lies in the fourth occupied cell)
+        frame = make_frame(np.zeros(4), [0, 0, 1, 1], [2, 0, 1, 0], [40, 2, 3, 40])
+        message = re.escape("design row 0, column 'F^193' is not finite (inf)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                build_design(frame, ModelSpec.crf2(200))

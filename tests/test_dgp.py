@@ -307,3 +307,21 @@ class TestSampleFrameValidation:
     def test_non_finite_y_names_row(self, value):
         with pytest.raises(ValueError, match=r"y\[2\] is not finite"):
             make_frame([1.0, 2.0, value, math.nan], [0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 2, 2])
+
+
+class TestFrameCells:
+    @pytest.mark.parametrize("f_scale", [1, 10 ** 6])
+    def test_cells_group_units_by_d_t_f_in_ascending_order(self, f_scale):
+        # friend counts far beyond the unit count keep the keys apart
+        rng = np.random.default_rng(41)
+        f = rng.integers(1, 6, size=300) * f_scale
+        t = rng.integers(0, np.minimum(f, 5) + 1)
+        d = rng.integers(0, 2, size=300)
+        frame = make_frame(rng.standard_normal(300), d, t, f)
+        cells = frame.cells
+        want, of_unit, counts = np.unique(np.column_stack([f, t, d]), axis=0,
+                                          return_inverse=True, return_counts=True)
+        assert np.array_equal(np.column_stack([cells.f, cells.t, cells.d]), want)
+        assert np.array_equal(cells.of_unit, of_unit.reshape(-1))
+        assert np.array_equal(cells.counts, counts)
+        assert frame.cells is cells  # computed once per frame

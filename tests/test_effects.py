@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -266,18 +268,26 @@ class TestAbsentCells:
         present = table.cell(3, 1)
         assert present.tau0 is not None
 
-    def test_aggregate_skips_absent_with_warning(self, caplog):
-        # no unit has t=1 at f=2, so the network aggregate must skip f=2
+    def test_aggregate_skips_absent_cells_and_counts_their_units(self, caplog):
+        # no unit has t=1 at f=2, so the network aggregate skips the two f=2
+        # units; no treated unit has t=1 at all, so the interaction aggregate
+        # skips all five. Collinear dummy twins at both f make the direct
+        # effect's presence depend on which twin is dropped
         frame = make_frame([1.0, 2.0, 1.5, 0.5, 2.5],
                            [0, 1, 0, 1, 0],
                            [0, 2, 1, 0, 1],
                            [2, 2, 1, 1, 1])
         spec = ModelSpec.crf1_long(f_max=2, t_max=2)
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
-        with caplog.at_level("WARNING", logger="netcrf.effects"):
+        with caplog.at_level("DEBUG"):
             table = recover_effect_table(result, spec, frame.f)
         assert table.aggregates.network is not None
-        assert any("skipped" in rec.message for rec in caplog.records)
+        direct, network, interaction = table.aggregates.skipped_units
+        assert (network, interaction) == (2, 5)
+        assert direct == sum(n for f, n in ((1, 3), (2, 2)) if table.cell(f, 1).delta0 is None)
+        assert table.aggregates.interaction is None
+        assert json.loads(table.to_json())["aggregates"]["skipped_units"] == [direct, 2, 5]
+        assert not caplog.records
 
     def test_crf1short_other_f_is_absent(self, noisy_small_f_frame, caplog):
         frame = noisy_small_f_frame
@@ -285,7 +295,7 @@ class TestAbsentCells:
         spec = ModelSpec.crf1_short(3)
         result = exact_fit(sub, spec, on_rank_deficiency="drop")
         f_values = np.concatenate([sub.f, [2, 2, 4]])
-        with caplog.at_level("WARNING", logger="netcrf.effects"):
+        with caplog.at_level("DEBUG"):
             table = recover_effect_table(result, spec, f_values)
         for cell in table.cells:
             values = [getattr(cell, name) for name in EffectTable.CSV_COLUMNS[2:]]
@@ -294,8 +304,9 @@ class TestAbsentCells:
             else:
                 assert values == [None] * 6, cell
         own = recover_effect_table(result, spec, sub.f).aggregates
-        assert table.aggregates == own
-        assert any("skipped 3 of" in rec.message for rec in caplog.records)
+        assert table.aggregates == dataclasses.replace(
+            own, skipped_units=tuple(s + 3 for s in own.skipped_units))
+        assert not caplog.records
 
     def test_crf1long_beyond_f_max_and_t_max_is_absent(self, noisy_small_f_frame):
         frame = noisy_small_f_frame

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcrf import (
     DegreesOfFreedomError,
@@ -324,14 +326,16 @@ def dense_fit(x, y):
 
 
 def sandwich(x, retained, residuals):
-    """Classical and robust variances on the given columns from their own dense QR."""
+    """Classical (None when n <= rank) and robust variances on the given
+    columns from their own dense QR."""
     cols = x.values[:, retained]
     _, r = scipy.linalg.qr(cols, mode="economic")
     r_inv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0]))
     xtx_inv = r_inv @ r_inv.T
     weighted = cols * residuals[:, None]
-    s2 = float(residuals @ residuals) / (x.n_rows - len(retained))
-    return s2 * xtx_inv, xtx_inv @ (weighted.T @ weighted) @ xtx_inv
+    dof = x.n_rows - len(retained)
+    classical = float(residuals @ residuals) / dof * xtx_inv if dof > 0 else None
+    return classical, xtx_inv @ (weighted.T @ weighted) @ xtx_inv
 
 
 def assert_close(a, b, tol=1e-12):
@@ -342,18 +346,20 @@ def assert_close(a, b, tol=1e-12):
 class TestBlockFit:
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_blocks_partition_the_nonzero_pattern(self, seed):
+        # block rows index the design's cells
         x = build_design(saturated_frame(seed), ModelSpec.crf1_long())
-        covered = np.zeros(x.values.shape, dtype=bool)
+        cells = x.cell_values
+        covered = np.zeros(cells.shape, dtype=bool)
         for block in x.qr:
-            rows = np.zeros(x.n_rows, dtype=bool)
+            rows = np.zeros(x.n_cells, dtype=bool)
             rows[block.rows] = True
-            assert not x.values[~rows][:, block.columns].any()
+            assert not cells[~rows][:, block.columns].any()
             covered[np.ix_(rows, np.isin(np.arange(x.n_cols), block.columns))] = True
-        assert not x.values[~covered].any()
+        assert not cells[~covered].any()
         assert sorted(np.concatenate([b.columns for b in x.qr]).tolist()) == list(range(x.n_cols))
         with_rows = [b for b in x.qr if b.q.shape[0]]
         assert len(with_rows) == 5  # F = 1, 2, 4, 5, 6
-        assert min(b.q.shape[0] for b in with_rows) == 1  # the one-row F=5 block
+        assert min(b.q.shape[0] for b in with_rows) == 1  # the one-unit F=5 block
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_dropped_columns_are_spanned_within_their_block(self, seed):
@@ -361,7 +367,7 @@ class TestBlockFit:
         result = fit(x, saturated_frame(seed).y, on_rank_deficiency="drop")
         dropped = []
         for block, rank in zip(x.qr, result.block_ranks):
-            sub = x.values[block.rows][:, block.columns]
+            sub = x.cell_values[block.rows][:, block.columns]
             kept = sub[:, block.pivots[:rank]]
             for j in block.pivots[rank:]:
                 dropped.append(block.columns[j])
@@ -405,16 +411,33 @@ class TestBlockFit:
 
     @pytest.mark.parametrize("text", ["t", "r", "tr", "crf2:J=2", "crf2:J=2,t_order=2"])
     def test_linear_designs_equal_a_direct_dense_factorization_bitwise(self, network_1000, text):
+        # a design built directly from values has one cell per row
         frame = simulate_frame(network_1000, dgp_scenario("iv"), 31)
-        x = build_design(frame, parse_model_spec(text))
+        cells = build_design(frame, parse_model_spec(text))
+        x = DesignMatrix(values=cells.values, labels=cells.labels)
         result = fit(x, frame.y)
-        assert len(x.qr) == 1
+        assert len(x.qr) == 1 and x.n_cells == x.n_rows
         for name, want in dense_fit(x, frame.y).items():
             got = getattr(result, name)
             if isinstance(want, tuple):
                 assert got == want
             else:
                 assert same_bits(got, want), name
+
+    @pytest.mark.parametrize("text", ["t", "r", "tr", "crf2:J=2", "crf2:J=2,t_order=2"])
+    def test_cell_designs_equal_a_direct_dense_factorization(self, network_1000, text):
+        frame = simulate_frame(network_1000, dgp_scenario("iv"), 31)
+        x = build_design(frame, parse_model_spec(text))
+        assert x.n_cells < x.n_rows / 10
+        result = fit(x, frame.y)
+        dense = dense_fit(x, frame.y)
+        assert result.dropped_columns == dense["dropped_columns"] == ()
+        for name in ("coefficients", "residuals", "vcov_classical"):
+            assert_close(getattr(result, name), dense[name])
+        # the sandwich's rounding grows with the square of the condition
+        # number (~7e3 for crf2 with t_order=2, whose entries agree to ~5e-12)
+        robust = dense["vcov_robust"]
+        assert np.abs(result.vcov_robust - robust).max() <= 1e-10 * np.abs(robust).max()
 
     def test_rank_is_decided_per_block(self):
         # the second block is 1e-12 times smaller than the first: a rule against
@@ -468,3 +491,59 @@ class TestMinPivotRatio:
         x = DesignMatrix(values=np.zeros((5, 2)), labels=("z1", "z2"))
         payload = fit(x, np.ones(5), on_rank_deficiency="drop").to_json_dict()
         assert payload["rank"] == 0 and payload["min_pivot_ratio"] is None
+
+
+@st.composite
+def duplicated_frames(draw):
+    """Frames of 40-300 units over friend counts 1..5: a few dozen (d, t, f)
+    cells at most, so most units share their design row with others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(40, 300))
+    f = rng.integers(1, draw(st.integers(1, 5)) + 1, size=n)
+    t = rng.integers(0, f + 1)
+    d = rng.integers(0, 2, size=n)
+    y = draw(st.floats(0.1, 10.0)) * rng.standard_normal(n) + f - d * t
+    return make_frame(y, d, t, f)
+
+
+class TestCellFit:
+    """A fit on the sqrt(count)-weighted cell rows equals the unit-level
+    least-squares fit and sandwich on the same retained columns."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(duplicated_frames(), st.sampled_from(["t", "r", "tr", "crf1long", "crf1short"]))
+    def test_equals_unit_level_lstsq_and_sandwich(self, frame, text):
+        if text == "crf1short":
+            f_common = int(np.bincount(frame.f).argmax())
+            frame, text = frame.restrict_to_f(f_common), f"crf1short:f={f_common}"
+        x = build_design(frame, parse_model_spec(text))
+        assert x.n_cells == len({(a, b, c) for a, b, c in zip(frame.d, frame.t, frame.f)})
+        assert np.array_equal(x.values, x.cell_values[x.cell_of_unit])
+        result = fit(x, frame.y, on_rank_deficiency="drop")
+
+        retained = [i for i, label in enumerate(x.labels) if label not in result.dropped_columns]
+        beta, _, rank, _ = np.linalg.lstsq(x.values[:, retained], frame.y, rcond=None)
+        assert rank == len(retained) == result.rank
+        residuals = frame.y - x.values[:, retained] @ beta
+        assert_close(result.coefficients[retained], beta)
+        assert_close(result.residuals, residuals)
+        assert_close(result.fitted, frame.y - residuals)
+        if not retained:
+            return
+        classical, robust = sandwich(x, retained, residuals)
+        assert_close(result.vcov_robust, robust)
+        if classical is None:
+            assert result.vcov_classical is None
+        else:
+            assert_close(result.vcov_classical, classical)
+
+    def test_multi_outcome_columns_equal_one_outcome_fits_bitwise(self):
+        frame = saturated_frame(26)
+        x = build_design(frame, ModelSpec.crf1_long())
+        y = np.column_stack([frame.y, -2.0 * frame.y + 1.0, frame.f * 0.5])
+        multi = fit(x, y, on_rank_deficiency="drop")
+        for j in range(y.shape[1]):
+            one = fit(build_design(frame, ModelSpec.crf1_long()), y[:, j].copy(),
+                      on_rank_deficiency="drop")
+            for name in ("coefficients", "residuals", "fitted"):
+                assert same_bits(getattr(multi, name)[:, j], getattr(one, name)), (name, j)
