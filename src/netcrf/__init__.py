@@ -25,7 +25,6 @@ from .design import (
     ModelKind,
     ModelSpec,
     build_design,
-    column_value,
     format_model_spec,
     parse_model_spec,
     split_by_f,
@@ -76,7 +75,7 @@ __all__ = [
     "DgpParams", "PotentialOutcomeGrid", "SampleFrame", "TrueEffects",
     "assign_treatment", "dgp_scenario",
     "potential_outcome", "simulate_frame", "simulate_frames", "true_aggregate_effects",
-    "DesignMatrix", "ModelKind", "ModelSpec", "build_design", "column_value",
+    "DesignMatrix", "ModelKind", "ModelSpec", "build_design",
     "format_model_spec", "parse_model_spec", "split_by_f",
     "CellMeans", "EffectAggregates", "EffectCell", "EffectTable",
     "cell_means", "complete_effects", "recover_effect_table",

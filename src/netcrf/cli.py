@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -47,8 +46,11 @@ from .graph import (
     calibrate_radius,
     degree_stats,
     generate_positions,
+    ingest_edges,
     ingest_network,
-    ingest_node_rows,
+    parse_rows,
+    read_rows,
+    reject_rows,
     treated_neighbor_counts,
 )
 from .lsq import fit as lsq_fit
@@ -133,75 +135,59 @@ def write_frame_csv(path: Path, frame: SampleFrame, metadata: dict) -> None:
 
 
 def read_frame_csv(source) -> tuple[SampleFrame, dict]:
-    """Parse a frame CSV written by ``simulate``; returns (frame, metadata)."""
+    """Parse a frame CSV written by ``simulate``; returns (frame, metadata).
+
+    ``# {json}`` lines hold the metadata. They are blanked before the rows are
+    read, so that every error names the line of the file.
+    """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     else:
         lines = source.read().splitlines()
     metadata = {}
-    body = []
-    line_numbers = []  # file line of each body row, for error messages
-    for line_no, line in enumerate(lines, start=1):
+    for k, line in enumerate(lines):
         if line.startswith("#"):
+            lines[k] = ""
             try:
                 metadata.update(json.loads(line[1:].strip()))
             except json.JSONDecodeError:
                 pass
-            continue
-        if line.strip():
-            body.append(line)
-            line_numbers.append(line_no)
-    if not body:
-        raise DataError("frame CSV has no rows")
-    rows = list(csv.reader(body))
-    if [c.strip() for c in rows[0]] != ["id", "y", "d", "t", "f"]:
-        raise DataError("frame CSV must have header 'id,y,d,t,f'")
-    ids, ys, ds, ts, fs = [], [], [], [], []
-    for row_no, row in zip(line_numbers[1:], rows[1:]):
-        try:
-            ids.append(int(row[0]))
-            ys.append(float(row[1]))
-            ds.append(int(row[2]))
-            ts.append(int(row[3]))
-            fs.append(int(row[4]))
-        except (ValueError, IndexError):
-            raise DataError(f"frame CSV row {row_no}: malformed row {row!r}") from None
-        if not math.isfinite(ys[-1]):
-            raise DataError(f"frame CSV row {row_no}: outcome y is not finite ({row[1]!r})")
-    n_total = int(metadata.get("n_total", len(ids)))
+    rows = read_rows(lines, ("id", "y", "d", "t", "f"), "frame CSV")
+    ids, y, d, t, f = parse_rows(rows, (int, float, int, int, int),
+                                 "frame CSV row {line}: malformed row {row!r}")
+    _check_outcomes(rows, y, d, "frame CSV")
+    reject_rows(rows, f < 1, "frame CSV row {line}: f must be >= 1, got {row[4]!r}")
+    reject_rows(rows, (t < 0) | (t > f),
+                "frame CSV row {line}: t must satisfy 0 <= t <= f, got t={row[3]!r}, f={row[4]!r}")
     try:
-        frame = SampleFrame(
-            y=np.array(ys), d=np.array(ds), t=np.array(ts), f=np.array(fs),
-            ids=np.array(ids), n_total=n_total,
-        )
-    except ValueError as exc:
+        frame = SampleFrame(y=y, d=d, t=t, f=f, ids=ids,
+                            n_total=int(metadata.get("n_total", ids.size)))
+    except (TypeError, ValueError) as exc:
         raise DataError(f"frame CSV is inconsistent: {exc}") from None
     return frame, metadata
 
 
+def _check_outcomes(rows, y: np.ndarray, d: np.ndarray, what: str) -> None:
+    """Reject the first row with a non-finite outcome ``y`` (column 1), then
+    the first with a treatment ``d`` (column 2) other than 0 or 1."""
+    reject_rows(rows, ~np.isfinite(y), what + " row {line}: outcome y is not finite ({row[1]!r})")
+    reject_rows(rows, (d != 0) & (d != 1),
+                what + " row {line}: treatment column d must be 0/1, got {row[2]!r}")
+
+
 def _load_real_data(nodes_path: str, edges_path: str) -> SampleFrame:
     """Real-data mode: nodes.csv has header id,y,d; edges.csv has src,dst."""
-    network, rows = ingest_node_rows(nodes_path, edges_path, ("id", "y", "d"))
-    ys, ds = [], []
-    for line, row in rows:
-        try:
-            ys.append(float(row[1]))
-            ds.append(int(row[2]))
-        except (ValueError, IndexError):
-            raise DataError(f"nodes row {line}: malformed row {row!r}") from None
-        if not math.isfinite(ys[-1]):
-            raise DataError(f"nodes row {line}: outcome y is not finite ({row[1]!r})")
-        if ds[-1] not in (0, 1):
-            raise DataError(f"nodes row {line}: treatment column d must be 0/1, got {row[2]!r}")
-    ids = np.array([int(row[0]) for _, row in rows])  # checked by ingest_node_rows
-    d = np.array(ds)
+    rows = read_rows(nodes_path, ("id", "y", "d"), "nodes")
+    ids, y, d = parse_rows(rows, (int, float, int), "nodes row {line}: malformed row {row!r}")
+    _check_outcomes(rows, y, d, "nodes")
+    network = ingest_edges(ids, rows[0], edges_path)
     t = treated_neighbor_counts(network, d)
     retained = network.degree > 0
     if not retained.any():
         raise DataError("no units with F > 0; nothing to estimate on")
     return SampleFrame(
-        y=np.array(ys)[retained], d=d[retained], t=t[retained],
+        y=y[retained], d=d[retained], t=t[retained],
         f=network.degree[retained], ids=ids[retained], n_total=network.n,
     )
 

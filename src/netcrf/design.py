@@ -159,13 +159,12 @@ def format_model_spec(spec: ModelSpec) -> str:
 class QRBlock:
     """Economic column-pivoted QR ``(q, r, pivots)`` of one diagonal block of a design.
 
-    ``rows`` selects the block's cells, i.e. rows of the design's
-    ``cell_values`` (``slice(None)`` when it spans them all),
-    ``columns`` holds its design column indices in ascending order, and
-    ``pivots`` indexes ``columns``.
+    ``rows`` holds the indices of the block's cells, i.e. rows of the design's
+    ``cell_values``, ``columns`` its design column indices, both in ascending
+    order, and ``pivots`` indexes ``columns``.
     """
 
-    rows: np.ndarray | slice
+    rows: np.ndarray
     columns: np.ndarray
     q: np.ndarray
     r: np.ndarray
@@ -232,9 +231,6 @@ class DesignMatrix:
         values.setflags(write=False)
         return values
 
-    def column(self, label: str) -> np.ndarray:
-        return self.values[:, self.labels.index(label)]
-
     def cell_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-cell sums of a unit-level vector."""
         return np.bincount(self.cell_of_unit, weights=v, minlength=self.n_cells)
@@ -251,7 +247,7 @@ class DesignMatrix:
         A block is a connected set of rows and columns in the nonzero pattern,
         so the design is block-diagonal up to a permutation; blocks come in
         the order of their first column. A design with a column that has no
-        zero entry (``1``, ``F^0``) is one block and is factored whole.
+        zero entry (``1``, ``F^0``) is one block.
         """
         weighted = self.cell_values * self.cell_weights[:, None]
         return tuple(
@@ -272,22 +268,16 @@ def _non_finite(values: np.ndarray, labels, cell_of_unit: np.ndarray) -> str | N
     return f"design row {row}, column {labels[col]!r} is not finite ({values[cell, col]})"
 
 
-def _diagonal_blocks(values: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray,
-                                                      np.ndarray]]:
+def _diagonal_blocks(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(rows, columns, values) of each connected block of the nonzero pattern,
-    by first column; a one-block design hands over ``values`` uncopied.
+    by first column.
 
-    Columns are tested one at a time for a zero-free one, which joins every
-    row and column into one block; only designs without one pay for the
-    search. A block grows from its first column: take the rows where its
-    columns are nonzero, then every column nonzero in those rows, until no
-    column is new. All-zero rows belong to no block, and an all-zero column
-    is a block without rows.
+    A block grows from its first column: take the rows where its columns are
+    nonzero, then every column nonzero in those rows, until no column is new.
+    All-zero rows belong to no block, and an all-zero column is a block
+    without rows.
     """
-    n, k = values.shape
-    for j in range(k):
-        if np.count_nonzero(values[:, j]) == n:
-            return [(slice(None), np.arange(k), values)]
+    k = values.shape[1]
     nonzero = values != 0
     blocks, seen = [], np.zeros(k, dtype=bool)
     for first in range(k):
@@ -304,12 +294,6 @@ def _diagonal_blocks(values: np.ndarray) -> list[tuple[np.ndarray | slice, np.nd
         rows, cols = np.flatnonzero(rows), np.flatnonzero(cols)
         blocks.append((rows, cols, values[np.ix_(rows, cols)]))
     return blocks
-
-
-def column_value(label: str, d, t, f):
-    """Evaluate a column label on raw unit data (vectorized)."""
-    d, t, f = _floats(d, t, f)
-    return _column(label, np.ones(np.broadcast(d, t, f).shape), {}, d, t, f)
 
 
 def design_values(labels, d, t, f) -> np.ndarray:

@@ -9,9 +9,12 @@ Neighbor search uses uniform grid bucketing with cell size equal to the
 radius, which gives O(n) expected construction; the test suite keeps a
 brute-force all-pairs oracle.
 
-External networks are parsed here only, from a nodes CSV (header starting
-``id``) and an edges CSV (``src,dst``) with blank lines skipped; every error,
-such as a duplicate id, unknown endpoint or self-loop, names its file line.
+:class:`Network` alone puts index pairs of any order, orientation or
+multiplicity into edge-list form and derives the degrees. External networks
+come from a nodes CSV (header starting ``id``) and an edges CSV
+(``src,dst``); :func:`read_rows` and :func:`parse_rows` read every input
+table, the frame CSV included, skipping blank lines, and every error, such
+as a duplicate id, unknown endpoint or self-loop, names its file line.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,31 +54,30 @@ class PositionSet:
 class Network:
     """Undirected simple graph on ``n`` units.
 
-    ``edges`` holds one row (i, j) per unordered pair with i < j, sorted
-    lexicographically; ``degree`` is the per-unit friend count. ``radius``
-    records the connection radius when the network was built geometrically.
+    ``edges`` takes index pairs in any order, orientation or multiplicity and
+    holds one row (i, j) per distinct pair, i < j, sorted lexicographically;
+    out-of-range endpoints and self-loops raise a ValueError. ``degree``, the
+    per-unit friend count, is derived. ``radius`` records the connection
+    radius when the network was built geometrically.
     """
 
     n: int
     edges: np.ndarray
-    degree: np.ndarray
     radius: float | None = None
+    degree: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        degree = np.asarray(self.degree, dtype=np.int64)
-        if degree.shape != (self.n,):
-            raise ValueError(f"degree must have length {self.n}")
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= self.n:
-                raise ValueError("edge endpoints out of range")
-            if (edges[:, 0] >= edges[:, 1]).any():
-                raise ValueError("edges must satisfy i < j (no self-loops)")
-        expected = np.bincount(edges.ravel(), minlength=self.n) if edges.size else np.zeros(self.n, dtype=np.int64)
-        if not np.array_equal(expected, degree):
-            raise ValueError("degree vector inconsistent with edge list")
+        pairs = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.n):
+            raise ValueError("edge endpoints out of range")
+        a, b = pairs.T
+        if (a == b).any():
+            raise ValueError("edges must join distinct units (no self-loops)")
+        # sorting the keys lo * n + hi sorts the pairs, and a repeat equals its predecessor
+        keys = np.sort(np.minimum(a, b) * self.n + np.maximum(a, b))
+        edges = np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) > 0], self.n))
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "degree", np.bincount(edges.ravel(), minlength=self.n))
 
     @property
     def edge_count(self) -> int:
@@ -101,10 +103,7 @@ class Network:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Network":
-        edges = np.asarray(obj["edges"], dtype=np.int64).reshape(-1, 2)
-        n = int(obj["n"])
-        degree = np.bincount(edges.ravel(), minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
-        return cls(n=n, edges=edges, degree=degree, radius=obj.get("radius"))
+        return cls(n=int(obj["n"]), edges=obj["edges"], radius=obj.get("radius"))
 
     @classmethod
     def from_json(cls, text: str) -> "Network":
@@ -199,18 +198,13 @@ def build_geometric_network(positions: PositionSet, radius: float) -> Network:
     """Connect every pair at Euclidean distance <= ``radius`` (ties included)."""
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    n = positions.n
     ci, cj = _candidate_pairs(positions.coords, radius)
     if ci.size:
         x, y = np.ascontiguousarray(positions.coords.T)
         dx, dy = x[ci] - x[cj], y[ci] - y[cj]
         close = dx ** 2 + dy ** 2 <= radius * radius
         ci, cj = ci[close], cj[close]
-    # each pair is a candidate once, so sorting the keys lo * n + hi sorts the edges
-    lo, hi = np.divmod(np.sort(np.minimum(ci, cj) * n + np.maximum(ci, cj)), n)
-    edges = np.column_stack([lo, hi])
-    degree = np.bincount(edges.ravel(), minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
-    return Network(n=n, edges=edges, degree=degree, radius=radius)
+    return Network(n=positions.n, edges=np.column_stack([ci, cj]), radius=radius)
 
 
 def treated_neighbor_counts(network: Network, d: np.ndarray) -> np.ndarray:
@@ -251,82 +245,113 @@ def degree_stats(network: Network, treatment: np.ndarray | None = None) -> Degre
     )
 
 
-def _read_rows(
-    source: str | Path | IO[str], header: Sequence[str], what: str,
-) -> list[tuple[int, list[str]]]:
-    """(file line, cells) of every nonblank row below a header starting with ``header``."""
+# the file line and the cells of each row of a CSV table
+Rows = tuple[Sequence[int], Sequence[list[str]]]
+
+_PARSE_ERRORS = (ValueError, IndexError, OverflowError)
+
+
+def read_rows(source: str | Path | Iterable[str], header: Sequence[str], what: str) -> Rows:
+    """The nonblank rows of a path, open file or iterable of lines below a header
+    starting with ``header``; ``what`` names the table in errors."""
     if isinstance(source, (str, Path)):
         try:
             with open(source, newline="", encoding="utf-8") as handle:
-                return _read_rows(handle, header, what)
+                return read_rows(handle, header, what)
         except FileNotFoundError:
             raise DataError(f"{what} file not found: {source}") from None
     reader = csv.reader(source)
     rows = [(reader.line_num, row) for row in reader if row]
     if not rows or [c.strip() for c in rows[0][1]][:len(header)] != list(header):
         raise DataError(f"{what} file must start with header '{','.join(header)}'")
-    return rows[1:]
+    lines, cells = zip(*rows)
+    return lines[1:], cells[1:]
+
+
+def parse_rows(rows: Rows, convert: Sequence[type], error_template: str) -> tuple[np.ndarray, ...]:
+    """The leading columns of ``rows`` as arrays, one per ``int`` or ``float`` in
+    ``convert``. The first row that is too short or holds a value its converter
+    rejects, found by bisecting on prefixes, raises a DataError from
+    ``error_template`` (fields ``line`` and ``row``)."""
+    def columns(cells) -> tuple[np.ndarray, ...]:
+        values = list(zip(*cells)) or [()] * len(convert)
+        if len(values) < len(convert):
+            raise IndexError("row too short")
+        return tuple(np.fromiter(map(kind, v), kind, len(v)) for kind, v in zip(convert, values))
+
+    lines, cells = rows
+    try:
+        return columns(cells)
+    except _PARSE_ERRORS:
+        good, bad = 0, len(cells)  # cells[:good] convert and cells[:bad] do not
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                columns(cells[:mid])
+                good = mid
+            except _PARSE_ERRORS:
+                bad = mid
+        raise DataError(error_template.format(line=lines[good], row=cells[good])) from None
+
+
+def reject_rows(rows: Rows, bad: np.ndarray, error_template: str) -> None:
+    """Raise a DataError from ``error_template`` (fields ``line`` and ``row``)
+    for the first of ``rows`` where the boolean array ``bad`` holds."""
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise DataError(error_template.format(line=rows[0][first], row=rows[1][first]))
 
 
 def network_from_edge_pairs(
-    node_ids: Sequence[int],
-    pairs: Iterable[tuple[int, int]],
+    node_ids: Sequence[int] | np.ndarray,
+    pairs: Sequence[tuple[int, int]] | np.ndarray,
     lines: tuple[Sequence[int], Sequence[int]] | None = None,
 ) -> Network:
     """Build an undirected, deduplicated network from external id pairs.
 
-    Node order follows ``node_ids``; duplicate ids, unknown endpoints and
-    self-loops are rejected. ``lines`` gives the file line of each node id
-    and of each pair, for error messages; without it entries count from 1.
+    Node order follows ``node_ids``. The first row with a duplicate id is
+    rejected, then the first pair with an unknown ``src``, an unknown ``dst``
+    or a self-loop, checked in that order. ``lines`` gives the file line of
+    each node id and of each pair, for error messages; without it entries
+    count from 1.
     """
-    pairs = list(pairs)
-    node_lines, edge_lines = lines or (range(1, len(node_ids) + 1), range(1, len(pairs) + 1))
-    index: dict[int, int] = {}
-    for line, node_id in zip(node_lines, node_ids, strict=True):
-        if node_id in index:
-            raise DataError(f"nodes row {line}: duplicate node id {node_id}")
-        index[node_id] = len(index)
-    n = len(index)
-    seen: set[tuple[int, int]] = set()
-    for line, (src, dst) in zip(edge_lines, pairs, strict=True):
-        if src not in index:
-            raise DataError(f"edges row {line}: unknown node id {src}")
-        if dst not in index:
-            raise DataError(f"edges row {line}: unknown node id {dst}")
-        if src == dst:
-            raise DataError(f"edges row {line}: self-loop on node id {src}")
-        a, b = index[src], index[dst]
-        seen.add((min(a, b), max(a, b)))
-    edges = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
-    return Network(n=n, edges=edges, degree=np.bincount(edges.ravel(), minlength=n))
+    ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    node_lines, edge_lines = lines or (range(1, ids.size + 1), range(1, len(pairs) + 1))
+    n = ids.size
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    # the stable sort puts every repeat of an id after its first row
+    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    if repeats.size:
+        row = int(repeats.min())
+        raise DataError(f"nodes row {node_lines[row]}: duplicate node id {ids[row]}")
+    at = np.minimum(np.searchsorted(sorted_ids, pairs), n - 1)
+    known = sorted_ids[at] == pairs if n else np.zeros(pairs.shape, dtype=bool)
+    bad = ~known.all(axis=1) | (pairs[:, 0] == pairs[:, 1])
+    if bad.any():
+        row = int(np.argmax(bad))
+        (src, dst), line = pairs[row], edge_lines[row]
+        if not known[row].all():
+            raise DataError(f"edges row {line}: unknown node id {dst if known[row, 0] else src}")
+        raise DataError(f"edges row {line}: self-loop on node id {src}")
+    return Network(n=n, edges=order[at])
 
 
-def ingest_node_rows(
-    nodes_source, edges_source, node_header: Sequence[str] = ("id",),
-) -> tuple[Network, list[tuple[int, list[str]]]]:
-    """``ingest_network`` for a nodes header starting with ``node_header`` (the
-    first column being the id), also returning each node row with its file line."""
-    node_rows = _read_rows(nodes_source, node_header, "nodes")
-    node_ids = []
-    for line, row in node_rows:
-        try:
-            node_ids.append(int(row[0]))
-        except (ValueError, IndexError):
-            raise DataError(f"nodes row {line}: expected an integer id, got {row!r}") from None
-    edge_rows = _read_rows(edges_source, ("src", "dst"), "edges")
-    pairs = []
-    for line, row in edge_rows:
-        try:
-            pairs.append((int(row[0]), int(row[1])))
-        except (ValueError, IndexError):
-            raise DataError(f"edges row {line}: expected two integer ids, got {row!r}") from None
-    lines = ([line for line, _ in node_rows], [line for line, _ in edge_rows])
-    return network_from_edge_pairs(node_ids, pairs, lines), node_rows
+def ingest_edges(node_ids: np.ndarray, node_lines: Sequence[int], edges_source) -> Network:
+    """The network on ``node_ids``, read from file lines ``node_lines``, whose
+    friendships an edges CSV (header ``src,dst``) lists."""
+    edge_rows = read_rows(edges_source, ("src", "dst"), "edges")
+    pairs = np.column_stack(parse_rows(edge_rows, (int, int),
+                                       "edges row {line}: expected two integer ids, got {row!r}"))
+    return network_from_edge_pairs(node_ids, pairs, (node_lines, edge_rows[0]))
 
 
 def ingest_network(nodes_source, edges_source) -> Network:
     """Read a network from a nodes CSV (header ``id``) and an edges CSV (``src,dst``)."""
-    return ingest_node_rows(nodes_source, edges_source)[0]
+    rows = read_rows(nodes_source, ("id",), "nodes")
+    (ids,) = parse_rows(rows, (int,), "nodes row {line}: expected an integer id, got {row!r}")
+    return ingest_edges(ids, rows[0], edges_source)
 
 
 def calibrate_radius(

@@ -154,11 +154,6 @@ class FitResult:
             pieces.append(inv @ meat @ inv)
         return _symmetrize(self._block_diagonal(pieces))
 
-    @property
-    def retained_labels(self) -> tuple[str, ...]:
-        dropped = set(self.dropped_columns)
-        return tuple(label for label in self.labels if label not in dropped)
-
     def coef(self, label: str) -> float | None:
         """Coefficient by column label; None when the column was dropped."""
         self._one_outcome("coef")

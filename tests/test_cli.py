@@ -172,6 +172,28 @@ class TestFit:
         assert code == 3
         assert "row 4" in err and "not finite" in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("2,1.0,2,1,2", "frame CSV row 4: treatment column d must be 0/1, got '2'"),
+        ("2,1.0,1,0,0", "frame CSV row 4: f must be >= 1, got '0'"),
+        ("2,1.0,1,3,2", "frame CSV row 4: t must satisfy 0 <= t <= f, got t='3', f='2'"),
+    ], ids=["d=2", "f=0", "t>f"])
+    def test_inconsistent_frame_row_is_data_error(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "frame.csv"
+        bad.write_text(f'# {{"n_total": 3}}\nid,y,d,t,f\n1,0.5,0,0,1\n{row}\n3,1.5,1,1,1\n')
+        code, _, err = run_cli(capsys, "fit", "--frame", str(bad), "--model", "t",
+                               "--out", str(tmp_path))
+        assert code == 3
+        assert err == f"data error: {message}\n"
+
+    @pytest.mark.parametrize("n_total", ['"x"', "null", "1"])
+    def test_bad_frame_metadata_n_total_is_data_error(self, tmp_path, capsys, n_total):
+        bad = tmp_path / "frame.csv"
+        bad.write_text(f'# {{"n_total": {n_total}}}\nid,y,d,t,f\n1,0.5,0,0,1\n2,1.0,1,1,1\n')
+        code, _, err = run_cli(capsys, "fit", "--frame", str(bad), "--model", "t",
+                               "--out", str(tmp_path))
+        assert code == 3
+        assert err.startswith("data error: frame CSV is inconsistent: ")
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_real_data_outcome_is_data_error(self, tmp_path, capsys, value):
         nodes = tmp_path / "nodes.csv"
@@ -407,6 +429,22 @@ class TestFrameCsvProperties:
             assert np.array_equal(getattr(got, name), getattr(frame, name)), name
         assert got.n_total == frame.n_total
         assert got_metadata == metadata
+
+    @settings(deadline=None)
+    @given(frames_with_metadata(), st.lists(st.text("abc,", max_size=4), max_size=3))
+    def test_header_starting_with_frame_columns_ignores_extra_columns(self, case, extra):
+        # like the nodes and edges files: the header must start with id,y,d,t,f
+        frame, metadata = case
+        lines = written_frame_text(frame, metadata).split("\n")
+        suffix = "".join("," + text for text in extra)
+        lines[1:] = [line + suffix if line else line for line in lines[1:]]
+        got, _ = read_frame_csv(io.StringIO("\n".join(lines)))
+        assert got.y.tobytes() == frame.y.tobytes()
+        for name in ("d", "t", "f", "ids"):
+            assert np.array_equal(getattr(got, name), getattr(frame, name)), name
+        lines[1] = "id,y,t,d,f" + suffix
+        with pytest.raises(DataError, match="must start with header 'id,y,d,t,f'"):
+            read_frame_csv(io.StringIO("\n".join(lines)))
 
     @settings(deadline=None)
     @given(frames_with_metadata(), st.data())

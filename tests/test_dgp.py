@@ -39,7 +39,7 @@ class TestCountTreatedNeighbors:
     def test_star_center(self):
         # center is unit 0 with leaves 1..3; two treated leaves
         edges = np.array([[0, 1], [0, 2], [0, 3]])
-        net = Network(n=4, edges=edges, degree=np.array([3, 1, 1, 1]))
+        net = Network(n=4, edges=edges)
         t = treated_neighbor_counts(net, np.array([0, 1, 1, 0]))
         assert t[0] == 2
         assert list(t[1:]) == [0, 0, 0]
@@ -134,7 +134,7 @@ class TestDgpScenarios:
 
 class TestSimulateFrame:
     def test_isolated_network_yields_empty_frame(self):
-        net = Network(n=5, edges=np.empty((0, 2), dtype=int), degree=np.zeros(5, dtype=int))
+        net = Network(n=5, edges=np.empty((0, 2), dtype=int))
         frame = simulate_frame(net, dgp_scenario("i"), 3)
         assert frame.n_selected == 0
         assert frame.n_total == 5

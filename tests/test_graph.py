@@ -17,7 +17,7 @@ from netcrf import (
     ingest_network,
     network_from_edge_pairs,
 )
-from netcrf.graph import _candidate_pairs, treated_neighbor_counts
+from netcrf.graph import _candidate_pairs, parse_rows, treated_neighbor_counts
 
 
 def brute_force_edges(coords, radius):
@@ -150,7 +150,7 @@ class TestBuildGeometricNetwork:
 
 class TestDegreeStats:
     def test_empty_network(self):
-        net = Network(n=3, edges=np.empty((0, 2), dtype=int), degree=np.zeros(3, dtype=int))
+        net = Network(n=3, edges=np.empty((0, 2), dtype=int))
         stats = degree_stats(net)
         assert stats.retained_fraction == 0.0
         assert stats.mean_f is None
@@ -158,7 +158,7 @@ class TestDegreeStats:
     def test_treatment_moments_small_example(self):
         # path 0-1-2: degrees (1,2,1); d=(1,0,1) gives t=(0,2,0)
         edges = np.array([[0, 1], [1, 2]])
-        net = Network(n=3, edges=edges, degree=np.array([1, 2, 1]))
+        net = Network(n=3, edges=edges)
         stats = degree_stats(net, treatment=np.array([1, 0, 1]))
         assert stats.mean_f == pytest.approx(4 / 3)
         assert stats.mean_t == pytest.approx(2 / 3)
@@ -184,7 +184,7 @@ class TestDegreeStats:
         assert np.array_equal(got, expected)
 
     def test_treated_neighbor_counts_without_edges(self):
-        net = Network(n=3, edges=np.empty((0, 2), dtype=int), degree=np.zeros(3, dtype=int))
+        net = Network(n=3, edges=np.empty((0, 2), dtype=int))
         got = treated_neighbor_counts(net, np.array([1, 0, 1]))
         assert got.dtype == np.int64 and np.array_equal(got, [0, 0, 0])
 
@@ -313,6 +313,137 @@ class TestIngestProperties:
             ingest_network(*map(io.StringIO, sources))
 
 
+def reference_edge_pairs(node_ids, pairs, node_lines, edge_lines):
+    """Per-row oracle: the first error message, checked row by row (each node
+    row for a repeated id, then each pair for an unknown src, an unknown dst
+    and a self-loop), or the sorted distinct (min, max) index pairs."""
+    index = {}
+    for line, node_id in zip(node_lines, node_ids):
+        if node_id in index:
+            return f"nodes row {line}: duplicate node id {node_id}"
+        index[node_id] = len(index)
+    seen = set()
+    for line, (src, dst) in zip(edge_lines, pairs):
+        if src not in index:
+            return f"edges row {line}: unknown node id {src}"
+        if dst not in index:
+            return f"edges row {line}: unknown node id {dst}"
+        if src == dst:
+            return f"edges row {line}: self-loop on node id {src}"
+        seen.add(tuple(sorted((index[src], index[dst]))))
+    return sorted(seen)
+
+
+@st.composite
+def faulty_edge_pairs(draw):
+    """Valid ids and pairs with duplicate ids, unknown endpoints and self-loops
+    injected at random rows, plus increasing file lines for both tables."""
+    ids = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=15, unique=True))
+    endpoint = st.sampled_from(ids)
+    pairs = draw(st.lists(st.tuples(endpoint, endpoint), max_size=30))
+    pairs = [[a, b] for a, b in pairs if a != b]
+    unknown = st.integers(51, 60) | st.integers(-60, -51)
+    for fault in draw(st.lists(st.sampled_from(["duplicate", "src", "dst", "both", "loop"]),
+                               max_size=3)):
+        if fault == "duplicate" and len(ids) > 1:
+            at = draw(st.integers(1, len(ids) - 1))
+            ids[at] = ids[draw(st.integers(0, at - 1))]
+        elif fault != "duplicate" and pairs:
+            pair = pairs[draw(st.integers(0, len(pairs) - 1))]
+            if fault == "loop":
+                pair[1] = pair[0]
+            for end in {"src": [0], "dst": [1], "both": [0, 1]}.get(fault, []):
+                pair[end] = draw(unknown)
+    node_lines = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=len(ids),
+                                         max_size=len(ids)))) + 1
+    edge_lines = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=len(pairs),
+                                         max_size=len(pairs)))) + 1
+    return ids, [tuple(p) for p in pairs], node_lines.tolist(), edge_lines.tolist()
+
+
+def reference_parse(lines, cells, convert, template):
+    """Per-row oracle for ``parse_rows``: the columns as lists, or the error
+    message of the first row that is too short, fails to convert or holds an
+    integer outside int64."""
+    columns = [[] for _ in convert]
+    for line, row in zip(lines, cells):
+        try:
+            values = [kind(row[k]) for k, kind in enumerate(convert)]
+        except (ValueError, IndexError):
+            return template.format(line=line, row=row)
+        if any(kind is int and not -2**63 <= v < 2**63 for kind, v in zip(convert, values)):
+            return template.format(line=line, row=row)
+        for column, value in zip(columns, values):
+            column.append(value)
+    return columns
+
+
+cell_text = (st.integers(-2**64, 2**64).map(str) | st.floats(allow_nan=False).map(str)
+             | st.sampled_from(["x", "", " 7 ", "1_0", "inf", "nan", "-0"]))
+
+
+class TestParseRows:
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from([int, float]), min_size=1, max_size=3),
+           st.lists(st.lists(cell_text, min_size=1, max_size=4), max_size=12))
+    def test_matches_per_row_reference(self, convert, cells):
+        lines = [3 * k + 2 for k in range(len(cells))]
+        template = "row {line}: {row!r}"
+        expected = reference_parse(lines, cells, convert, template)
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as err:
+                parse_rows((lines, cells), convert, template)
+            assert str(err.value) == expected
+        else:
+            got = parse_rows((lines, cells), convert, template)
+            assert len(got) == len(convert)
+            for column, kind, values in zip(got, convert, expected):
+                assert column.dtype == (np.int64 if kind is int else np.float64)
+                assert np.array_equal(column, np.array(values, dtype=column.dtype),
+                                      equal_nan=kind is float)
+
+
+class TestCanonicalForm:
+    @settings(deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=40))),
+        st.data())
+    def test_network_canonicalizes_pairs(self, case, data):
+        n, pairs = case
+        # append reversed repeats of some pairs, then shuffle
+        pairs += [(b, a) for a, b in data.draw(st.lists(st.sampled_from(pairs), max_size=5)
+                                               if pairs else st.just([]))]
+        pairs = data.draw(st.permutations(pairs))
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        if any(not (0 <= a < n and 0 <= b < n) for a, b in pairs):
+            with pytest.raises(ValueError, match="out of range"):
+                Network(n=n, edges=edges)
+        elif any(a == b for a, b in pairs):
+            with pytest.raises(ValueError, match="self-loops"):
+                Network(n=n, edges=edges)
+        else:
+            net = Network(n=n, edges=edges)
+            expected = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+            assert net.edges.dtype == np.int64 and net.edges.shape == (len(expected), 2)
+            assert net.edges.tolist() == [list(p) for p in expected]
+            assert net.degree.dtype == np.int64
+            assert np.array_equal(net.degree, np.bincount(net.edges.ravel(), minlength=n))
+
+    @settings(deadline=None)
+    @given(faulty_edge_pairs())
+    def test_edge_pairs_match_per_row_reference(self, case):
+        ids, pairs, node_lines, edge_lines = case
+        expected = reference_edge_pairs(ids, pairs, node_lines, edge_lines)
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as err:
+                network_from_edge_pairs(ids, pairs, (node_lines, edge_lines))
+            assert str(err.value) == expected
+        else:
+            net = network_from_edge_pairs(ids, pairs, (node_lines, edge_lines))
+            assert net.n == len(ids)
+            assert net.edges.tolist() == [list(p) for p in expected]
+
+
 class TestNetworkSerialization:
     def test_json_round_trip(self):
         net = build_geometric_network(generate_positions(150, 12), 0.07)
@@ -322,13 +453,9 @@ class TestNetworkSerialization:
         assert np.array_equal(clone.degree, net.degree)
         assert clone.radius == net.radius
 
-    def test_validation_rejects_inconsistent_degree(self):
-        with pytest.raises(ValueError):
-            Network(n=2, edges=np.array([[0, 1]]), degree=np.array([1, 0]))
-
     def test_validation_rejects_self_loops(self):
         with pytest.raises(ValueError):
-            Network(n=2, edges=np.array([[1, 1]]), degree=np.array([0, 2]))
+            Network(n=2, edges=np.array([[1, 1]]))
 
 
 class TestCalibrateRadius:
