@@ -51,6 +51,7 @@ from .graph import (
     parse_rows,
     read_rows,
     reject_rows,
+    sort_ids,
     treated_neighbor_counts,
 )
 from .lsq import fit as lsq_fit
@@ -157,6 +158,9 @@ def read_frame_csv(source) -> tuple[SampleFrame, dict]:
     ids, y, d, t, f = parse_rows(rows, (int, float, int, int, int),
                                  "frame CSV row {line}: malformed row {row!r}")
     _check_outcomes(rows, y, d, "frame CSV")
+    _, repeat = sort_ids(ids)
+    if repeat is not None:
+        raise DataError(f"frame CSV row {rows[0][repeat]}: duplicate unit id {ids[repeat]}")
     reject_rows(rows, f < 1, "frame CSV row {line}: f must be >= 1, got {row[4]!r}")
     reject_rows(rows, (t < 0) | (t > f),
                 "frame CSV row {line}: t must satisfy 0 <= t <= f, got t={row[3]!r}, f={row[4]!r}")

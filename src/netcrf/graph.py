@@ -302,6 +302,16 @@ def reject_rows(rows: Rows, bad: np.ndarray, error_template: str) -> None:
         raise DataError(error_template.format(line=rows[0][first], row=rows[1][first]))
 
 
+def sort_ids(ids: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """The stable ascending order of ``ids``, and the first row that repeats
+    an earlier row's id (None when all are distinct)."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    # the stable sort puts every repeat of an id after its first row
+    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    return order, int(repeats.min()) if repeats.size else None
+
+
 def network_from_edge_pairs(
     node_ids: Sequence[int] | np.ndarray,
     pairs: Sequence[tuple[int, int]] | np.ndarray,
@@ -319,13 +329,10 @@ def network_from_edge_pairs(
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     node_lines, edge_lines = lines or (range(1, ids.size + 1), range(1, len(pairs) + 1))
     n = ids.size
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    # the stable sort puts every repeat of an id after its first row
-    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
-    if repeats.size:
-        row = int(repeats.min())
+    order, row = sort_ids(ids)
+    if row is not None:
         raise DataError(f"nodes row {node_lines[row]}: duplicate node id {ids[row]}")
+    sorted_ids = ids[order]
     at = np.minimum(np.searchsorted(sorted_ids, pairs), n - 1)
     known = sorted_ids[at] == pairs if n else np.zeros(pairs.shape, dtype=bool)
     bad = ~known.all(axis=1) | (pairs[:, 0] == pairs[:, 1])

@@ -40,6 +40,17 @@ so no product runs over the whole design; ``min_pivot_ratio`` reports the
 smallest retained pivot relative to its block's largest, i.e. how close the
 fit came to dropping another column.
 
+**Inverse.** A block's ``(X'X)^-1`` over its retained columns is
+``R^-1 R^-T``, with ``R^-1`` from LAPACK ``dtrtri``: for blocks of up to
+~20 columns that is unblocked level-2 work on the calling thread.
+``solve_triangular(R, I)`` gives the same numbers to roundoff, but its
+matrix right-hand side goes to OpenBLAS's threaded level-3 ``trsm``, which
+first wakes the BLAS threads that fell asleep between fits. In a loop of
+``fit`` runs with six specs on N=2000 networks (2-vCPU VM, two OpenBLAS
+threads) those wake-ups took ~28 ms of a ~62 ms run; the median call took
+19 us, the slowest 16 ms. ``dpotri`` is no way around it, because OpenBLAS
+threads its ``lauum``.
+
 ``y`` may also hold several outcomes as columns, shape ``(n, s)`` as in
 ``numpy.linalg.lstsq``; one call then computes the rank and the dropped
 columns once and solves each column with exactly the one-outcome
@@ -59,10 +70,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .design import DesignMatrix, QRBlock
 from .dgp import check_finite_y
-from .errors import DegreesOfFreedomError, RankDeficiencyError
+from .errors import DegreesOfFreedomError, NumericalError, RankDeficiencyError
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -107,8 +119,11 @@ class FitResult:
         for block, rank in zip(self.design.qr, self.block_ranks):
             if rank == 0:
                 continue
-            r_inv = scipy.linalg.solve_triangular(block.r[:rank, :rank], np.eye(rank),
-                                                  check_finite=False)
+            r_inv, info = scipy.linalg.lapack.dtrtri(block.r[:rank, :rank])
+            if info != 0:
+                labels = ", ".join(self.labels[i] for i in block.columns[block.pivots[:rank]])
+                raise NumericalError(f"cannot invert R of the block with columns {labels}: "
+                                     f"LAPACK dtrtri info={info}")
             order = np.argsort(block.pivots[:rank])
             out.append((block, np.sort(block.columns[block.pivots[:rank]]),
                         (r_inv @ r_inv.T)[np.ix_(order, order)]))

@@ -185,6 +185,16 @@ class TestFit:
         assert code == 3
         assert err == f"data error: {message}\n"
 
+    def test_repeated_frame_unit_id_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "frame.csv"
+        # ids 5, 7, 7, 5: line 5 is the first row that repeats an earlier id
+        bad.write_text('# {"n_total": 4}\nid,y,d,t,f\n5,0.5,0,0,1\n7,1.0,1,1,1\n'
+                       '7,1.5,0,1,1\n5,2.0,1,0,1\n')
+        code, out, err = run_cli(capsys, "fit", "--frame", str(bad), "--model", "t",
+                                 "--out", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err == "data error: frame CSV row 5: duplicate unit id 7\n"
+
     @pytest.mark.parametrize("n_total", ['"x"', "null", "1"])
     def test_bad_frame_metadata_n_total_is_data_error(self, tmp_path, capsys, n_total):
         bad = tmp_path / "frame.csv"

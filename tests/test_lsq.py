@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from netcrf import (
     DegreesOfFreedomError,
     DesignMatrix,
     ModelSpec,
+    NumericalError,
     RankDeficiencyError,
     build_design,
     cell_means,
@@ -313,7 +315,8 @@ def dense_fit(x, y):
     coefficients = np.full(x.n_cols, np.nan)
     coefficients[pivots[:rank]] = beta
     residuals = y - x.values[:, pivots[:rank]] @ beta
-    r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
+    r_inv, info = scipy.linalg.lapack.dtrtri(r[:rank, :rank])
+    assert info == 0
     order = np.argsort(pivots[:rank])
     xtx_inv = (r_inv @ r_inv.T)[np.ix_(order, order)]
     classical = float(residuals @ residuals) / (x.n_rows - rank) * xtx_inv
@@ -464,6 +467,14 @@ class TestBlockFit:
         assert result.coef("c") == pytest.approx(2.0)
 
 
+def near_collinear_system():
+    """Intercept, a and a + 5e-10 b: the last pivot is ~5e-10 of the first."""
+    rng = np.random.default_rng(25)
+    a, b = rng.standard_normal((2, 200))
+    values = np.column_stack([np.ones(200), a, a + 5e-10 * b])
+    return DesignMatrix(values=values, labels=("1", "a", "a_near")), rng.standard_normal(200)
+
+
 class TestMinPivotRatio:
     def test_well_conditioned_design(self):
         n = 64
@@ -473,19 +484,40 @@ class TestMinPivotRatio:
         assert payload["min_pivot_ratio"] == pytest.approx(1.0, abs=1e-12)
 
     def test_near_collinear_design_sits_just_above_rank_tol(self):
-        rng = np.random.default_rng(25)
-        a, b = rng.standard_normal((2, 200))
-        values = np.column_stack([np.ones(200), a, a + 5e-10 * b])
-        x = DesignMatrix(values=values, labels=("1", "a", "a_near"))
-        y = rng.standard_normal(200)
+        x, y = near_collinear_system()
         result = fit(x, y)
         assert result.rank == 3
         assert DEFAULT_RANK_TOL < result.min_pivot_ratio < 10 * DEFAULT_RANK_TOL
-        diag = np.abs(np.diag(scipy.linalg.qr(values, mode="r", pivoting=True)[0]))
+        diag = np.abs(np.diag(scipy.linalg.qr(x.values, mode="r", pivoting=True)[0]))
         assert result.min_pivot_ratio == pytest.approx(diag[-1] / diag[0], rel=1e-6)
         # a tolerance just above the ratio drops the near twin
         tighter = fit(x, y, on_rank_deficiency="drop", rank_tol=2 * result.min_pivot_ratio)
         assert tighter.rank == 2 and tighter.min_pivot_ratio > 0.01
+
+    def test_near_collinear_variances_match_the_oracles(self):
+        x, y = near_collinear_system()
+        result = fit(x, y)
+        r, pivots = x.qr[0].r, x.qr[0].pivots
+        cond, eps = np.linalg.cond(r), np.finfo(float).eps
+        # the sandwich oracle factors the columns afresh: a perturbation of X
+        # of relative size eps moves (X'X)^-1 by up to cond(R)^2 eps relative
+        classical, robust = sandwich(x, [0, 1, 2], result.residuals)
+        assert_close(result.vcov_classical, classical, tol=cond ** 2 * eps)
+        assert_close(result.vcov_robust, robust, tol=cond ** 2 * eps)
+        # two backward-stable inverses of the same R agree to cond(R) eps
+        r_inv = scipy.linalg.solve_triangular(r, np.eye(3))
+        order = np.argsort(pivots)
+        s2 = float(result.residuals @ result.residuals) / (x.n_rows - 3)
+        assert_close(result.vcov_classical, s2 * (r_inv @ r_inv.T)[np.ix_(order, order)],
+                     tol=cond * eps)
+
+    def test_failed_triangular_inverse_is_a_numerical_error(self, monkeypatch):
+        # retained pivots are nonzero, so dtrtri cannot fail here: fake its failure
+        x, y = near_collinear_system()
+        result = fit(x, y)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", lambda r: (r, 3))
+        with pytest.raises(NumericalError, match=r"columns 1, a, a_near: LAPACK dtrtri info=3"):
+            result.vcov_robust
 
     def test_rank_zero_has_no_ratio(self):
         x = DesignMatrix(values=np.zeros((5, 2)), labels=("z1", "z2"))
