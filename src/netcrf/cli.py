@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +127,7 @@ def _format_real(value: float) -> str:
 def write_frame_csv(path: Path, frame: SampleFrame, metadata: dict) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("# " + json.dumps(metadata) + "\n")
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", "y", "d", "t", "f"])
         for i in range(frame.n_selected):
             writer.writerow([
@@ -247,7 +248,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "frame": str(frame_path),
         "n_selected": frame.n_selected,
         "n_total": frame.n_total,
-        "degree_summary": summary.to_json_dict(),
+        "degree_summary": asdict(summary),
     }))
     return 0
 
@@ -384,7 +385,7 @@ def cmd_degree_stats(args: argparse.Namespace) -> int:
         "radius": network.radius,
         "seed": seed,
         "generator": GENERATOR_NAME,
-        "summary": summary.to_json_dict(),
+        "summary": asdict(summary),
     }))
     return 0
 

@@ -5,8 +5,11 @@ Euclidean distance is at most the connection radius (inclusive comparison,
 plain geometry with no wraparound at the square boundary). The per-node
 friend counts feed the sampling frames used by every estimator downstream.
 
-Neighbor search uses uniform grid bucketing with cell size equal to the
-radius, which gives O(n) expected construction; the test suite keeps a
+Neighbor search buckets the points into a uniform grid with cell size equal
+to the radius and sorts them by cell key. Each point's candidate partners in
+its own cell and in each of four forward cells are then one contiguous range
+of the sorted points, found by binary search. Construction thus costs
+O(n log n) plus time linear in the candidate count; the test suite keeps a
 brute-force all-pairs oracle.
 
 :class:`Network` alone puts index pairs of any order, orientation or
@@ -121,16 +124,6 @@ class DegreeSummary:
     mean_t: float | None = None
     sd_t: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "retained_fraction": self.retained_fraction,
-            "mean_f": self.mean_f,
-            "sd_f": self.sd_f,
-            "max_f": self.max_f,
-            "mean_t": self.mean_t,
-            "sd_t": self.sd_t,
-        }
-
 
 def generate_positions(n: int, seed: int) -> PositionSet:
     """Draw ``n`` i.i.d. uniform points on the unit square, deterministic per seed."""
@@ -141,56 +134,31 @@ def generate_positions(n: int, seed: int) -> PositionSet:
 
 
 def _candidate_pairs(coords: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate index pairs from same-cell and adjacent-cell bucketing.
+    """Each unordered pair of points in the same or adjacent grid cells, once.
 
     Cell edge equals the radius, so every pair within the radius falls in the
-    same cell or one of the 8 adjacent cells; scanning the cell itself plus
-    4 forward offsets visits each unordered cell pair exactly once.
+    same cell or one of the 8 adjacent cells. With the points sorted by cell
+    key, the points in the cell ``delta`` keys ahead of point p's cell form
+    one range of sorted positions; p's own cell (positions after p) plus 4
+    forward offsets visit each unordered pair of nearby points once.
     """
-    n = coords.shape[0]
     cells = np.floor(coords / radius).astype(np.int64)
+    # one more key per row than there are cells, so that no offset wraps a row
     width = int(math.floor(1.0 / radius)) + 2
     keys = cells[:, 0] * width + cells[:, 1]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    group_keys, group_starts = np.unique(sorted_keys, return_index=True)
-    group_sizes = np.diff(np.append(group_starts, n))
-
-    i_parts: list[np.ndarray] = []
-    j_parts: list[np.ndarray] = []
-
-    for size in np.unique(group_sizes):
-        if size < 2:
-            continue
-        starts = group_starts[group_sizes == size]
-        members = order[starts[:, None] + np.arange(size)]
-        a, b = np.triu_indices(int(size), k=1)
-        i_parts.append(members[:, a].ravel())
-        j_parts.append(members[:, b].ravel())
-
-    for delta in (width, 1, width + 1, width - 1):
-        target = group_keys + delta
-        pos = np.searchsorted(group_keys, target)
-        pos_clipped = np.minimum(pos, len(group_keys) - 1)
-        matched = group_keys[pos_clipped] == target
-        if not matched.any():
-            continue
-        a_starts = group_starts[matched]
-        a_sizes = group_sizes[matched]
-        b_starts = group_starts[pos_clipped[matched]]
-        b_sizes = group_sizes[pos_clipped[matched]]
-        counts = a_sizes * b_sizes
-        total = int(counts.sum())
-        pair_group = np.repeat(np.arange(len(counts)), counts)
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        within = np.arange(total) - offsets[pair_group]
-        b_rep = b_sizes[pair_group]
-        i_parts.append(order[a_starts[pair_group] + within // b_rep])
-        j_parts.append(order[b_starts[pair_group] + within % b_rep])
-
-    if not i_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+    p = np.arange(len(keys))
+    i_parts, j_parts = [], []
+    for delta in (0, 1, width - 1, width, width + 1):
+        lo = p + 1 if delta == 0 else np.searchsorted(sorted_keys, sorted_keys + delta, "left")
+        hi = np.searchsorted(sorted_keys, sorted_keys + delta, "right")
+        counts = hi - lo
+        # p's partners, sorted positions lo..hi-1, fill the output slots
+        # from cumsum(counts) - counts on
+        shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        i_parts.append(order[np.repeat(p, counts)])
+        j_parts.append(order[shift + np.arange(shift.size)])
     return np.concatenate(i_parts), np.concatenate(j_parts)
 
 

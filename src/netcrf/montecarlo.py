@@ -26,9 +26,11 @@ when fewer than 1000 repetitions are run.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from itertools import repeat
 
@@ -132,6 +134,22 @@ def _replicate(config: MCConfig, scenarios, rep_index: int) -> tuple[Replication
     return results
 
 
+def _csv_text(metadata: dict, row_type: type, records) -> str:
+    """A ``# {json}`` metadata line, then a CSV table with one column per field
+    of the dataclass ``row_type`` and one row per record. Floats keep 17
+    significant digits, None is an empty field, and a field holding a comma
+    is quoted."""
+    names = [f.name for f in fields(row_type)]
+    out = io.StringIO()
+    out.write("# " + json.dumps(metadata) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(names)
+    for record in records:
+        values = [getattr(record, name) for name in names]
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in values])
+    return out.getvalue()
+
+
 @dataclass(frozen=True)
 class MCRow:
     """Aggregated bias/SD for one (estimator, target)."""
@@ -160,20 +178,7 @@ class MCReport:
         raise KeyError(f"no row for ({estimator}, {target})")
 
     def to_csv_text(self) -> str:
-        lines = ["# " + json.dumps(self.metadata)]
-        lines.append("estimator,target,abs_bias,sd,true_value,mean_estimate,n_ok,n_failed")
-        for r in self.rows:
-            lines.append(",".join([
-                r.estimator,
-                r.target,
-                "" if r.abs_bias is None else format(r.abs_bias, ".17g"),
-                "" if r.sd is None else format(r.sd, ".17g"),
-                format(r.true_value, ".17g"),
-                "" if r.mean_estimate is None else format(r.mean_estimate, ".17g"),
-                str(r.n_ok),
-                str(r.n_failed),
-            ]))
-        return "\n".join(lines) + "\n"
+        return _csv_text(self.metadata, MCRow, self.rows)
 
     def to_text_table(self) -> str:
         header = f"{'estimator':<16}{'target':<13}{'|bias|':>10}{'SD':>10}{'true':>10}{'ok':>6}{'fail':>6}"
@@ -287,31 +292,8 @@ class TableComparison:
                 return c
         raise KeyError(f"no cell for ({estimator}, {scenario}, {target})")
 
-    @property
-    def all_bias_pass(self) -> bool:
-        return all(c.bias_pass for c in self.cells)
-
-    @property
-    def all_sd_pass(self) -> bool:
-        return all(c.sd_pass for c in self.cells if c.sd_pass is not None)
-
     def to_csv_text(self) -> str:
-        lines = ["# " + json.dumps(self.metadata)]
-        lines.append(
-            "estimator,scenario,target,bias,bias_ref,bias_tol,bias_pass,"
-            "sd,sd_ref,sd_tol,sd_pass,true_value,true_ref"
-        )
-        for c in self.cells:
-            def fmt(v):
-                return "" if v is None else (format(v, ".17g") if isinstance(v, float) else str(v))
-            lines.append(",".join([
-                c.estimator, c.scenario, c.target,
-                fmt(c.bias), fmt(c.bias_ref), fmt(c.bias_tol), str(c.bias_pass),
-                fmt(c.sd), fmt(c.sd_ref), fmt(c.sd_tol),
-                "" if c.sd_pass is None else str(c.sd_pass),
-                fmt(c.true_value), fmt(c.true_ref),
-            ]))
-        return "\n".join(lines) + "\n"
+        return _csv_text(self.metadata, ComparisonCell, self.cells)
 
     def to_text_report(self) -> str:
         lines = [

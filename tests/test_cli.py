@@ -42,6 +42,12 @@ class TestSimulate:
         run_cli(capsys, *args, "--out", str(tmp_path / "b"))
         assert (tmp_path / "a/frame.csv").read_bytes() == (tmp_path / "b/frame.csv").read_bytes()
 
+    def test_frame_csv_lines_end_in_lf_only(self, tmp_path, capsys):
+        run_cli(capsys, "simulate", "--n-units", "200", "--out", str(tmp_path))
+        data = (tmp_path / "frame.csv").read_bytes()
+        assert b"\r" not in data
+        assert data.count(b"\n") == len(read_frame_csv(tmp_path / "frame.csv")[0].ids) + 2
+
     def test_round_trip_preserves_frame(self, tmp_path, capsys):
         run_cli(capsys, "simulate", "--n-units", "800", "--scenario", "iii",
                 "--seed", "3", "--out", str(tmp_path))

@@ -148,6 +148,46 @@ class TestBuildGeometricNetwork:
         assert np.mean(sds) == pytest.approx(sd_oracle, abs=0.1)
 
 
+@st.composite
+def bucketing_cases(draw):
+    """A radius and up to 300 points on the unit square. A share of the points
+    sit on cell boundaries (multiples of the radius), and a share one radius
+    step right of, left of, above or below the point before them: an exact
+    distance tie when the radius is a power of two."""
+    radius = draw(st.floats(1e-3, 1.5) | st.sampled_from([2.0 ** -k for k in range(10)]))
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = rng.random((n, 2))
+    kind = rng.integers(0, 3, size=n)
+    coords[kind == 1] = np.floor(coords[kind == 1] / radius) * radius
+    for i in np.flatnonzero(kind[1:] == 2) + 1:
+        step = radius * np.eye(2)[rng.integers(2)]
+        for point in (coords[i - 1] + step, coords[i - 1] - step):
+            if point.min() >= 0.0 and point.max() <= 1.0:
+                coords[i] = point
+                break
+    return coords, radius
+
+
+class TestCandidatePairs:
+    @settings(deadline=None)
+    @given(bucketing_cases())
+    def test_each_near_pair_once_and_only_from_neighbouring_cells(self, case):
+        coords, radius = case
+        n = len(coords)
+        ci, cj = _candidate_pairs(coords, radius)
+        assert ci.shape == cj.shape and ci.dtype == cj.dtype == np.int64
+        assert not (ci == cj).any()
+        keys = np.minimum(ci, cj) * n + np.maximum(ci, cj)
+        assert np.unique(keys).size == keys.size
+        diff = coords[:, None, :] - coords[None, :, :]
+        close = np.triu((diff ** 2).sum(axis=2) <= radius * radius, k=1)
+        near_i, near_j = np.nonzero(close)
+        assert np.isin(near_i * n + near_j, keys).all()
+        cells = np.floor(coords / radius).astype(np.int64)
+        assert (np.abs(cells[ci] - cells[cj]) <= 1).all()
+
+
 class TestDegreeStats:
     def test_empty_network(self):
         net = Network(n=3, edges=np.empty((0, 2), dtype=int))

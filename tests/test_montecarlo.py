@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,18 @@ class TestRunStudy:
         assert csv_text.startswith("# {")
         assert "master_seed" in csv_text
         assert report.metadata["generator"].startswith("numpy.random.Philox")
+
+    def test_csv_quotes_a_spec_holding_a_comma(self):
+        spec = ModelSpec.crf2(2, t_order=2)
+        report = run_study(small_config(n_units=300, estimators=(spec, ModelSpec.t_model()),
+                                        repetitions=3, master_seed=1))
+        lines = report.to_csv_text().splitlines()[1:]
+        rows = list(csv.reader(lines))
+        assert rows[0] == ["estimator", "target", "abs_bias", "sd", "true_value",
+                           "mean_estimate", "n_ok", "n_failed"]
+        assert all(len(row) == 8 for row in rows)
+        spec_rows = [row for row in rows if row[0] == "crf2:J=2,t_order=2"]
+        assert [row[1] for row in spec_rows] == ["direct", "network", "interaction"]
 
     def test_correctly_specified_estimators_nearly_unbiased(self):
         # scenario i: the count-based and combined designs are correct, so
