@@ -6,14 +6,19 @@ plain geometry with no wraparound at the square boundary). The per-node
 friend counts feed the sampling frames used by every estimator downstream.
 
 Neighbor search buckets the points into a uniform grid with cell size equal
-to the radius and sorts them by cell key. Each point's candidate partners in
-its own cell and in each of four forward cells are then one contiguous range
-of the sorted points, found by binary search. Construction thus costs
-O(n log n) plus time linear in the candidate count; the test suite keeps a
-brute-force all-pairs oracle.
+to the radius and sorts them by cell key (a radix sort when the keys fit 16
+bits). Each point's candidate partners in its own cell and in each of four
+forward cells are then one contiguous range of the sorted points, read from
+a table of the occupied cells' first and last sorted positions. Each forward
+offset costs one binary search per occupied cell, and its candidates are
+filtered by distance before they are mapped back to point indices.
+Construction thus costs O(n log n) plus time linear in the candidate count;
+the test suite keeps a brute-force all-pairs oracle.
 
 :class:`Network` alone puts index pairs of any order, orientation or
-multiplicity into edge-list form and derives the degrees. External networks
+multiplicity into edge-list form and derives the degrees. A geometric build
+hands it distinct pairs unsorted, and the sorted edge list is made when it is
+first read; degrees and treated-friend counts do not need it. External networks
 come from a nodes CSV (header starting ``id``) and an edges CSV
 (``src,dst``); :func:`read_rows` and :func:`parse_rows` read every input
 table, the frame CSV included, skipping blank lines, and every error, such
@@ -26,6 +31,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,53 +59,71 @@ class PositionSet:
         object.__setattr__(self, "coords", coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Network:
     """Undirected simple graph on ``n`` units.
 
-    ``edges`` takes index pairs in any order, orientation or multiplicity and
-    holds one row (i, j) per distinct pair, i < j, sorted lexicographically;
-    out-of-range endpoints and self-loops raise a ValueError. ``degree``, the
-    per-unit friend count, is derived. ``radius`` records the connection
-    radius when the network was built geometrically.
+    ``edges`` takes index pairs in any order, orientation or multiplicity;
+    out-of-range endpoints and self-loops raise a ValueError. The ``edges``
+    attribute holds one row (i, j) per distinct pair, i < j, sorted
+    lexicographically. ``degree``, the per-unit friend count, is derived.
+    ``radius`` records the connection radius when the network was built
+    geometrically.
+
+    A geometric build hands over its distinct pairs as found; they are sorted
+    into ``edges`` only when ``edges`` is first read. ``degree``,
+    ``edge_count``, ``neighbors_of`` and :func:`treated_neighbor_counts`
+    read the stored pairs, whose order does not change their values.
     """
 
     n: int
-    edges: np.ndarray
-    radius: float | None = None
-    degree: np.ndarray = field(init=False)
+    radius: float | None
+    degree: np.ndarray
+    _pairs: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        pairs = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.n):
+    def __init__(self, n: int, edges, radius: float | None = None):
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError("edge endpoints out of range")
-        a, b = pairs.T
-        if (a == b).any():
+        if (pairs[:, 0] == pairs[:, 1]).any():
             raise ValueError("edges must join distinct units (no self-loops)")
-        # sorting the keys lo * n + hi sorts the pairs, and a repeat equals its predecessor
-        keys = np.sort(np.minimum(a, b) * self.n + np.maximum(a, b))
-        edges = np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) > 0], self.n))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "degree", np.bincount(edges.ravel(), minlength=self.n))
+        keys = _sorted_pair_keys(pairs, n)
+        # a repeat equals its predecessor
+        canonical = np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) > 0], n))
+        self._store(n, canonical, radius)
+        self.__dict__["edges"] = canonical
+
+    @classmethod
+    def _from_distinct_pairs(cls, n: int, pairs: np.ndarray, radius: float) -> "Network":
+        """The network of ``pairs``, an (m, 2) int64 array of distinct in-range
+        pairs ``i != j``, in any order and orientation, taken without checks."""
+        network = cls.__new__(cls)
+        network._store(n, pairs, radius)
+        return network
+
+    def _store(self, n: int, pairs: np.ndarray, radius: float | None) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "degree", np.bincount(pairs.ravel(), minlength=n))
+        object.__setattr__(self, "_pairs", pairs)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        return np.column_stack(np.divmod(_sorted_pair_keys(self._pairs, self.n), self.n))
 
     @property
     def edge_count(self) -> int:
-        return int(self.edges.shape[0])
+        return int(self._pairs.shape[0])
 
     def neighbors_of(self, i: int) -> np.ndarray:
         """Sorted neighbor indices of unit ``i``."""
         if not 0 <= i < self.n:
             raise ValueError(f"unit index {i} out of range")
-        mask0 = self.edges[:, 0] == i
-        mask1 = self.edges[:, 1] == i
-        return np.sort(np.concatenate([self.edges[mask1, 0], self.edges[mask0, 1]]))
+        a, b = self._pairs.T
+        return np.sort(np.concatenate([a[b == i], b[a == i]]))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "radius": self.radius,
-            "edges": [[int(a), int(b)] for a, b in self.edges],
-        }
+        return {"n": self.n, "radius": self.radius, "edges": self.edges.tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -111,6 +135,13 @@ class Network:
     @classmethod
     def from_json(cls, text: str) -> "Network":
         return cls.from_json_dict(json.loads(text))
+
+
+def _sorted_pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The keys ``lo * n + hi`` of the (lo, hi)-ordered pairs, sorted: sorting
+    the keys sorts the pairs lexicographically."""
+    a, b = pairs.T
+    return np.sort(np.minimum(a, b) * n + np.maximum(a, b))
 
 
 @dataclass(frozen=True)
@@ -133,32 +164,55 @@ def generate_positions(n: int, seed: int) -> PositionSet:
     return PositionSet(n=n, coords=rng.random((n, 2)))
 
 
-def _candidate_pairs(coords: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each unordered pair of points in the same or adjacent grid cells, once.
+def _close_pairs(coords: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each unordered pair of points at distance <= ``radius``, once.
 
     Cell edge equals the radius, so every pair within the radius falls in the
     same cell or one of the 8 adjacent cells. With the points sorted by cell
     key, the points in the cell ``delta`` keys ahead of point p's cell form
     one range of sorted positions; p's own cell (positions after p) plus 4
-    forward offsets visit each unordered pair of nearby points once.
+    forward offsets visit each unordered pair of nearby points once. The
+    ranges are looked up per occupied cell, and each offset's pairs are
+    filtered by distance before they are mapped back to point indices.
     """
+    n = len(coords)
     cells = np.floor(coords / radius).astype(np.int64)
     # one more key per row than there are cells, so that no offset wraps a row
     width = int(math.floor(1.0 / radius)) + 2
     keys = cells[:, 0] * width + cells[:, 1]
-    order = np.argsort(keys, kind="stable")
+    # the narrowest type that holds the keys gives the same stable order, and
+    # keys of 16 bits or fewer are radix sorted
+    order = np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
     sorted_keys = keys[order]
-    p = np.arange(len(keys))
+    x, y = coords[:, 0][order], coords[:, 1][order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    first = np.flatnonzero(starts)
+    cell_keys = sorted_keys[first]
+    # bounds[c] is the first sorted position of occupied cell c, and bounds[c + 1]
+    # one past its last; cell[p] is the occupied cell of sorted position p
+    bounds = np.append(first, n)
+    cell = np.cumsum(starts) - 1
+    p = np.arange(n)
     i_parts, j_parts = [], []
     for delta in (0, 1, width - 1, width, width + 1):
-        lo = p + 1 if delta == 0 else np.searchsorted(sorted_keys, sorted_keys + delta, "left")
-        hi = np.searchsorted(sorted_keys, sorted_keys + delta, "right")
+        if delta == 0:
+            lo, hi = p + 1, bounds[cell + 1]
+        else:
+            lo = bounds[np.searchsorted(cell_keys, cell_keys + delta)][cell]
+            hi = bounds[np.searchsorted(cell_keys, cell_keys + delta + 1)][cell]
         counts = hi - lo
         # p's partners, sorted positions lo..hi-1, fill the output slots
         # from cumsum(counts) - counts on
         shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        i_parts.append(order[np.repeat(p, counts)])
-        j_parts.append(order[shift + np.arange(shift.size)])
+        i = np.repeat(p, counts)
+        j = shift + np.arange(shift.size)
+        dx, dy = x[i] - x[j], y[i] - y[j]
+        # a gather at the kept positions beats a boolean mask, whose ~40% hit
+        # rate defeats branch prediction
+        close = np.flatnonzero(dx ** 2 + dy ** 2 <= radius * radius)
+        i_parts.append(order[i[close]])
+        j_parts.append(order[j[close]])
     return np.concatenate(i_parts), np.concatenate(j_parts)
 
 
@@ -166,13 +220,8 @@ def build_geometric_network(positions: PositionSet, radius: float) -> Network:
     """Connect every pair at Euclidean distance <= ``radius`` (ties included)."""
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    ci, cj = _candidate_pairs(positions.coords, radius)
-    if ci.size:
-        x, y = np.ascontiguousarray(positions.coords.T)
-        dx, dy = x[ci] - x[cj], y[ci] - y[cj]
-        close = dx ** 2 + dy ** 2 <= radius * radius
-        ci, cj = ci[close], cj[close]
-    return Network(n=positions.n, edges=np.column_stack([ci, cj]), radius=radius)
+    ci, cj = _close_pairs(positions.coords, radius)
+    return Network._from_distinct_pairs(positions.n, np.column_stack([ci, cj]), radius)
 
 
 def treated_neighbor_counts(network: Network, d: np.ndarray) -> np.ndarray:
@@ -183,8 +232,8 @@ def treated_neighbor_counts(network: Network, d: np.ndarray) -> np.ndarray:
     if d.size and not np.isin(d, (0, 1)).all():
         raise ValueError("treatment vector entries must be 0 or 1")
     # each edge (i, j) adds d_j to T_i and d_i to T_j
-    ends = network.edges.ravel()
-    partners = network.edges[:, ::-1].ravel()
+    ends = network._pairs.ravel()
+    partners = network._pairs[:, ::-1].ravel()
     return np.bincount(ends, weights=d[partners], minlength=network.n).astype(np.int64)
 
 

@@ -218,28 +218,35 @@ def _run_scenarios(config: MCConfig, scenarios) -> list[MCReport]:
 
 
 def _report(config: MCConfig, results: list[ReplicationResult]) -> MCReport:
+    # one row per target, one column per replication: reducing a C-contiguous
+    # row sums it pairwise, bit for bit as np.mean of that target's list did
+    # (``take`` keeps the rows contiguous, where ``truths[:, ok]`` would not)
+    truths = np.array([[getattr(r.true, target) for r in results] for target in TARGETS])
+    true_all = truths.mean(axis=1)
     rows = []
     estimate_store: dict[str, np.ndarray] = {}
     for spec in config.estimators:
         key = format_model_spec(spec)
-        ok = [r for r in results if key in r.estimates]
+        ok = [rep for rep, r in enumerate(results) if key in r.estimates]
         n_failed = config.repetitions - len(ok)
+        abs_bias = sd = mean_estimate = [None] * len(TARGETS)
+        true_ok = true_all
+        if ok:
+            values = np.array([[results[rep].estimates[key][pos] for rep in ok]
+                               for pos in range(len(TARGETS))])
+            if len(ok) < len(results):
+                true_ok = truths.take(ok, axis=1).mean(axis=1)
+            mean_estimate = values.mean(axis=1)
+            abs_bias = np.abs(mean_estimate - true_ok)
+            if len(ok) > 1:
+                sd = values.std(axis=1, ddof=1)
+            if config.keep_estimates:
+                for pos, target in enumerate(TARGETS):
+                    estimate_store[f"{key}/{target}"] = values[pos]
         for pos, target in enumerate(TARGETS):
-            true_all = float(np.mean([getattr(r.true, target) for r in results]))
-            if ok:
-                values = np.array([r.estimates[key][pos] for r in ok])
-                true_ok = float(np.mean([getattr(r.true, target) for r in ok]))
-                abs_bias = float(abs(values.mean() - true_ok))
-                sd = float(values.std(ddof=1)) if values.size > 1 else None
-                mean_estimate = float(values.mean())
-                if config.keep_estimates:
-                    estimate_store[f"{key}/{target}"] = values
-            else:
-                abs_bias = sd = mean_estimate = None
-                true_ok = true_all
             rows.append(MCRow(
-                estimator=key, target=target, abs_bias=abs_bias, sd=sd,
-                true_value=true_ok, mean_estimate=mean_estimate,
+                estimator=key, target=target, abs_bias=_optional_float(abs_bias[pos]), sd=_optional_float(sd[pos]),
+                true_value=float(true_ok[pos]), mean_estimate=_optional_float(mean_estimate[pos]),
                 n_ok=len(ok), n_failed=n_failed,
             ))
 
@@ -255,6 +262,10 @@ def _report(config: MCConfig, results: list[ReplicationResult]) -> MCReport:
         "repetitions": config.repetitions,
     }
     return MCReport(config=config, rows=tuple(rows), metadata=metadata, estimates=estimate_store)
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
 
 
 def load_reference_tables() -> dict:

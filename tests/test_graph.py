@@ -17,7 +17,7 @@ from netcrf import (
     ingest_network,
     network_from_edge_pairs,
 )
-from netcrf.graph import _candidate_pairs, parse_rows, treated_neighbor_counts
+from netcrf.graph import _close_pairs, parse_rows, treated_neighbor_counts
 
 
 def brute_force_edges(coords, radius):
@@ -113,12 +113,12 @@ class TestBuildGeometricNetwork:
 
     @pytest.mark.parametrize("n,radius", [(300, 0.05), (2000, 0.025), (5000, 0.025)])
     def test_edges_equal_lexsort_reference(self, n, radius):
-        # reference: the same candidate pairs, filtered with 2-D differences
+        # reference: the same pairs, refiltered with 2-D differences
         # and ordered by lexsort, as the build did before key sorting
         rng = np.random.default_rng(n)
         for _ in range(3):
             pos = PositionSet(n=n, coords=rng.random((n, 2)))
-            ci, cj = _candidate_pairs(pos.coords, radius)
+            ci, cj = _close_pairs(pos.coords, radius)
             diff = pos.coords[ci] - pos.coords[cj]
             close = diff[:, 0] ** 2 + diff[:, 1] ** 2 <= radius * radius
             lo, hi = np.minimum(ci, cj)[close], np.maximum(ci, cj)[close]
@@ -153,9 +153,11 @@ def bucketing_cases(draw):
     """A radius and up to 300 points on the unit square. A share of the points
     sit on cell boundaries (multiples of the radius), and a share one radius
     step right of, left of, above or below the point before them: an exact
-    distance tie when the radius is a power of two."""
-    radius = draw(st.floats(1e-3, 1.5) | st.sampled_from([2.0 ** -k for k in range(10)]))
-    n = draw(st.integers(0, 300))
+    distance tie when the radius is a power of two. Radius 1e-3 gives cell
+    keys wider than 16 bits; radii above 1 put every point in one cell."""
+    radius = draw(st.floats(1e-3, 1.5) | st.sampled_from([2.0 ** -k for k in range(10)])
+                  | st.sampled_from([1e-3, 1.5, 2.0, 4.0]))
+    n = draw(st.sampled_from([0, 1]) | st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coords = rng.random((n, 2))
     kind = rng.integers(0, 3, size=n)
@@ -175,17 +177,43 @@ class TestCandidatePairs:
     def test_each_near_pair_once_and_only_from_neighbouring_cells(self, case):
         coords, radius = case
         n = len(coords)
-        ci, cj = _candidate_pairs(coords, radius)
+        ci, cj = _close_pairs(coords, radius)
         assert ci.shape == cj.shape and ci.dtype == cj.dtype == np.int64
         assert not (ci == cj).any()
-        keys = np.minimum(ci, cj) * n + np.maximum(ci, cj)
-        assert np.unique(keys).size == keys.size
+        keys = np.sort(np.minimum(ci, cj) * n + np.maximum(ci, cj))
         diff = coords[:, None, :] - coords[None, :, :]
         close = np.triu((diff ** 2).sum(axis=2) <= radius * radius, k=1)
         near_i, near_j = np.nonzero(close)
-        assert np.isin(near_i * n + near_j, keys).all()
+        assert np.array_equal(keys, near_i * n + near_j)
         cells = np.floor(coords / radius).astype(np.int64)
         assert (np.abs(cells[ci] - cells[cj]) <= 1).all()
+
+
+class TestGeometricNetwork:
+    @settings(deadline=None)
+    @given(bucketing_cases(), st.integers(0, 2**32 - 1))
+    def test_lazy_edges_match_canonical_network(self, case, seed):
+        coords, radius = case
+        n = len(coords)
+        net = build_geometric_network(PositionSet(n=n, coords=coords), radius)
+        ci, cj = _close_pairs(coords, radius)
+        canonical = Network(n=n, edges=np.column_stack([ci, cj]), radius=radius)
+        d = np.random.default_rng(seed).integers(0, 2, size=n)
+        assert net.edge_count == canonical.edge_count
+        assert net.degree.dtype == canonical.degree.dtype
+        assert net.degree.tobytes() == canonical.degree.tobytes()
+        t = treated_neighbor_counts(net, d)
+        assert t.dtype == np.int64 and t.tobytes() == treated_neighbor_counts(canonical, d).tobytes()
+        if n:
+            assert np.array_equal(net.neighbors_of(n - 1), canonical.neighbors_of(n - 1))
+        # none of the above sorts the edges
+        assert "edges" not in vars(net)
+        assert net.edges.dtype == canonical.edges.dtype and net.edges.shape == canonical.edges.shape
+        assert net.edges.tobytes() == canonical.edges.tobytes()
+        assert net.to_json() == canonical.to_json()
+        clone = Network.from_json(net.to_json())
+        assert clone.edges.tobytes() == net.edges.tobytes()
+        assert clone.degree.tobytes() == net.degree.tobytes() and clone.radius == radius
 
 
 class TestDegreeStats:
