@@ -15,9 +15,12 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .dgp import SampleFrame
 from .errors import NumericalError, OutOfSupportError
+
+_GEQP3, _ORGQR = get_lapack_funcs(("geqp3", "orgqr"), dtype=np.float64)
 
 
 class ModelKind(str, Enum):
@@ -250,10 +253,36 @@ class DesignMatrix:
         zero entry (``1``, ``F^0``) is one block.
         """
         weighted = self.cell_values * self.cell_weights[:, None]
-        return tuple(
-            QRBlock(rows, columns, *scipy.linalg.qr(block, mode="economic", pivoting=True,
-                                                   check_finite=False))
-            for rows, columns, block in _diagonal_blocks(weighted))
+        return tuple(QRBlock(rows, columns, *_pivoted_qr(block))
+                     for rows, columns, block in _diagonal_blocks(weighted))
+
+
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)``
+    of a 2-d float64 matrix, bit for bit.
+
+    LAPACK ``dgeqp3`` and ``dorgqr`` are called as scipy calls them (a
+    workspace query, then the call), without its per-call validation, which
+    costs more than the factorization of a design's ~100 x 10 block.
+    """
+    m, n = a.shape
+    if a.size == 0:
+        return scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
+    qr, jpvt, tau, _, info = _GEQP3(a, lwork=_workspace(_GEQP3, a))
+    if info != 0:
+        raise NumericalError(f"LAPACK dgeqp3 info={info}")
+    jpvt -= 1
+    r = np.triu(qr) if m < n else np.triu(qr[:n, :])
+    a_q = qr[:, :m] if m < n else qr
+    q, _, info = _ORGQR(a_q, tau, lwork=_workspace(_ORGQR, a_q, tau), overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"LAPACK dorgqr info={info}")
+    return q, r, jpvt
+
+
+def _workspace(routine, *args) -> int:
+    """The optimal ``lwork`` of a LAPACK routine for ``args``, from its workspace query."""
+    return int(routine(*args, lwork=-1)[-2][0].real)
 
 
 def _non_finite(values: np.ndarray, labels, cell_of_unit: np.ndarray) -> str | None:
@@ -275,10 +304,13 @@ def _diagonal_blocks(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, n
     A block grows from its first column: take the rows where its columns are
     nonzero, then every column nonzero in those rows, until no column is new.
     All-zero rows belong to no block, and an all-zero column is a block
-    without rows.
+    without rows. A column without zeros joins every row and column into one
+    block when no column is all zero, and that block is ``values`` itself.
     """
-    k = values.shape[1]
+    m, k = values.shape
     nonzero = values != 0
+    if m and nonzero.all(axis=0).any() and nonzero.any(axis=0).all():
+        return [(np.arange(m), np.arange(k), values)]
     blocks, seen = [], np.zeros(k, dtype=bool)
     for first in range(k):
         if seen[first]:

@@ -22,7 +22,9 @@ as for ``crf1long`` beyond ``f_max`` or ``t_max``), or for ``crf1short`` at a
 friend count other than its own. Aggregates skip absent cells and count the
 units they leave out. Contrasts and the absent rule depend on the design
 alone, so a multi-outcome fit evaluates them once and aggregates each column
-separately.
+separately. The aggregates' contrasts at one treated friend are kept in a
+small per-process cache keyed by the column labels and the distinct friend
+counts, since a Monte Carlo study asks for the same few in every replication.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,19 +129,38 @@ def _contrasts(labels, f, t) -> np.ndarray:
     return np.stack([x00, x10 - x00, x0t - x00, x1t - x10 - x0t + x00])
 
 
-def _evaluate(fit: FitResult, spec: ModelSpec, f, t) -> list[np.ndarray]:
-    """Per outcome column, (baseline, delta0, tau0, tau_pm) at each (f, t); NaN = absent."""
-    f = np.asarray(f, dtype=float)
-    weights = _contrasts(fit.labels, f, np.asarray(t, dtype=float))
-    coefficients = fit.coefficients.reshape(len(fit.labels), -1)  # one column per outcome
-    dropped = np.isnan(coefficients[:, 0])
-    absent = (weights[..., dropped] != 0).any(axis=-1)
+@lru_cache(maxsize=32)
+def _aggregate_contrasts(labels: tuple[str, ...], f_values: tuple[int, ...]) -> np.ndarray:
+    """Read-only :func:`_contrasts` at one treated friend for each of ``f_values``.
+
+    A Monte Carlo study asks for the same few (labels, friend counts) keys
+    in every replication, so they are computed once per process.
+    """
+    f = np.array(f_values, dtype=float)
+    weights = _contrasts(labels, f, np.ones_like(f))
+    weights.setflags(write=False)
+    return weights
+
+
+def _absent(fit: FitResult, spec: ModelSpec, weights: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Where the contrasts ``weights`` (4, pairs, columns) at friend counts
+    ``f`` are absent from ``fit``: (4, pairs)."""
+    absent = (weights[..., _dropped(fit)] != 0).any(axis=-1)
     if spec.saturated:
         absent |= ~weights.any(axis=-1)
     if spec.kind == ModelKind.CRF1_SHORT:
         absent |= f != spec.f
-    coefficients = np.ascontiguousarray(np.where(dropped[:, None], 0.0, coefficients).T)
-    return [np.where(absent, np.nan, weights @ column) for column in coefficients]
+    return absent
+
+
+def _dropped(fit: FitResult) -> np.ndarray:
+    return np.isnan(fit.coefficients.reshape(len(fit.labels), -1)[:, 0])
+
+
+def _outcome_coefficients(fit: FitResult) -> np.ndarray:
+    """One contiguous row of coefficients per outcome, zero where a column was dropped."""
+    coefficients = fit.coefficients.reshape(len(fit.labels), -1)
+    return np.ascontiguousarray(np.where(_dropped(fit)[:, None], 0.0, coefficients).T)
 
 
 def recover_effect_table(
@@ -175,30 +197,35 @@ def recover_effect_table(
         if fit.n_outcomes is not None:
             raise ValueError("per-cell effect tables need a one-outcome fit; pass t_grid=()")
         f_cells, t_cells = np.array(pairs, dtype=float).T
-        [(baseline, delta0, tau0, tau_pm)] = _evaluate(fit, spec, f_cells, t_cells)
+        weights = _contrasts(fit.labels, f_cells, t_cells)
+        [coefficients] = _outcome_coefficients(fit)
+        baseline, delta0, tau0, tau_pm = np.where(_absent(fit, spec, weights, f_cells), np.nan,
+                                                  weights @ coefficients)
         tau1, delta_t = complete_effects(delta0, tau0, tau_pm)
         rows = np.column_stack([delta0, tau0, tau_pm, tau1, delta_t, baseline]).tolist()
     cells = [EffectCell(f, t, *(None if math.isnan(v) else v for v in row))
              for (f, t), row in zip(pairs, rows)]
 
-    aggregates = tuple(_aggregates(values[1:], counts)
-                       for values in _evaluate(fit, spec, unique_f, np.ones(unique_f.size)))
+    # the t = 1 contrasts, their absent cells and so each target's weight
+    # depend on the design alone
+    weights = _aggregate_contrasts(fit.labels, tuple(unique_f.tolist()))
+    targets = [(present, counts[present], int(counts[present].sum()), int(counts[~present].sum()))
+               for present in ~_absent(fit, spec, weights, unique_f)[1:]]
+    aggregates = tuple(_aggregates((weights @ coefficients)[1:], targets)
+                       for coefficients in _outcome_coefficients(fit))
     if fit.n_outcomes is None:
         (aggregates,) = aggregates
     return EffectTable(cells=tuple(cells), aggregates=aggregates, model=format_model_spec(spec))
 
 
-def _aggregates(per_f, counts) -> EffectAggregates:
+def _aggregates(per_f, targets) -> EffectAggregates:
     """Count-weighted means of the per-f (delta0, tau0, tau_pm) at t = 1 over
-    their present (non-NaN) values, with the units each skips; a mean is None
-    when every value is absent."""
-    means, skipped = [], []
-    for values in per_f:
-        present = ~np.isnan(values)
-        weight = int(counts[present].sum())
-        skipped.append(int(counts[~present].sum()))
-        means.append(float(values[present] @ counts[present] / weight) if weight else None)
-    return EffectAggregates(*means, skipped_units=tuple(skipped))
+    their present values, with the units each skips; a mean is None when
+    every value is absent. ``targets`` holds per aggregate the present mask,
+    the present counts, their sum and the skipped units."""
+    means = [float(values[present] @ present_counts / weight) if weight else None
+             for values, (present, present_counts, weight, _) in zip(per_f, targets)]
+    return EffectAggregates(*means, skipped_units=tuple(target[3] for target in targets))
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ class Network:
         return network
 
     def _store(self, n: int, pairs: np.ndarray, radius: float | None) -> None:
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "degree", np.bincount(pairs.ravel(), minlength=n))
         object.__setattr__(self, "_pairs", pairs)
@@ -229,12 +229,13 @@ def treated_neighbor_counts(network: Network, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d)
     if d.shape != (network.n,):
         raise ValueError(f"treatment vector must have length {network.n}, got shape {d.shape}")
-    if d.size and not np.isin(d, (0, 1)).all():
+    if not ((d == 0) | (d == 1)).all():
         raise ValueError("treatment vector entries must be 0 or 1")
-    # each edge (i, j) adds d_j to T_i and d_i to T_j
-    ends = network._pairs.ravel()
-    partners = network._pairs[:, ::-1].ravel()
-    return np.bincount(ends, weights=d[partners], minlength=network.n).astype(np.int64)
+    # each edge (i, j) adds d_j to T_i and d_i to T_j; the sums of 0/1 weights
+    # are exact in any order
+    i, j = np.ascontiguousarray(network._pairs.T)
+    return (np.bincount(i, weights=d[j], minlength=network.n)
+            + np.bincount(j, weights=d[i], minlength=network.n)).astype(np.int64)
 
 
 def degree_stats(network: Network, treatment: np.ndarray | None = None) -> DegreeSummary:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcrf import (
     DesignMatrix,
@@ -17,6 +19,7 @@ from netcrf import (
     simulate_frame,
     split_by_f,
 )
+from netcrf.design import _diagonal_blocks
 from conftest import make_frame
 
 
@@ -261,3 +264,56 @@ class TestNonFiniteDesign:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=message):
                 build_design(frame, ModelSpec.crf2(200))
+
+
+def grown_blocks(values):
+    """The block search without the one-block shortcut: each block grows from
+    its first column through the rows and columns its nonzeros reach."""
+    k = values.shape[1]
+    nonzero = values != 0
+    blocks, seen = [], np.zeros(k, dtype=bool)
+    for first in range(k):
+        if seen[first]:
+            continue
+        cols = np.arange(k) == first
+        while True:
+            rows = nonzero[:, cols].any(axis=1)
+            grown = cols | nonzero[rows].any(axis=0)
+            if (grown == cols).all():
+                break
+            cols = grown
+        seen |= cols
+        rows, cols = np.flatnonzero(rows), np.flatnonzero(cols)
+        blocks.append((rows, cols, values[np.ix_(rows, cols)]))
+    return blocks
+
+
+@st.composite
+def patterns_with_a_full_column(draw):
+    """Sparse matrices with a column without zeros somewhere among sparse
+    columns, and all-zero columns before and after them."""
+    m = draw(st.integers(1, 8))
+    sparse = st.lists(st.sampled_from([0.0, 0.0, 1.0, -2.5, 0.25]), min_size=m, max_size=m)
+    full = st.lists(st.sampled_from([1.0, -3.0, 0.5, 7.0]), min_size=m, max_size=m)
+    middle = draw(st.lists(sparse, max_size=5))
+    middle.insert(draw(st.integers(0, len(middle))), draw(full))
+    zeros = [0.0] * m
+    columns = [zeros] * draw(st.integers(0, 3)) + middle + [zeros] * draw(st.integers(0, 3))
+    return np.array(columns).T.copy()
+
+
+class TestDiagonalBlocks:
+    @settings(deadline=None, max_examples=200)
+    @given(patterns_with_a_full_column())
+    def test_one_block_shortcut_equals_the_grown_blocks(self, values):
+        got, want = _diagonal_blocks(values), grown_blocks(values)
+        assert len(got) == len(want)
+        for (rows, cols, block), (rows_w, cols_w, block_w) in zip(got, want):
+            for a, b in ((rows, rows_w), (cols, cols_w), (block, block_w)):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+    def test_one_block_without_empty_columns_is_the_matrix_itself(self):
+        values = np.array([[1.0, 0.0, 2.0], [3.0, 4.0, 0.0]])
+        [(rows, cols, block)] = _diagonal_blocks(values)
+        assert block is values
+        assert rows.tolist() == [0, 1] and cols.tolist() == [0, 1, 2]

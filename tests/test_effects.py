@@ -7,6 +7,7 @@ import pytest
 
 from netcrf import (
     EffectTable,
+    MCConfig,
     ModelSpec,
     build_design,
     build_geometric_network,
@@ -15,11 +16,14 @@ from netcrf import (
     dgp_scenario,
     fit,
     generate_positions,
+    parse_model_spec,
     recover_effect_table,
+    run_study,
     simulate_frame,
     split_by_f,
     telescope_level_from_changes,
 )
+from netcrf.effects import _aggregate_contrasts, _contrasts
 from conftest import make_frame
 
 
@@ -431,3 +435,37 @@ class TestMultiOutcomeAggregates:
             recover_effect_table(result, spec, frame.f)
         with pytest.raises(ValueError, match="one-outcome"):
             recover_effect_table(result, spec, frame.f, t_grid=(1,))
+
+
+class TestAggregateContrastCache:
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.t_model(), ModelSpec.tr_model(), ModelSpec.crf2(2, t_order=2),
+        ModelSpec.crf1_long(f_max=6, t_max=6), ModelSpec.crf1_short(3),
+    ])
+    def test_cached_contrasts_are_read_only_and_equal_uncached(self, noisy_small_f_frame, spec):
+        frame = noisy_small_f_frame
+        if spec.f is not None:
+            frame = frame.restrict_to_f(spec.f)
+        labels = build_design(frame, spec).labels
+        f_values = tuple(np.unique(frame.f).tolist())
+        cached = _aggregate_contrasts(labels, f_values)
+        f = np.array(f_values, dtype=float)
+        fresh = _contrasts(labels, f, np.ones(f.size))
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 1.0
+        assert cached.dtype == fresh.dtype and cached.shape == fresh.shape
+        assert cached.tobytes() == fresh.tobytes()
+        assert _aggregate_contrasts(labels, f_values) is cached
+
+    def test_cache_stays_bounded_and_leaves_a_study_unchanged(self):
+        config = MCConfig(n_units=2000, scenario="iv",
+                          estimators=tuple(parse_model_spec(s) for s in ("t", "tr", "crf2:J=2")),
+                          repetitions=50, master_seed=41)
+        _aggregate_contrasts.cache_clear()
+        cold = run_study(config).to_csv_text()
+        info = _aggregate_contrasts.cache_info()
+        assert info.currsize <= info.maxsize and info.hits > 0
+        assert run_study(config).to_csv_text() == cold
+        info = _aggregate_contrasts.cache_info()
+        assert info.currsize <= info.maxsize

@@ -521,6 +521,20 @@ class TestNetworkSerialization:
         assert np.array_equal(clone.degree, net.degree)
         assert clone.radius == net.radius
 
+    def test_numpy_integer_n_is_stored_as_int(self):
+        net = Network(n=np.int64(5), edges=[])
+        assert type(net.n) is int
+        assert Network.from_json(net.to_json()).n == 5
+
+    def test_geometric_network_from_numpy_integer_n_round_trips(self):
+        n = np.random.default_rng(3).integers(50, 80)
+        coords = generate_positions(int(n), 13).coords
+        net = build_geometric_network(PositionSet(n=n, coords=coords), 0.1)
+        assert type(net.n) is int
+        clone = Network.from_json(net.to_json())
+        assert clone.n == n and net.edge_count > 0
+        assert np.array_equal(clone.edges, net.edges)
+
     def test_validation_rejects_self_loops(self):
         with pytest.raises(ValueError):
             Network(n=2, edges=np.array([[1, 1]]))

@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from netcrf import (
     DegreesOfFreedomError,
@@ -22,7 +23,8 @@ from netcrf import (
     simulate_frame,
     vcov,
 )
-from netcrf.lsq import DEFAULT_RANK_TOL
+from netcrf.design import _pivoted_qr
+from netcrf.lsq import DEFAULT_RANK_TOL, _solve_upper
 from conftest import identified_effects, make_frame
 
 
@@ -579,3 +581,90 @@ class TestCellFit:
                       on_rank_deficiency="drop")
             for name in ("coefficients", "residuals", "fitted"):
                 assert same_bits(getattr(multi, name)[:, j], getattr(one, name)), (name, j)
+
+
+@st.composite
+def float_blocks(draw):
+    """Float blocks as a design's diagonal blocks come: random, with exact
+    twin columns, with all-zero columns, wide (m < n), without rows, or of
+    rank below their width."""
+    kind = draw(st.sampled_from(["random", "twins", "zero_columns", "wide", "no_rows", "low_rank"]))
+    m = 0 if kind == "no_rows" else draw(st.integers(1, 12))
+    k = draw(st.integers(1, 8))
+    if kind == "wide":
+        m, k = draw(st.integers(1, 5)), draw(st.integers(6, 9))
+    elements = st.floats(-100.0, 100.0, allow_nan=False, width=64)
+    a = draw(hnp.arrays(np.float64, (m, k), elements=elements))
+    if kind == "twins" and k > 1:
+        a[:, draw(st.integers(1, k - 1))] = a[:, 0]
+    if kind == "zero_columns":
+        a[:, draw(st.lists(st.integers(0, k - 1), min_size=1))] = 0.0
+    if kind == "low_rank":
+        rank = draw(st.integers(1, max(1, min(m, k) - 1)))
+        a = draw(hnp.arrays(np.float64, (m, rank), elements=elements)) \
+            @ draw(hnp.arrays(np.float64, (rank, k), elements=elements))
+    return a
+
+
+def rank_of(r):
+    """The rank rule of :func:`fit` on one block's R."""
+    diag = np.abs(np.diag(r))
+    if not diag.size or diag[0] == 0.0:
+        return 0
+    below = diag <= DEFAULT_RANK_TOL * diag[0]
+    return int(np.argmax(below)) if below.any() else int(diag.size)
+
+
+class TestDirectLapack:
+    """The factorization and the triangular solves call LAPACK directly and
+    give scipy's numbers bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(float_blocks())
+    def test_pivoted_qr_equals_scipy(self, a):
+        want = scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
+        got = _pivoted_qr(a.copy())
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and same_bits(g, w)
+        assert got[1].flags.f_contiguous == want[1].flags.f_contiguous
+
+    @settings(deadline=None, max_examples=300)
+    @given(float_blocks(), st.data())
+    def test_triangular_solve_equals_scipy(self, a, data):
+        _, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
+        rank = rank_of(r)
+        if rank == 0:
+            return
+        r = r[:rank, :rank]
+        b = data.draw(hnp.arrays(np.float64, rank,
+                                 elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)))
+        want = scipy.linalg.solve_triangular(r, b, check_finite=False)
+        got = _solve_upper(r, b.copy())
+        assert np.array_equal(got, want) and same_bits(got, want)
+
+
+class TestResultsOnDemand:
+    def test_multi_outcome_fit_gathers_no_unit_level_results(self):
+        frame = saturated_frame(27)
+        x = build_design(frame, ModelSpec.crf1_long())
+        y = np.column_stack([frame.y, 3.0 - frame.y, frame.f * 0.25])
+        result = fit(x, y, on_rank_deficiency="drop")
+        recover_effect_table(result, ModelSpec.crf1_long(), frame.f, t_grid=())
+        assert "fitted" not in result.__dict__ and "residuals" not in result.__dict__
+        fitted = x.to_units(result.cell_fitted)
+        assert same_bits(result.fitted, fitted)
+        assert same_bits(result.residuals, y - fitted)
+
+    def test_variances_do_not_depend_on_when_residuals_are_read(self):
+        frame = saturated_frame(28)
+        y = frame.y.copy()
+        first = fit(build_design(frame, ModelSpec.crf1_long()), y, on_rank_deficiency="drop")
+        residuals = first.residuals
+        assert same_bits(residuals, y - first.design.to_units(first.cell_fitted)[:, 0])
+        y[:] = 0.0  # the fit keeps its own copy of the outcome
+        second = fit(build_design(frame, ModelSpec.crf1_long()), frame.y, on_rank_deficiency="drop")
+        robust, classical = second.vcov_robust, second.vcov_classical
+        assert "residuals" in second.__dict__
+        assert same_bits(first.vcov_robust, robust)
+        assert same_bits(first.vcov_classical, classical)
+        assert same_bits(first.residuals, second.residuals)
