@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 
 from .dgp import (
     DgpParams,
-    PotentialOutcomeGrid,
     SampleFrame,
     TrueEffects,
     assign_treatment,
     dgp_scenario,
-    potential_outcome,
     simulate_frame,
     simulate_frames,
     true_aggregate_effects,
@@ -27,21 +25,17 @@ from .design import (
     build_design,
     format_model_spec,
     parse_model_spec,
-    split_by_f,
 )
 from .effects import (
-    CellMeans,
     EffectAggregates,
     EffectCell,
     EffectTable,
-    cell_means,
     complete_effects,
     recover_effect_table,
     telescope_level_from_changes,
 )
 from .errors import (
     DataError,
-    DegreesOfFreedomError,
     NumericalError,
     OutOfSupportError,
     RankDeficiencyError,
@@ -58,35 +52,34 @@ from .graph import (
     ingest_network,
     network_from_edge_pairs,
 )
-from .lsq import FitResult, fit, vcov
+from .lsq import FitResult, fit
 from .montecarlo import (
     MCConfig,
     MCReport,
     TableComparison,
     load_reference_tables,
     replicate_table,
-    run_replication,
     run_study,
 )
 from .rng import GENERATOR_NAME, rng_from_seed
 
 __all__ = [
     "__version__",
-    "DgpParams", "PotentialOutcomeGrid", "SampleFrame", "TrueEffects",
+    "DgpParams", "SampleFrame", "TrueEffects",
     "assign_treatment", "dgp_scenario",
-    "potential_outcome", "simulate_frame", "simulate_frames", "true_aggregate_effects",
+    "simulate_frame", "simulate_frames", "true_aggregate_effects",
     "DesignMatrix", "ModelKind", "ModelSpec", "build_design",
-    "format_model_spec", "parse_model_spec", "split_by_f",
-    "CellMeans", "EffectAggregates", "EffectCell", "EffectTable",
-    "cell_means", "complete_effects", "recover_effect_table",
+    "format_model_spec", "parse_model_spec",
+    "EffectAggregates", "EffectCell", "EffectTable",
+    "complete_effects", "recover_effect_table",
     "telescope_level_from_changes",
-    "DataError", "DegreesOfFreedomError", "NumericalError",
+    "DataError", "NumericalError",
     "OutOfSupportError", "RankDeficiencyError",
     "DEFAULT_RADIUS", "DegreeSummary", "Network", "PositionSet",
     "build_geometric_network", "calibrate_radius", "degree_stats",
     "generate_positions", "ingest_network", "network_from_edge_pairs",
-    "FitResult", "fit", "vcov",
+    "FitResult", "fit",
     "MCConfig", "MCReport", "TableComparison", "load_reference_tables",
-    "replicate_table", "run_replication", "run_study",
+    "replicate_table", "run_study",
     "GENERATOR_NAME", "rng_from_seed",
 ]

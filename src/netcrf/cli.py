@@ -139,8 +139,9 @@ def write_frame_csv(path: Path, frame: SampleFrame, metadata: dict) -> None:
 def read_frame_csv(source) -> tuple[SampleFrame, dict]:
     """Parse a frame CSV written by ``simulate``; returns (frame, metadata).
 
-    ``# {json}`` lines hold the metadata. They are blanked before the rows are
-    read, so that every error names the line of the file.
+    ``# {json}`` lines hold the metadata: each JSON object among them is
+    merged into it, and other ``#`` lines are skipped. They are blanked
+    before the rows are read, so that every error names the line of the file.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as handle:
@@ -152,9 +153,11 @@ def read_frame_csv(source) -> tuple[SampleFrame, dict]:
         if line.startswith("#"):
             lines[k] = ""
             try:
-                metadata.update(json.loads(line[1:].strip()))
+                value = json.loads(line[1:].strip())
             except json.JSONDecodeError:
-                pass
+                continue
+            if isinstance(value, dict):
+                metadata.update(value)
     rows = read_rows(lines, ("id", "y", "d", "t", "f"), "frame CSV")
     ids, y, d, t, f = parse_rows(rows, (int, float, int, int, int),
                                  "frame CSV row {line}: malformed row {row!r}")
@@ -257,7 +260,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     allowed = {"frame", "nodes", "edges", "models", "out", "rank_policy"}
     config = _load_config(args.config, allowed)
     out = _ensure_out_dir(str(_merged(args, config, "out", ".")))
-    model_texts = list(args.model or []) or list(config.get("models", []))
+    config_models = config.get("models")
+    if config_models is not None and not (
+            isinstance(config_models, list) and all(isinstance(m, str) for m in config_models)):
+        raise UsageError("config key 'models' must be a JSON list of model spec strings")
+    model_texts = list(args.model or []) or list(config_models or [])
     if not model_texts:
         raise UsageError("at least one --model spec is required; valid forms: "
                          + ", ".join(VALID_SPEC_FORMS))

@@ -9,6 +9,7 @@ column order is fixed so coefficient positions are stable across runs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -104,6 +105,9 @@ VALID_SPEC_FORMS = (
 )
 
 
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def parse_model_spec(text: str) -> ModelSpec:
     """Parse a CLI spec string such as ``tr`` or ``crf2:J=2,t_order=1``."""
     body = text.strip()
@@ -113,12 +117,11 @@ def parse_model_spec(text: str) -> ModelSpec:
     if arg_text:
         for item in arg_text.split(","):
             key, sep, value = item.partition("=")
-            if not sep:
+            key = key.strip()
+            # one plain decimal integer per argument, each argument once
+            if not sep or key in args or not _INTEGER.fullmatch(value):
                 raise ValueError(_spec_error(text))
-            try:
-                args[key.strip()] = int(value)
-            except ValueError:
-                raise ValueError(_spec_error(text)) from None
+            args[key] = int(value)
     try:
         if name == "t" and not args:
             return ModelSpec.t_model()
@@ -443,9 +446,3 @@ def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
         raise NumericalError(bad)
     return DesignMatrix.from_cells(values, labels, cells.counts, cells.of_unit)
 
-
-def split_by_f(frame: SampleFrame) -> list[tuple[int, SampleFrame]]:
-    """Partition a frame by friend count, ascending f."""
-    if frame.n_selected == 0:
-        raise ValueError("cannot split an empty frame")
-    return [(int(v), frame.restrict_to_f(int(v))) for v in np.unique(frame.f)]

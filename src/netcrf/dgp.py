@@ -12,10 +12,11 @@ ratio-based, both, or neither of the linear estimators is correctly
 specified. Estimation frames keep only units with f >= 1.
 
 A seed fixes one uniform and one standard-normal draw per unit, shared by
-every parameter set: d = uniform < p_treat and u = noise_sd * z. So
-:func:`simulate_frames` draws once for a whole scenario grid, counts treated
-friends once per distinct ``p_treat``, and evaluates only the outcome mean
-per scenario; :func:`simulate_frame` is its one-scenario case.
+every parameter set: the streams are ``child_seeds(seed, 0, 2)``, uniforms
+first, and d = uniform < p_treat, u = noise_sd * z. So
+:func:`simulate_frames` draws once for scenarios that share ``p_treat``,
+counts treated friends once, and returns one frame whose outcome has one
+column per scenario; :func:`simulate_frame` is its one-scenario case.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ class DgpParams:
 class SampleFrame:
     """Per-unit rows (y, d, t, f) restricted to f >= 1.
 
-    ``ids`` keeps the original unit indices so emitted files can be traced
-    back to the simulated population; ``n_total`` is the population size
-    before the f > 0 selection.
+    ``y`` has shape ``(n,)``, or ``(n, s)`` for ``s`` outcomes of the same
+    units, one column each, as :func:`netcrf.lsq.fit` takes it. ``ids``
+    keeps the original unit indices so emitted files can be traced back to
+    the simulated population; ``n_total`` is the population size before the
+    f > 0 selection.
     """
 
     y: np.ndarray
@@ -76,6 +79,8 @@ class SampleFrame:
         t = np.asarray(self.t, dtype=np.int64)
         f = np.asarray(self.f, dtype=np.int64)
         ids = np.asarray(self.ids, dtype=np.int64)
+        if y.ndim not in (1, 2):
+            raise ValueError(f"y must have shape (n,) or (n, s), got {y.shape}")
         n = y.shape[0]
         for name, arr in (("d", d), ("t", t), ("f", f), ("ids", ids)):
             if arr.shape != (n,):
@@ -141,30 +146,6 @@ def frame_cells(d, t, f) -> FrameCells:
 
 
 @dataclass(frozen=True)
-class PotentialOutcomeGrid:
-    """Full y[d][t] grid per retained unit, sharing one noise draw per unit.
-
-    ``values[i]`` has shape (2, f_i + 1): row 0 holds the untreated-unit
-    outcomes for t = 0..f_i, row 1 the treated-unit outcomes.
-    """
-
-    f: np.ndarray
-    u: np.ndarray
-    values: tuple[np.ndarray, ...]
-
-    def value(self, i: int, d: int, t: int) -> float:
-        grid = self.values[i]
-        if d not in (0, 1):
-            raise ValueError("d must be 0 or 1")
-        if not 0 <= t < grid.shape[1]:
-            raise ValueError(f"t must be in [0, {grid.shape[1] - 1}] for unit {i}")
-        return float(grid[d, t])
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class TrueEffects:
     """Aggregate direct, network, and interaction effects implied by a design."""
 
@@ -222,81 +203,39 @@ def _outcome_mean(params: DgpParams, f, d, t):
     )
 
 
-def potential_outcome(params: DgpParams, f: int, d: int, t: int, u: float) -> float:
-    """Outcome of one unit with f friends, own treatment d, t treated friends, noise u."""
-    if f < 1:
-        raise ValueError(f"f must be >= 1, got {f}")
-    if d not in (0, 1):
-        raise ValueError(f"d must be 0 or 1, got {d}")
-    if not 0 <= t <= f:
-        raise ValueError(f"t must satisfy 0 <= t <= f, got t={t}, f={f}")
-    return float(_outcome_mean(params, f, d, t) + u)
-
-
-def _simulate(network: Network, scenarios: Sequence[DgpParams], seed: int):
-    """Frames of every scenario from one draw, plus the retained units' standard normals."""
+def _simulate(network: Network, scenarios: Sequence[DgpParams], seed: int, stack: bool):
+    """The frame of ``scenarios`` drawn from ``seed``; ``stack`` makes ``y``
+    one column per scenario, otherwise ``y`` is the one scenario's outcome."""
     if network.n < 1:
         raise ValueError("network must contain at least one unit")
+    p_treat = {params.p_treat for params in scenarios}
+    if len(p_treat) != 1:
+        raise ValueError(f"scenarios of one frame must share p_treat, got {sorted(p_treat)}")
     seed_d, seed_u = child_seeds(seed, 0, 2)
-    uniforms = rng_from_seed(seed_d).random(network.n)
+    d = (rng_from_seed(seed_d).random(network.n) < p_treat.pop()).astype(np.int64)
     z = rng_from_seed(seed_u).standard_normal(network.n)
 
     retained = network.degree > 0
-    f_sel = network.degree[retained]
-    ids = np.flatnonzero(retained)
-    z_sel = z[retained]
-    units: dict[float, tuple[np.ndarray, np.ndarray]] = {}  # p_treat -> (d, t) retained
-    frames = []
-    for params in scenarios:
-        if params.p_treat not in units:
-            d = (uniforms < params.p_treat).astype(np.int64)
-            t = treated_neighbor_counts(network, d)
-            units[params.p_treat] = (d[retained], t[retained])
-        d_sel, t_sel = units[params.p_treat]
-        y_sel = _outcome_mean(params, f_sel, d_sel, t_sel) + params.noise_sd * z_sel
-        frames.append(SampleFrame(y=y_sel, d=d_sel, t=t_sel, f=f_sel, ids=ids,
-                                  n_total=network.n))
-    return tuple(frames), z_sel
+    d_sel, f_sel, z_sel = d[retained], network.degree[retained], z[retained]
+    t_sel = treated_neighbor_counts(network, d)[retained]
+    y = [_outcome_mean(params, f_sel, d_sel, t_sel) + params.noise_sd * z_sel
+         for params in scenarios]
+    return SampleFrame(y=np.column_stack(y) if stack else y[0], d=d_sel, t=t_sel, f=f_sel,
+                       ids=np.flatnonzero(retained), n_total=network.n)
 
 
-def simulate_frames(
-    network: Network, scenarios: Sequence[DgpParams], seed: int,
-) -> tuple[SampleFrame, ...]:
-    """One frame per parameter set, all from the same draws of ``seed``.
+def simulate_frames(network: Network, scenarios: Sequence[DgpParams], seed: int) -> SampleFrame:
+    """One frame for every parameter set, all from the same draws of ``seed``.
 
-    Each frame equals ``simulate_frame(network, params, seed)``; frames with
-    the same ``p_treat`` share their ``d``, ``t``, ``f`` and ``ids`` arrays.
+    The scenarios must share ``p_treat``, which fixes d and t. Column ``j``
+    of ``y`` equals ``simulate_frame(network, scenarios[j], seed).y``.
     """
-    return _simulate(network, scenarios, seed)[0]
+    return _simulate(network, scenarios, seed, stack=True)
 
 
-def simulate_frame(
-    network: Network,
-    params: DgpParams,
-    seed: int,
-    track_grid: bool = False,
-):
-    """Simulate treatments and outcomes on a network; keep units with F > 0.
-
-    Returns a :class:`SampleFrame`, or a ``(frame, grid)`` pair when
-    ``track_grid`` is set. The tracked grid evaluates every (d, t) cell of a
-    unit with the same realized noise draw, so the realized outcome equals
-    the grid value at the realized (d, t).
-    """
-    (frame,), z_sel = _simulate(network, (params,), seed)
-    if not track_grid:
-        return frame
-
-    u_sel = params.noise_sd * z_sel
-    grids = []
-    for fi, ui in zip(frame.f, u_sel):
-        ts = np.arange(fi + 1)
-        grid = np.vstack([
-            _outcome_mean(params, float(fi), 0, ts) + ui,
-            _outcome_mean(params, float(fi), 1, ts) + ui,
-        ])
-        grids.append(grid)
-    return frame, PotentialOutcomeGrid(f=frame.f.copy(), u=u_sel, values=tuple(grids))
+def simulate_frame(network: Network, params: DgpParams, seed: int) -> SampleFrame:
+    """Simulate treatments and outcomes on a network; keep units with F > 0."""
+    return _simulate(network, (params,), seed, stack=False)
 
 
 def true_aggregate_effects(params: DgpParams, f_values) -> TrueEffects:

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dgp import SampleFrame
 from .design import ModelKind, ModelSpec, design_values, format_model_spec
 from .lsq import FitResult
 
@@ -227,34 +226,3 @@ def _aggregates(per_f, targets) -> EffectAggregates:
              for values, (present, present_counts, weight, _) in zip(per_f, targets)]
     return EffectAggregates(*means, skipped_units=tuple(target[3] for target in targets))
 
-
-@dataclass(frozen=True)
-class CellMeans:
-    """Mean outcome and count per occupied (d, t, f) cell."""
-
-    stats: dict = field(default_factory=dict)
-
-    def mean(self, d: int, t: int, f: int) -> float:
-        return self.stats[(d, t, f)][0]
-
-    def count(self, d: int, t: int, f: int) -> int:
-        return self.stats[(d, t, f)][1]
-
-    def __contains__(self, key) -> bool:
-        return key in self.stats
-
-    def items(self):
-        return self.stats.items()
-
-
-def cell_means(frame: SampleFrame) -> CellMeans:
-    """Arithmetic mean outcome per occupied (d, t, f) cell."""
-    if frame.n_selected == 0:
-        raise ValueError("frame must be nonempty")
-    stats: dict[tuple[int, int, int], tuple[float, int]] = {}
-    keys = np.stack([frame.d, frame.t, frame.f], axis=1)
-    unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-    for idx, key in enumerate(unique_keys):
-        mask = inverse == idx
-        stats[tuple(int(v) for v in key)] = (float(frame.y[mask].mean()), int(mask.sum()))
-    return CellMeans(stats=stats)

@@ -23,6 +23,3 @@ class RankDeficiencyError(NumericalError):
             + ", ".join(self.dependent_columns)
         )
 
-
-class DegreesOfFreedomError(NumericalError):
-    """Too few rows left to estimate a residual variance."""

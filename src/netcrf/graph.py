@@ -72,8 +72,8 @@ class Network:
 
     A geometric build hands over its distinct pairs as found; they are sorted
     into ``edges`` only when ``edges`` is first read. ``degree``,
-    ``edge_count``, ``neighbors_of`` and :func:`treated_neighbor_counts`
-    read the stored pairs, whose order does not change their values.
+    ``edge_count`` and :func:`treated_neighbor_counts` read the stored
+    pairs, whose order does not change their values.
     """
 
     n: int
@@ -114,13 +114,6 @@ class Network:
     @property
     def edge_count(self) -> int:
         return int(self._pairs.shape[0])
-
-    def neighbors_of(self, i: int) -> np.ndarray:
-        """Sorted neighbor indices of unit ``i``."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"unit index {i} out of range")
-        a, b = self._pairs.T
-        return np.sort(np.concatenate([a[b == i], b[a == i]]))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "radius": self.radius, "edges": self.edges.tolist()}
@@ -379,26 +372,24 @@ def ingest_network(nodes_source, edges_source) -> Network:
     return ingest_edges(ids, rows[0], edges_source)
 
 
-def calibrate_radius(
-    n: int,
-    target_mean_f: float,
-    seed: int,
-    lo: float = 0.001,
-    hi: float = 0.2,
-    draws: int = 3,
-    tol: float = 0.01,
-    max_iter: int = 40,
-) -> float:
-    """Bisect for the radius whose mean F among F > 0 units matches a target.
+# calibrate_radius: the radius bracket, the position sets averaged per
+# radius, the tolerance on the mean F and the most bisection steps
+_CALIBRATE_LO, _CALIBRATE_HI = 0.001, 0.2
+_CALIBRATE_DRAWS, _CALIBRATE_TOL, _CALIBRATE_MAX_ITER = 3, 0.01, 40
 
-    The objective averages ``draws`` independent position sets per radius so
-    the search is stable; it is deterministic for a fixed seed.
+
+def calibrate_radius(n: int, target_mean_f: float, seed: int) -> float:
+    """Bisect ``[_CALIBRATE_LO, _CALIBRATE_HI]`` for the radius whose mean F
+    among F > 0 units matches a target to within ``_CALIBRATE_TOL``.
+
+    The objective averages ``_CALIBRATE_DRAWS`` independent position sets
+    per radius so the search is stable; it is deterministic for a fixed seed.
     """
     if n < 2:
         raise ValueError("need at least 2 units to calibrate")
     if target_mean_f < 1.0:
         raise ValueError("target mean F must be >= 1 (degrees are counted among F > 0 units)")
-    positions = [generate_positions(n, s) for s in range(seed, seed + draws)]
+    positions = [generate_positions(n, s) for s in range(seed, seed + _CALIBRATE_DRAWS)]
 
     def mean_f(radius: float) -> float:
         values = []
@@ -408,15 +399,16 @@ def calibrate_radius(
             values.append(retained.mean() if retained.size else 1.0)
         return float(np.mean(values))
 
+    lo, hi = _CALIBRATE_LO, _CALIBRATE_HI
     f_lo, f_hi = mean_f(lo), mean_f(hi)
     if not f_lo <= target_mean_f <= f_hi:
         raise ValueError(
             f"target mean F {target_mean_f} outside achievable range [{f_lo:.3f}, {f_hi:.3f}]"
         )
-    for _ in range(max_iter):
+    for _ in range(_CALIBRATE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         value = mean_f(mid)
-        if abs(value - target_mean_f) <= tol:
+        if abs(value - target_mean_f) <= _CALIBRATE_TOL:
             return mid
         if value < target_mean_f:
             lo = mid

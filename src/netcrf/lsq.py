@@ -84,7 +84,7 @@ import scipy.linalg.lapack
 
 from .design import DesignMatrix, QRBlock
 from .dgp import check_finite_y
-from .errors import DegreesOfFreedomError, NumericalError, RankDeficiencyError
+from .errors import NumericalError, RankDeficiencyError
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -310,19 +310,3 @@ def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
-
-def vcov(result: FitResult, kind: str = "classical") -> np.ndarray:
-    """Coefficient variance matrix over the retained columns.
-
-    ``classical`` is s^2 (X'X)^-1 and needs n > rank; ``robust`` is the
-    heteroskedasticity-consistent sandwich with squared-residual weights.
-    """
-    if kind == "classical":
-        if result.vcov_classical is None:
-            raise DegreesOfFreedomError(
-                f"classical variance needs n > rank, got n={result.n}, rank={result.rank}"
-            )
-        return result.vcov_classical
-    if kind == "robust":
-        return result.vcov_robust
-    raise ValueError(f"unknown vcov kind {kind!r}")

@@ -10,11 +10,12 @@ runs and across worker counts.
 
 Scenarios share each replication's draws (the streams ignore the scenario),
 so only the outcome ``y`` differs between them. One replication loop serves
-every scenario of a grid: it builds the network and draws the frames once
-(``simulate_frames``); then, per estimator and distinct ``p_treat`` (which
-fixes d, t and f), one design, one ``lsq.fit`` of the stacked scenario
-outcomes and one ``recover_effect_table`` call give every scenario's
-aggregates. ``run_study`` and ``run_replication`` are its one-scenario case.
+every scenario of a grid: it builds the network and draws one frame whose
+``y`` holds one column per scenario (``simulate_frames``, which needs the
+scenarios to share ``p_treat``, since that fixes d and t); then, per
+estimator, one design, one ``lsq.fit`` of those columns and one
+``recover_effect_table`` call give every scenario's aggregates.
+``run_study`` is its one-scenario case.
 
 ``replicate_table`` reruns the benchmark study grids and compares the
 reproduced bias/SD values against reference values shipped with the package
@@ -30,7 +31,7 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from itertools import repeat
 
@@ -58,7 +59,6 @@ class MCConfig:
     repetitions: int
     master_seed: int
     radius: float = DEFAULT_RADIUS
-    keep_estimates: bool = False
     n_jobs: int = 1
 
     def __post_init__(self):
@@ -89,48 +89,35 @@ class ReplicationResult:
     failures: dict
 
 
-def run_replication(config: MCConfig, rep_index: int) -> ReplicationResult:
-    """One simulate-fit-recover pass, seeded from (master_seed, rep_index)."""
-    if not 0 <= rep_index < config.repetitions:
-        raise ValueError(f"rep_index must be in [0, {config.repetitions}), got {rep_index}")
-    return _replicate(config, (config.params(),), rep_index)[0]
-
-
 def _replicate(config: MCConfig, scenarios, rep_index: int) -> tuple[ReplicationResult, ...]:
-    """One replication of every scenario in ``scenarios`` (a sequence of DgpParams)."""
+    """One replication of every scenario in ``scenarios``, DgpParams that share ``p_treat``."""
     seed_positions, seed_frame = child_seeds(config.master_seed, rep_index, 2)
     positions = generate_positions(config.n_units, seed_positions)
     network = build_geometric_network(positions, config.radius)
-    frames = simulate_frames(network, scenarios, seed_frame)
-    if frames[0].n_selected == 0:
+    frame = simulate_frames(network, scenarios, seed_frame)
+    if frame.n_selected == 0:
         raise DataError(
             f"replication {rep_index}: no units with F > 0 "
             f"(n_units={config.n_units}, radius={config.radius})"
         )
     results = tuple(ReplicationResult(rep_index, true_aggregate_effects(params, frame.f), {}, {})
-                    for params, frame in zip(scenarios, frames))
-    groups: dict[float, list[int]] = {}  # p_treat -> scenario positions sharing (d, t, f)
-    for pos, params in enumerate(scenarios):
-        groups.setdefault(params.p_treat, []).append(pos)
-    for group in groups.values():
-        frame = frames[group[0]]
-        y = np.column_stack([frames[pos].y for pos in group])
-        for spec in config.estimators:
-            key = format_model_spec(spec)
-            policy = "drop" if spec.saturated else "error"
-            try:
-                result = lsq_fit(build_design(frame, spec), y, on_rank_deficiency=policy)
-                aggregates = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
-            except (NumericalError, DataError, ValueError) as exc:
-                for pos in group:
-                    results[pos].failures[key] = f"{type(exc).__name__}: {exc}"
-                continue
-            for pos, agg in zip(group, aggregates):
-                if agg.direct is None or agg.network is None or agg.interaction is None:
-                    results[pos].failures[key] = "aggregate effects unavailable (all cells absent)"
-                else:
-                    results[pos].estimates[key] = (float(agg.direct), float(agg.network),
-                                                   float(agg.interaction))
+                    for params in scenarios)
+    for spec in config.estimators:
+        key = format_model_spec(spec)
+        policy = "drop" if spec.saturated else "error"
+        try:
+            result = lsq_fit(build_design(frame, spec), frame.y, on_rank_deficiency=policy)
+            aggregates = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
+        except (NumericalError, DataError, ValueError) as exc:
+            for replication in results:
+                replication.failures[key] = f"{type(exc).__name__}: {exc}"
+            continue
+        for replication, agg in zip(results, aggregates):
+            if agg.direct is None or agg.network is None or agg.interaction is None:
+                replication.failures[key] = "aggregate effects unavailable (all cells absent)"
+            else:
+                replication.estimates[key] = (float(agg.direct), float(agg.network),
+                                              float(agg.interaction))
     return results
 
 
@@ -169,7 +156,6 @@ class MCReport:
     config: MCConfig
     rows: tuple[MCRow, ...]
     metadata: dict
-    estimates: dict = field(default_factory=dict)
 
     def row(self, estimator: str, target: str) -> MCRow:
         for r in self.rows:
@@ -224,7 +210,6 @@ def _report(config: MCConfig, results: list[ReplicationResult]) -> MCReport:
     truths = np.array([[getattr(r.true, target) for r in results] for target in TARGETS])
     true_all = truths.mean(axis=1)
     rows = []
-    estimate_store: dict[str, np.ndarray] = {}
     for spec in config.estimators:
         key = format_model_spec(spec)
         ok = [rep for rep, r in enumerate(results) if key in r.estimates]
@@ -240,9 +225,6 @@ def _report(config: MCConfig, results: list[ReplicationResult]) -> MCReport:
             abs_bias = np.abs(mean_estimate - true_ok)
             if len(ok) > 1:
                 sd = values.std(axis=1, ddof=1)
-            if config.keep_estimates:
-                for pos, target in enumerate(TARGETS):
-                    estimate_store[f"{key}/{target}"] = values[pos]
         for pos, target in enumerate(TARGETS):
             rows.append(MCRow(
                 estimator=key, target=target, abs_bias=_optional_float(abs_bias[pos]), sd=_optional_float(sd[pos]),
@@ -261,7 +243,7 @@ def _report(config: MCConfig, results: list[ReplicationResult]) -> MCReport:
         "estimators": [format_model_spec(s) for s in config.estimators],
         "repetitions": config.repetitions,
     }
-    return MCReport(config=config, rows=tuple(rows), metadata=metadata, estimates=estimate_store)
+    return MCReport(config=config, rows=tuple(rows), metadata=metadata)
 
 
 def _optional_float(value) -> float | None:

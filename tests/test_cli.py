@@ -201,6 +201,41 @@ class TestFit:
         assert (code, out) == (3, "")
         assert err == "data error: frame CSV row 5: duplicate unit id 7\n"
 
+    @pytest.mark.parametrize("line", ["# [1, 2]", "# 5", '# "n_total"', '# [["n_total", 1]]'])
+    def test_comment_that_is_not_a_json_object_is_skipped(self, noiseless_frame_path, tmp_path,
+                                                          capsys, line):
+        lines = noiseless_frame_path.read_text().splitlines(keepends=True)
+        commented = tmp_path / "commented.csv"
+        commented.write_text(lines[0] + line + "\n" + "".join(lines[1:]))
+        outputs = []
+        for name, frame in (("plain", noiseless_frame_path), ("commented", commented)):
+            code, out, err = run_cli(capsys, "fit", "--frame", str(frame), "--model", "tr",
+                                     "--model", "crf1long", "--out", str(tmp_path / name))
+            assert (code, err) == (0, "")
+            outputs.append([out.replace(name, "")]
+                           + [(tmp_path / name / f).read_bytes()
+                              for f in ("fit_tr.json", "effects_tr.csv", "fit_crf1long.json",
+                                        "effects_crf1long.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("models", ['"tr"', '"crf2:J=2"', '["t", 2]', "{}"])
+    def test_config_models_must_be_a_list_of_strings(self, noiseless_frame_path, tmp_path,
+                                                     capsys, models):
+        config = tmp_path / "fit.json"
+        config.write_text(f'{{"frame": "{noiseless_frame_path}", "models": {models}}}')
+        code, out, err = run_cli(capsys, "fit", "--config", str(config), "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: config key 'models' must be a JSON list of model spec strings\n"
+        assert not list(tmp_path.glob("fit_*.json"))
+
+    def test_config_models_list_is_fitted(self, noiseless_frame_path, tmp_path, capsys):
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"frame": str(noiseless_frame_path),
+                                      "models": ["tr", "crf2:J=2"]}))
+        code, out, _ = run_cli(capsys, "fit", "--config", str(config), "--out", str(tmp_path))
+        assert code == 0
+        assert [json.loads(line)["model"] for line in out.splitlines()] == ["tr", "crf2:J=2"]
+
     @pytest.mark.parametrize("n_total", ['"x"', "null", "1"])
     def test_bad_frame_metadata_n_total_is_data_error(self, tmp_path, capsys, n_total):
         bad = tmp_path / "frame.csv"

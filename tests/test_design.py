@@ -17,7 +17,6 @@ from netcrf import (
     format_model_spec,
     parse_model_spec,
     simulate_frame,
-    split_by_f,
 )
 from netcrf.design import _diagonal_blocks
 from conftest import make_frame
@@ -181,26 +180,24 @@ class TestCrf1Short:
 
 
 class TestSplitByF:
+    # SampleFrame.restrict_to_f, which crf1short fits on
     def test_two_groups(self):
         frame = make_frame([1.0, 2.0, 3.0], [0, 1, 0], [1, 0, 2], [1, 1, 3])
-        groups = split_by_f(frame)
-        assert [(f, sub.n_selected) for f, sub in groups] == [(1, 2), (3, 1)]
+        assert [frame.restrict_to_f(f).n_selected for f in (1, 2, 3)] == [2, 0, 1]
+        assert frame.restrict_to_f(3).y.tolist() == [3.0]
 
     def test_single_group_identity(self):
         frame = make_frame([1.0, 2.0], [0, 1], [1, 2], [2, 2])
-        groups = split_by_f(frame)
-        assert len(groups) == 1
-        assert np.array_equal(groups[0][1].y, frame.y)
+        sub = frame.restrict_to_f(2)
+        for name in ("y", "d", "t", "f", "ids"):
+            assert np.array_equal(getattr(sub, name), getattr(frame, name))
+        assert sub.n_total == frame.n_total
 
     def test_partition_covers_frame(self, simulated_frame):
-        groups = split_by_f(simulated_frame)
-        assert sum(sub.n_selected for _, sub in groups) == simulated_frame.n_selected
-        assert [f for f, _ in groups] == sorted(f for f, _ in groups)
-
-    def test_empty_frame_rejected(self):
-        frame = make_frame([], [], [], [])
-        with pytest.raises(ValueError):
-            split_by_f(frame)
+        groups = [simulated_frame.restrict_to_f(f) for f in np.unique(simulated_frame.f)]
+        assert sum(sub.n_selected for sub in groups) == simulated_frame.n_selected
+        ids = np.sort(np.concatenate([sub.ids for sub in groups]))
+        assert np.array_equal(ids, np.sort(simulated_frame.ids))
 
 
 class TestSpecStrings:
@@ -222,6 +219,13 @@ class TestSpecStrings:
             parse_model_spec("crf2:J=x")
         with pytest.raises(ValueError):
             parse_model_spec("crf1short:f=0")
+        # an argument given twice, or an integer in a form only Python reads
+        for text in ("crf2:J=2,J=3", "crf1long:f_max=3,f_max=5", "crf2:J=1_0",
+                     "crf1short:f=\u0663", "crf2:J=2,t_order=1,t_order=2"):
+            with pytest.raises(ValueError, match="unrecognized model spec .* valid forms"):
+                parse_model_spec(text)
+        with pytest.raises(ValueError, match="invalid model spec 'crf2:J=-1': .*J >= 0"):
+            parse_model_spec("crf2:J=-1")
 
     @pytest.mark.parametrize("text, saturated", [
         ("t", False), ("r", False), ("tr", False), ("crf2:J=2", False),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,12 @@ from netcrf import (
     Network,
     assign_treatment,
     dgp_scenario,
-    potential_outcome,
     simulate_frame,
     simulate_frames,
     true_aggregate_effects,
 )
 from netcrf.graph import treated_neighbor_counts
-from conftest import make_frame
+from conftest import make_frame, potential_outcome, potential_outcome_grid, unit_noise
 
 
 class TestAssignTreatment:
@@ -67,31 +67,41 @@ class TestCountTreatedNeighbors:
             treated_neighbor_counts(network_1000, np.zeros(5, dtype=int))
 
 
-class TestPotentialOutcome:
-    def test_scenario_i_hand_evaluation(self):
-        # beta0 + 3*beta_f + beta_d = 0 - 6 + 2
-        assert potential_outcome(dgp_scenario("i"), f=3, d=1, t=0, u=0.0) == pytest.approx(-4.0)
+def zero_noise_outcomes(network, params, seed, f, d, t):
+    """The simulated zero-noise outcomes of the units at (f, d, t)."""
+    frame = simulate_frame(network, replace(params, noise_sd=0.0), seed)
+    at = (frame.f == f) & (frame.d == d) & (frame.t == t)
+    assert at.any(), "no unit at the requested (f, d, t)"
+    return frame.y[at]
 
-    def test_scenario_iv_hand_evaluation(self):
+
+class TestPotentialOutcome:
+    def test_scenario_i_hand_evaluation(self, network_1000):
+        # beta0 + 3*beta_f + beta_d = 0 - 6 + 2
+        y = zero_noise_outcomes(network_1000, dgp_scenario("i"), 1, f=3, d=1, t=0)
+        assert y == pytest.approx(-4.0)
+        assert potential_outcome(dgp_scenario("i"), f=3, d=1, t=0) == pytest.approx(-4.0)
+
+    def test_scenario_iv_hand_evaluation(self, network_1000):
         # -4 + (2 + 0.4 ln 2) + (1.2 + 0.4 ln 2) + (1.2 + 0.4 ln 2)
         expected = 0.4 + 1.2 * math.log(2.0)
-        value = potential_outcome(dgp_scenario("iv"), f=2, d=1, t=1, u=0.0)
-        assert value == pytest.approx(expected, abs=1e-12)
-        assert value == pytest.approx(1.2318, abs=1e-4)
+        y = zero_noise_outcomes(network_1000, dgp_scenario("iv"), 1, f=2, d=1, t=1)
+        assert y == pytest.approx(expected, abs=1e-12)
+        assert y == pytest.approx(1.2318, abs=1e-4)
+        assert potential_outcome(dgp_scenario("iv"), f=2, d=1, t=1) == pytest.approx(expected)
 
-    def test_additive_noise(self):
+    def test_additive_noise(self, network_1000):
+        # the noise scales one standard-normal draw per unit
         params = dgp_scenario("iii")
-        base = potential_outcome(params, f=4, d=0, t=2, u=0.0)
-        assert potential_outcome(params, f=4, d=0, t=2, u=5.0) == pytest.approx(base + 5.0)
+        y = [simulate_frame(network_1000, replace(params, noise_sd=s), 5).y for s in (0, 1, 5)]
+        assert y[2] - y[0] == pytest.approx(5.0 * (y[1] - y[0]), abs=1e-12)
+        assert np.std(y[1] - y[0]) == pytest.approx(1.0, abs=0.1)
 
     def test_invalid_arguments(self):
-        params = dgp_scenario("i")
-        with pytest.raises(ValueError):
-            potential_outcome(params, f=0, d=0, t=0, u=0.0)
-        with pytest.raises(ValueError):
-            potential_outcome(params, f=2, d=1, t=3, u=0.0)
-        with pytest.raises(ValueError):
-            potential_outcome(params, f=2, d=2, t=1, u=0.0)
+        # a frame holds only (f, d, t) where the outcome is defined
+        for f, d, t in ((0, 0, 0), (2, 1, 3), (2, 2, 1)):
+            with pytest.raises(ValueError):
+                make_frame([0.0], [d], [t], [f])
 
 
 class TestDgpScenarios:
@@ -140,17 +150,19 @@ class TestSimulateFrame:
         assert frame.n_total == 5
 
     def test_realized_outcome_equals_grid_value(self, network_1000):
-        frame, grid = simulate_frame(network_1000, dgp_scenario("iv"), 5, track_grid=True)
+        frame = simulate_frame(network_1000, dgp_scenario("iv"), 5)
+        grid = potential_outcome_grid(network_1000, dgp_scenario("iv"), 5)
         assert len(grid) == frame.n_selected
         for i in range(frame.n_selected):
-            assert grid.values[i].shape == (2, frame.f[i] + 1)
-            assert frame.y[i] == pytest.approx(grid.value(i, int(frame.d[i]), int(frame.t[i])), abs=1e-12)
+            assert grid[i].shape == (2, frame.f[i] + 1)
+            assert frame.y[i] == pytest.approx(grid[i][frame.d[i], frame.t[i]], abs=1e-12)
 
     def test_consistency_with_potential_outcome(self, network_1000):
         params = dgp_scenario("iii")
-        frame, grid = simulate_frame(network_1000, params, 8, track_grid=True)
+        frame = simulate_frame(network_1000, params, 8)
+        u = unit_noise(network_1000, params, 8)[frame.ids]
         for i in range(0, frame.n_selected, 37):
-            expected = potential_outcome(params, int(frame.f[i]), int(frame.d[i]), int(frame.t[i]), float(grid.u[i]))
+            expected = potential_outcome(params, int(frame.f[i]), int(frame.d[i]), int(frame.t[i]), u[i])
             assert frame.y[i] == pytest.approx(expected, abs=1e-12)
 
     def test_selection_matches_degrees(self, network_2000):
@@ -169,48 +181,56 @@ class TestSimulateFrame:
         params = dgp_scenario("i", noise_sd=0.0)
         frame = simulate_frame(network_1000, params, 4)
         for i in range(0, frame.n_selected, 53):
-            expected = potential_outcome(params, int(frame.f[i]), int(frame.d[i]), int(frame.t[i]), 0.0)
+            expected = potential_outcome(params, int(frame.f[i]), int(frame.d[i]), int(frame.t[i]))
             assert frame.y[i] == pytest.approx(expected, abs=1e-12)
 
 
 class TestSimulateFrames:
-    SCENARIOS = (
-        dgp_scenario("i"), dgp_scenario("iv"), dgp_scenario("iii", p_treat=0.3),
-        dgp_scenario("ii", noise_sd=2.5), dgp_scenario("iv", p_treat=0.3, noise_sd=0.0),
+    GRIDS = (
+        (dgp_scenario("i"), dgp_scenario("iv"), dgp_scenario("ii", noise_sd=2.5)),
+        (dgp_scenario("iii", p_treat=0.3), dgp_scenario("iv", p_treat=0.3, noise_sd=0.0)),
     )
 
     def test_each_frame_equals_simulate_frame_bitwise(self, network_1000):
-        frames = simulate_frames(network_1000, self.SCENARIOS, 31)
-        assert len(frames) == len(self.SCENARIOS)
-        for params, frame in zip(self.SCENARIOS, frames):
-            alone = simulate_frame(network_1000, params, 31)
-            for name in ("y", "d", "t", "f", "ids"):
-                got, want = getattr(frame, name), getattr(alone, name)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-            assert frame.n_total == alone.n_total
+        for scenarios in self.GRIDS:
+            frame = simulate_frames(network_1000, scenarios, 31)
+            assert frame.y.shape == (frame.n_selected, len(scenarios))
+            for column, params in enumerate(scenarios):
+                alone = simulate_frame(network_1000, params, 31)
+                y = np.ascontiguousarray(frame.y[:, column])
+                assert y.dtype == alone.y.dtype and y.tobytes() == alone.y.tobytes()
+                for name in ("d", "t", "f", "ids"):
+                    got, want = getattr(frame, name), getattr(alone, name)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+                assert frame.n_total == alone.n_total
 
     def test_frames_with_equal_p_treat_share_units(self, network_1000):
-        frames = simulate_frames(network_1000, self.SCENARIOS, 31)
-        assert frames[0].d is frames[1].d and frames[0].t is frames[3].t
-        assert frames[2].d is frames[4].d
-        assert not np.array_equal(frames[0].d, frames[2].d)
-        assert all(frame.f is frames[0].f for frame in frames)
+        # p_treat fixes d and t, so scenarios with another p_treat need their own frame
+        low, high = (simulate_frames(network_1000, grid, 31) for grid in self.GRIDS)
+        assert not np.array_equal(low.d, high.d)
+        assert np.array_equal(low.f, high.f)
+        with pytest.raises(ValueError, match="p_treat"):
+            simulate_frames(network_1000, self.GRIDS[0] + self.GRIDS[1], 31)
+        with pytest.raises(ValueError, match="p_treat"):
+            simulate_frames(network_1000, (), 31)
 
     def test_grid_noise_matches_frame(self, network_1000):
-        params = self.SCENARIOS[3]
-        frame, grid = simulate_frame(network_1000, params, 31, track_grid=True)
+        params = self.GRIDS[0][2]
+        frame = simulate_frame(network_1000, params, 31)
+        grid = potential_outcome_grid(network_1000, params, 31)
         for i in range(0, frame.n_selected, 41):
-            assert frame.y[i] == grid.value(i, int(frame.d[i]), int(frame.t[i]))
+            assert frame.y[i] == pytest.approx(grid[i][frame.d[i], frame.t[i]], abs=1e-12)
 
 
 class TestDecompositionIdentity:
     @pytest.mark.parametrize("scenario", ["i", "ii", "iii", "iv"])
     def test_exact_per_unit(self, scenario, network_1000):
         # y = y00 + (y10 - y00) d + sum_t 1[T=t] (y0t - y00 + (y1t - y10 - y0t + y00) d)
-        frame, grid = simulate_frame(network_1000, dgp_scenario(scenario), 31, track_grid=True)
+        frame = simulate_frame(network_1000, dgp_scenario(scenario), 31)
+        grid = potential_outcome_grid(network_1000, dgp_scenario(scenario), 31)
         worst = 0.0
         for i in range(frame.n_selected):
-            g = grid.values[i]
+            g = grid[i]
             t_i = int(frame.t[i])
             d_i = int(frame.d[i])
             interaction = g[1, t_i] - g[1, 0] - g[0, t_i] + g[0, 0]
@@ -225,9 +245,10 @@ class TestDecompositionIdentity:
         # (beta_dtau + beta_dr/f + beta_f2 ln f) * t for every unit
         for scenario in ("ii", "iii", "iv"):
             params = dgp_scenario(scenario)
-            frame, grid = simulate_frame(network_1000, params, 13, track_grid=True)
+            frame = simulate_frame(network_1000, params, 13)
+            grid = potential_outcome_grid(network_1000, params, 13)
             for i in range(0, frame.n_selected, 41):
-                g = grid.values[i]
+                g = grid[i]
                 f_i = float(frame.f[i])
                 slope = params.beta_dtau + params.beta_dr / f_i + params.beta_f2 * math.log(f_i)
                 for t in range(1, int(frame.f[i]) + 1):
@@ -263,10 +284,10 @@ class TestTrueAggregateEffects:
             f_values = rng.integers(1, 12, size=25)
             direct, network, interaction = [], [], []
             for f in f_values:
-                y00 = potential_outcome(params, int(f), 0, 0, 0.0)
-                y10 = potential_outcome(params, int(f), 1, 0, 0.0)
-                y01 = potential_outcome(params, int(f), 0, 1, 0.0)
-                y11 = potential_outcome(params, int(f), 1, 1, 0.0)
+                y00 = potential_outcome(params, int(f), 0, 0)
+                y10 = potential_outcome(params, int(f), 1, 0)
+                y01 = potential_outcome(params, int(f), 0, 1)
+                y11 = potential_outcome(params, int(f), 1, 1)
                 direct.append(y10 - y00)
                 network.append(y01 - y00)
                 interaction.append(y11 - y10 - y01 + y00)
@@ -307,6 +328,16 @@ class TestSampleFrameValidation:
     def test_non_finite_y_names_row(self, value):
         with pytest.raises(ValueError, match=r"y\[2\] is not finite"):
             make_frame([1.0, 2.0, value, math.nan], [0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 2, 2])
+
+    def test_outcome_columns(self):
+        # y may hold one column per outcome of the same units
+        frame = make_frame([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0]], [0, 1, 0], [1, 0, 2], [1, 1, 3])
+        assert frame.n_selected == 3
+        assert frame.restrict_to_f(1).y.tolist() == [[1.0, 5.0], [2.0, 6.0]]
+        with pytest.raises(ValueError, match=r"y\[1, 0\] is not finite"):
+            make_frame([[1.0, 5.0], [math.inf, 6.0]], [0, 1], [0, 1], [1, 1])
+        with pytest.raises(ValueError, match="shape"):
+            make_frame(np.zeros((2, 1, 1)), [0, 1], [0, 1], [1, 1])
 
 
 class TestFrameCells:

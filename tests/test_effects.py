@@ -11,7 +11,6 @@ from netcrf import (
     ModelSpec,
     build_design,
     build_geometric_network,
-    cell_means,
     complete_effects,
     dgp_scenario,
     fit,
@@ -20,11 +19,10 @@ from netcrf import (
     recover_effect_table,
     run_study,
     simulate_frame,
-    split_by_f,
     telescope_level_from_changes,
 )
 from netcrf.effects import _aggregate_contrasts, _contrasts
-from conftest import make_frame
+from conftest import cell_means, make_frame, potential_outcome_grid
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +74,8 @@ class TestTelescoping:
         # algebraic identity on the same sample means: summing the mean
         # change effects for s = 1..t reproduces the mean level effect at t
         net = build_geometric_network(generate_positions(1200, 60), 0.025)
-        frame, grid = simulate_frame(net, dgp_scenario("iv"), 61, track_grid=True)
+        frame = simulate_frame(net, dgp_scenario("iv"), 61)
+        grid = potential_outcome_grid(net, dgp_scenario("iv"), 61)
         for f_value in range(1, 7):
             units = [i for i in range(frame.n_selected) if frame.f[i] == f_value]
             if not units:
@@ -84,43 +83,40 @@ class TestTelescoping:
             for t in range(1, f_value + 1):
                 changes = []
                 for s in range(1, t + 1):
-                    step = [
-                        grid.values[i][1, s] - grid.values[i][1, s - 1]
-                        - grid.values[i][0, s] + grid.values[i][0, s - 1]
-                        for i in units
-                    ]
+                    step = [grid[i][1, s] - grid[i][1, s - 1] - grid[i][0, s] + grid[i][0, s - 1]
+                            for i in units]
                     changes.append(np.mean(step))
-                level = np.mean([
-                    grid.values[i][1, t] - grid.values[i][1, 0]
-                    - grid.values[i][0, t] + grid.values[i][0, 0]
-                    for i in units
-                ])
+                level = np.mean([grid[i][1, t] - grid[i][1, 0] - grid[i][0, t] + grid[i][0, 0]
+                                 for i in units])
                 assert telescope_level_from_changes(changes) == pytest.approx(level, abs=1e-10)
 
 
 class TestCellMeans:
+    # a frame's cells, and the cell means a saturated fit returns as its fitted values
+
     def test_identical_rows_collapse(self):
         frame = make_frame([2.5, 2.5], [1, 1], [1, 1], [2, 2])
-        table = cell_means(frame)
-        assert table.mean(1, 1, 2) == pytest.approx(2.5)
-        assert table.count(1, 1, 2) == 2
-        assert len(list(table.items())) == 1
+        cells = frame.cells
+        assert (cells.d.tolist(), cells.t.tolist(), cells.f.tolist()) == ([1], [1], [2])
+        assert cells.counts.tolist() == [2]
+        result = exact_fit(frame, ModelSpec.crf1_short(2), on_rank_deficiency="drop")
+        assert result.cell_fitted[:, 0] == pytest.approx([2.5])
 
     def test_singletons(self):
         frame = make_frame([1.0, 4.0], [0, 1], [0, 1], [1, 1])
-        table = cell_means(frame)
-        assert table.mean(0, 0, 1) == 1.0
-        assert table.mean(1, 1, 1) == 4.0
+        assert frame.cells.counts.tolist() == [1, 1]
+        result = exact_fit(frame, ModelSpec.crf1_long(), on_rank_deficiency="drop")
+        assert result.fitted == pytest.approx([1.0, 4.0])
 
     def test_count_weighted_mean_equals_grand_mean(self, noisy_small_f_frame):
-        table = cell_means(noisy_small_f_frame)
-        total = sum(mean * count for _, (mean, count) in table.items())
-        count = sum(count for _, (_, count) in table.items())
-        assert total / count == pytest.approx(noisy_small_f_frame.y.mean(), abs=1e-12)
+        frame = noisy_small_f_frame
+        result = exact_fit(frame, ModelSpec.crf1_long(f_max=6, t_max=6), on_rank_deficiency="drop")
+        total = result.cell_fitted[:, 0] @ frame.cells.counts
+        assert total / frame.n_selected == pytest.approx(frame.y.mean(), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cell_means(make_frame([], [], [], []))
+            make_frame([], [], [], []).cells
 
 
 def exact_fit(frame, spec, **kwargs):
@@ -206,7 +202,7 @@ class TestSaturatedOracle:
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
         means = cell_means(frame)
         for i in range(frame.n_selected):
-            expected = means.mean(int(frame.d[i]), int(frame.t[i]), int(frame.f[i]))
+            expected = means[int(frame.d[i]), int(frame.t[i]), int(frame.f[i])][0]
             assert result.fitted[i] == pytest.approx(expected, abs=1e-8)
 
     def test_long_short_equivalence(self, noisy_small_f_frame):
@@ -221,7 +217,8 @@ class TestSaturatedOracle:
         long_table = recover_effect_table(
             exact_fit(frame, long_spec, on_rank_deficiency="drop"), long_spec, frame.f)
         compared = 0
-        for f_value, subframe in split_by_f(frame):
+        for f_value in np.unique(frame.f).tolist():
+            subframe = frame.restrict_to_f(f_value)
             short_spec = ModelSpec.crf1_short(f_value)
             short_table = recover_effect_table(
                 exact_fit(subframe, short_spec, on_rank_deficiency="drop"),
@@ -238,10 +235,10 @@ class TestSaturatedOracle:
         assert compared > 20
 
     def test_tau1_matches_grid_oracle_zero_noise(self):
-        # with no noise the tracked grid pins E[y^{1t} - y^{10} | F=f] exactly
+        # with no noise the potential-outcome grid pins E[y^{1t} - y^{10} | F=f] exactly
         net = build_geometric_network(generate_positions(1500, 70), 0.025)
-        frame, grid = simulate_frame(net, dgp_scenario("iii", noise_sd=0.0), 71,
-                                     track_grid=True)
+        frame = simulate_frame(net, dgp_scenario("iii", noise_sd=0.0), 71)
+        grid = potential_outcome_grid(net, dgp_scenario("iii", noise_sd=0.0), 71)
         keep = frame.f <= 5
         sub = make_frame(frame.y[keep], frame.d[keep], frame.t[keep], frame.f[keep])
         spec = ModelSpec.crf1_long(f_max=5, t_max=5)
@@ -252,7 +249,7 @@ class TestSaturatedOracle:
             if cell.tau1 is None:
                 continue
             units = [i for i in kept_units if frame.f[i] == cell.f]
-            oracle = np.mean([grid.values[i][1, cell.t] - grid.values[i][1, 0] for i in units])
+            oracle = np.mean([grid[i][1, cell.t] - grid[i][1, 0] for i in units])
             assert cell.tau1 == pytest.approx(oracle, abs=1e-8)
 
 

@@ -95,9 +95,8 @@ class TestBuildGeometricNetwork:
         pos = generate_positions(300, 8)
         net = build_geometric_network(pos, 0.06)
         assert net.degree.sum() == 2 * net.edge_count
-        for i in range(net.n):
-            for j in net.neighbors_of(i):
-                assert i in net.neighbors_of(int(j))
+        # each edge is one unordered pair, counted in the degree of both ends
+        assert np.array_equal(np.bincount(net.edges.ravel(), minlength=net.n), net.degree)
 
     def test_deterministic_serialization(self):
         a = build_geometric_network(generate_positions(400, 5), 0.04)
@@ -204,8 +203,6 @@ class TestGeometricNetwork:
         assert net.degree.tobytes() == canonical.degree.tobytes()
         t = treated_neighbor_counts(net, d)
         assert t.dtype == np.int64 and t.tobytes() == treated_neighbor_counts(canonical, d).tobytes()
-        if n:
-            assert np.array_equal(net.neighbors_of(n - 1), canonical.neighbors_of(n - 1))
         # none of the above sorts the edges
         assert "edges" not in vars(net)
         assert net.edges.dtype == canonical.edges.dtype and net.edges.shape == canonical.edges.shape
@@ -550,4 +547,4 @@ class TestCalibrateRadius:
 
     def test_unreachable_target_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_radius(50, 49.0, seed=1, hi=0.01)
+            calibrate_radius(50, 49.0, seed=1)

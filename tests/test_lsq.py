@@ -9,23 +9,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from netcrf import (
-    DegreesOfFreedomError,
     DesignMatrix,
     ModelSpec,
     NumericalError,
     RankDeficiencyError,
     build_design,
-    cell_means,
     dgp_scenario,
     fit,
     parse_model_spec,
     recover_effect_table,
     simulate_frame,
-    vcov,
 )
 from netcrf.design import _pivoted_qr
 from netcrf.lsq import DEFAULT_RANK_TOL, _solve_upper
-from conftest import identified_effects, make_frame
+from conftest import cell_means, identified_effects, make_frame
 
 
 def normal_equations_oracle(x, y):
@@ -154,19 +151,19 @@ class TestVcov:
     def test_scaling_law(self):
         rng = np.random.default_rng(5)
         x, y = random_system(rng, n=120)
-        v1 = vcov(fit(x, y), "classical")
-        v2 = vcov(fit(x, 2.0 * y), "classical")
+        v1 = fit(x, y).vcov_classical
+        v2 = fit(x, 2.0 * y).vcov_classical
         assert np.max(np.abs(v2 - 4.0 * v1)) < 1e-10 * np.max(np.abs(v1))
-        r1 = vcov(fit(x, y), "robust")
-        r2 = vcov(fit(x, 2.0 * y), "robust")
+        r1 = fit(x, y).vcov_robust
+        r2 = fit(x, 2.0 * y).vcov_robust
         assert np.max(np.abs(r2 - 4.0 * r1)) < 1e-10 * np.max(np.abs(r1))
 
     def test_zero_residual_fit_has_zero_classical_vcov(self):
         d = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
         x = DesignMatrix(values=np.column_stack([np.ones(6), d]), labels=("1", "D"))
         result = fit(x, 1.0 + 2.0 * d)
-        assert np.max(np.abs(vcov(result, "classical"))) < 1e-20
-        assert np.max(np.abs(vcov(result, "robust"))) < 1e-20
+        assert np.max(np.abs(result.vcov_classical)) < 1e-20
+        assert np.max(np.abs(result.vcov_robust)) < 1e-20
 
     def test_homoskedastic_classical_close_to_robust(self):
         rng = np.random.default_rng(6)
@@ -174,30 +171,25 @@ class TestVcov:
         x_mat = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
         y = x_mat @ np.array([1.0, 2.0, -1.0]) + rng.standard_normal(n)
         result = fit(DesignMatrix(values=x_mat, labels=("1", "a", "b")), y)
-        classical = np.diag(vcov(result, "classical"))
-        robust = np.diag(vcov(result, "robust"))
+        classical = np.diag(result.vcov_classical)
+        robust = np.diag(result.vcov_robust)
         assert np.all(np.abs(robust / classical - 1.0) < 0.2)
 
-    def test_saturated_fit_raises_dof_error(self):
+    def test_saturated_fit_has_no_classical_vcov(self):
+        # n = rank leaves no residual degrees of freedom for s^2
         x = DesignMatrix(values=np.eye(3), labels=("a", "b", "c"))
         result = fit(x, np.arange(3.0))
-        with pytest.raises(DegreesOfFreedomError):
-            vcov(result, "classical")
-        assert vcov(result, "robust").shape == (3, 3)
+        assert result.vcov_classical is None
+        assert result.to_json_dict()["vcov_classical"] is None
+        assert result.vcov_robust.shape == (3, 3)
 
     def test_symmetric_positive_semidefinite(self):
         rng = np.random.default_rng(7)
         x, y = random_system(rng, n=300, k=5)
-        for kind in ("classical", "robust"):
-            v = vcov(fit(x, y), kind)
+        result = fit(x, y)
+        for v in (result.vcov_classical, result.vcov_robust):
             assert np.max(np.abs(v - v.T)) == 0.0
             assert np.min(np.linalg.eigvalsh(v)) > -1e-12
-
-    def test_unknown_kind(self):
-        rng = np.random.default_rng(8)
-        x, y = random_system(rng)
-        with pytest.raises(ValueError):
-            vcov(fit(x, y), "cluster")
 
 
 def same_bits(a, b):
@@ -258,7 +250,7 @@ class TestMultiOutcome:
             fit(x, np.zeros((x.n_rows, 3)))
 
     @pytest.mark.parametrize("read", [
-        lambda r: r.vcov_classical, lambda r: r.vcov_robust, lambda r: vcov(r, "robust"),
+        lambda r: r.vcov_classical, lambda r: r.vcov_robust, lambda r: r.to_json(),
         lambda r: r.to_json_dict(), lambda r: r.coef("c0"),
     ])
     def test_one_outcome_outputs_reject_multi_outcome_fits(self, read):

@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from netcrf import (
     load_reference_tables,
     parse_model_spec,
     replicate_table,
-    run_replication,
     run_study,
 )
+from netcrf.montecarlo import _replicate, _run_scenarios
 
 ALL_FOUR = (ModelSpec.t_model(), ModelSpec.r_model(), ModelSpec.tr_model(), ModelSpec.crf2(2))
 
@@ -25,6 +26,11 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return MCConfig(**base)
+
+
+def run_replication(config, rep_index):
+    """The one-scenario replication ``rep_index`` of a study."""
+    return _replicate(config, (config.params(),), rep_index)[0]
 
 
 class TestRunReplication:
@@ -56,11 +62,6 @@ class TestRunReplication:
         rep = run_replication(config, 1)
         assert rep.estimates["t"][2] == 0.0
         assert rep.estimates["r"][2] == 0.0
-
-    def test_rep_index_bounds(self):
-        config = small_config()
-        with pytest.raises(ValueError):
-            run_replication(config, 6)
 
     def test_fit_failure_recorded_not_raised(self):
         # f_max=1 cannot support the realized friend counts, so the long
@@ -101,10 +102,6 @@ class TestRunStudy:
         assert row.n_ok == 0
         assert row.n_failed == 6
         assert row.abs_bias is None
-
-    def test_keep_estimates(self):
-        report = run_study(small_config(repetitions=3, keep_estimates=True))
-        assert report.estimates["t/direct"].shape == (3,)
 
     def test_report_rendering(self):
         report = run_study(small_config(repetitions=3))
@@ -239,16 +236,11 @@ class TestSharedReplications:
                                                                   row.true_value)
 
     def test_scenarios_with_different_treatments_do_not_share_designs(self):
-        # p_treat changes the treatment draw, so the second scenario's
-        # (d, t) differ and it must be fitted on its own design
-        from netcrf.montecarlo import _run_scenarios
-
-        base = small_config(repetitions=3)
+        # p_treat changes the treatment draw, so scenarios with different
+        # p_treat share no frame and cannot form one grid
         scenarios = (dgp_scenario("iii"), dgp_scenario("iii", p_treat=0.3))
-        reports = _run_scenarios(base, scenarios)
-        for scenario, report in zip(scenarios, reports):
-            alone = run_study(small_config(repetitions=3, scenario=scenario))
-            assert report.rows == alone.rows
+        with pytest.raises(ValueError, match="p_treat"):
+            _run_scenarios(small_config(repetitions=3), scenarios)
 
     def test_grid_replication_equals_one_scenario_pipeline(self):
         # the public one-scenario functions, composed per scenario, give
@@ -262,14 +254,13 @@ class TestSharedReplications:
             simulate_frame,
             true_aggregate_effects,
         )
-        from netcrf.montecarlo import _replicate
         from netcrf.rng import child_seeds
 
         estimators = ALL_FOUR + (ModelSpec.crf1_long(f_max=1, t_max=1),)
         config = small_config(estimators=estimators)
-        scenarios = (dgp_scenario("i"), dgp_scenario("iv"), dgp_scenario("iii", p_treat=0.3),
-                     dgp_scenario("ii", noise_sd=0.5))
-        for rep_index in (0, 3):
+        grids = [(dgp_scenario("i"), dgp_scenario("iv"), dgp_scenario("ii", noise_sd=0.5)),
+                 (dgp_scenario("iii", p_treat=0.3), dgp_scenario("i", p_treat=0.3))]
+        for scenarios, rep_index in itertools.product(grids, (0, 3)):
             shared = _replicate(config, scenarios, rep_index)
             seed_positions, seed_frame = child_seeds(config.master_seed, rep_index, 2)
             network = build_geometric_network(
