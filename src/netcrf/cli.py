@@ -49,8 +49,8 @@ from .graph import (
     generate_positions,
     ingest_edges,
     ingest_network,
-    parse_rows,
-    read_rows,
+    read_table,
+    read_text,
     reject_rows,
     sort_ids,
     treated_neighbor_counts,
@@ -69,21 +69,43 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path: str | None, allowed: set[str]) -> dict:
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what a config value must be: a test and how the error names it
+_INTEGER = (_is_integer, "an integer")
+_NUMBER = (_is_number, "a number")
+_STRING = (lambda value: isinstance(value, str), "a string")
+_BOOLEAN = (lambda value: isinstance(value, bool), "true or false")
+_PARAMS = (lambda value: isinstance(value, dict) and all(map(_is_number, value.values())),
+           "a JSON object of numbers")
+_MODELS = (lambda value: isinstance(value, list) and all(isinstance(m, str) for m in value),
+           "a JSON list of model spec strings")
+
+
+def _load_config(path: str | None, allowed: dict[str, tuple]) -> dict:
+    """The JSON object in the config file at ``path``; ``allowed`` maps each
+    key it may hold to the test its value, unless null, must pass."""
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as handle:
-            config = json.load(handle)
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}") from None
+        config = json.loads(read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise DataError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = set(config) - allowed
+    unknown = set(config) - set(allowed)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}; allowed: {sorted(allowed)}")
+    for key, value in config.items():
+        valid, expected = allowed[key]
+        if value is not None and not valid(value):
+            raise UsageError(f"config key '{key}' must be {expected}")
     return config
 
 
@@ -143,11 +165,7 @@ def read_frame_csv(source) -> tuple[SampleFrame, dict]:
     merged into it, and other ``#`` lines are skipped. They are blanked
     before the rows are read, so that every error names the line of the file.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = source.read().splitlines()
+    lines = read_text(source, "frame").splitlines()
     metadata = {}
     for k, line in enumerate(lines):
         if line.startswith("#"):
@@ -158,9 +176,9 @@ def read_frame_csv(source) -> tuple[SampleFrame, dict]:
                 continue
             if isinstance(value, dict):
                 metadata.update(value)
-    rows = read_rows(lines, ("id", "y", "d", "t", "f"), "frame CSV")
-    ids, y, d, t, f = parse_rows(rows, (int, float, int, int, int),
-                                 "frame CSV row {line}: malformed row {row!r}")
+    (ids, y, d, t, f), rows = read_table("\n".join(lines), ("id", "y", "d", "t", "f"), "frame CSV",
+                                         (int, float, int, int, int),
+                                         "frame CSV row {line}: malformed row {row!r}", lines)
     _check_outcomes(rows, y, d, "frame CSV")
     _, repeat = sort_ids(ids)
     if repeat is not None:
@@ -186,8 +204,8 @@ def _check_outcomes(rows, y: np.ndarray, d: np.ndarray, what: str) -> None:
 
 def _load_real_data(nodes_path: str, edges_path: str) -> SampleFrame:
     """Real-data mode: nodes.csv has header id,y,d; edges.csv has src,dst."""
-    rows = read_rows(nodes_path, ("id", "y", "d"), "nodes")
-    ids, y, d = parse_rows(rows, (int, float, int), "nodes row {line}: malformed row {row!r}")
+    (ids, y, d), rows = read_table(read_text(nodes_path, "nodes"), ("id", "y", "d"), "nodes",
+                                   (int, float, int), "nodes row {line}: malformed row {row!r}")
     _check_outcomes(rows, y, d, "nodes")
     network = ingest_edges(ids, rows[0], edges_path)
     t = treated_neighbor_counts(network, d)
@@ -205,15 +223,16 @@ def _spec_slug(text: str) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    allowed = {"n_units", "radius", "scenario", "seed", "out", "params",
-               "write_network", "frame_name"}
+    allowed = {"n_units": _INTEGER, "radius": _NUMBER, "scenario": _STRING, "seed": _INTEGER,
+               "out": _STRING, "params": _PARAMS, "write_network": _BOOLEAN,
+               "frame_name": _STRING}
     config = _load_config(args.config, allowed)
     n_units = int(_merged(args, config, "n_units", 1000))
     radius = float(_merged(args, config, "radius", DEFAULT_RADIUS))
     scenario = _merged(args, config, "scenario")
     seed = int(_merged(args, config, "seed", 0))
     out = _ensure_out_dir(str(_merged(args, config, "out", ".")))
-    overrides = dict(config.get("params", {}))
+    overrides = dict(config.get("params") or {})
     for item in args.param or []:
         key, sep, value = item.partition("=")
         if not sep:
@@ -257,14 +276,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    allowed = {"frame", "nodes", "edges", "models", "out", "rank_policy"}
+    allowed = {"frame": _STRING, "nodes": _STRING, "edges": _STRING, "models": _MODELS,
+               "out": _STRING, "rank_policy": _STRING}
     config = _load_config(args.config, allowed)
     out = _ensure_out_dir(str(_merged(args, config, "out", ".")))
-    config_models = config.get("models")
-    if config_models is not None and not (
-            isinstance(config_models, list) and all(isinstance(m, str) for m in config_models)):
-        raise UsageError("config key 'models' must be a JSON list of model spec strings")
-    model_texts = list(args.model or []) or list(config_models or [])
+    model_texts = list(args.model or []) or list(config.get("models") or [])
     if not model_texts:
         raise UsageError("at least one --model spec is required; valid forms: "
                          + ", ".join(VALID_SPEC_FORMS))
@@ -277,10 +293,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     nodes_path = _merged(args, config, "nodes")
     edges_path = _merged(args, config, "edges")
     if frame_path is not None:
-        try:
-            frame, frame_meta = read_frame_csv(frame_path)
-        except FileNotFoundError:
-            raise DataError(f"frame file not found: {frame_path}") from None
+        frame, frame_meta = read_frame_csv(frame_path)
     elif nodes_path is not None and edges_path is not None:
         frame = _load_real_data(nodes_path, edges_path)
         frame_meta = {"nodes": str(nodes_path), "edges": str(edges_path)}
@@ -336,7 +349,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    allowed = {"reps", "seed", "out", "n_jobs", "n_units"}
+    allowed = {"reps": _INTEGER, "seed": _INTEGER, "out": _STRING, "n_jobs": _INTEGER,
+               "n_units": _INTEGER}
     config = _load_config(args.config, allowed)
     out = _ensure_out_dir(str(_merged(args, config, "out", ".")))
     reps = _merged(args, config, "reps")
@@ -359,8 +373,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def cmd_degree_stats(args: argparse.Namespace) -> int:
-    allowed = {"n_units", "radius", "seed", "nodes", "edges", "treat_p",
-               "calibrate_mean_degree"}
+    allowed = {"n_units": _INTEGER, "radius": _NUMBER, "seed": _INTEGER, "nodes": _STRING,
+               "edges": _STRING, "treat_p": _NUMBER, "calibrate_mean_degree": _NUMBER}
     config = _load_config(args.config, allowed)
     nodes_path = _merged(args, config, "nodes")
     edges_path = _merged(args, config, "edges")

@@ -115,6 +115,23 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.json"))
         assert code == 3
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["simulate"], {"params": 5}, "'params' must be a JSON object of numbers"),
+        (["simulate"], {"params": {"beta0": None}}, "'params' must be a JSON object of numbers"),
+        (["simulate"], {"n_units": 2.5}, "'n_units' must be an integer"),
+        (["fit"], {"frame": 5, "models": ["t"]}, "'frame' must be a string"),
+        (["replicate", "table1"], {"reps": "many"}, "'reps' must be an integer"),
+        (["degree-stats"], {"treat_p": True}, "'treat_p' must be a number"),
+    ])
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, argv, config,
+                                                        message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config | {"out": str(tmp_path / "out")}
+                                   if argv[0] != "degree-stats" else config))
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert (code, out, err) == (2, "", f"error: config key {message}\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFit:
     @pytest.fixture()
