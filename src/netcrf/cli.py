@@ -178,7 +178,7 @@ def read_frame_csv(source) -> tuple[SampleFrame, dict]:
                 metadata.update(value)
     (ids, y, d, t, f), rows = read_table("\n".join(lines), ("id", "y", "d", "t", "f"), "frame CSV",
                                          (int, float, int, int, int),
-                                         "frame CSV row {line}: malformed row {row!r}", lines)
+                                         "frame CSV row {line}: malformed row {row!r}")
     _check_outcomes(rows, y, d, "frame CSV")
     _, repeat = sort_ids(ids)
     if repeat is not None:

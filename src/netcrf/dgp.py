@@ -245,24 +245,14 @@ def true_aggregate_effects(params: DgpParams, f_values) -> TrueEffects:
     network:      E[beta_tau + beta_r/F + beta_f2*ln F]
     interaction:  E[beta_dtau + beta_dr/F + beta_f2*ln F]
     """
-    return _true_effects((params,), f_values)[0]
-
-
-def _true_effects(scenarios: Sequence[DgpParams], f_values) -> tuple[TrueEffects, ...]:
-    """:func:`true_aggregate_effects` of each scenario, with the friend counts
-    checked and their logarithms taken once."""
     f = np.asarray(f_values, dtype=float)
     if f.size == 0:
         raise ValueError("f_values must be nonempty")
     if (f < 1).any():
         raise ValueError("all f_values must be >= 1")
     log_f = np.log(f)
-    effects = []
-    for params in scenarios:
-        log_term = params.beta_f2 * log_f
-        effects.append(TrueEffects(
-            direct=float(np.mean(params.beta_d + log_term)),
-            network=float(np.mean(params.beta_tau + params.beta_r / f + log_term)),
-            interaction=float(np.mean(params.beta_dtau + params.beta_dr / f + log_term)),
-        ))
-    return tuple(effects)
+    return TrueEffects(
+        direct=float(np.mean(params.beta_d + params.beta_f2 * log_f)),
+        network=float(np.mean(params.beta_tau + params.beta_r / f + params.beta_f2 * log_f)),
+        interaction=float(np.mean(params.beta_dtau + params.beta_dr / f + params.beta_f2 * log_f)),
+    )

@@ -24,11 +24,12 @@ come from a nodes CSV (header starting ``id``) and an edges CSV
 included, in two stages. numpy's C reader (``np.loadtxt``) parses the body
 of a table that the csv module would split into the same rows: ASCII text
 with no quote, lone carriage return, NUL or 0x1c-0x1f separator, whose row
-count matches. Otherwise, or when that parse fails, :func:`read_rows` and
-:func:`parse_rows` read the table row by row, skipping blank lines. The
-rows, with their file lines, are read only for an error, so every error,
-such as a malformed row, a duplicate id, an unknown endpoint or a self-loop,
-names the same file line whichever stage parsed the table.
+count matches. Otherwise, or when that parse fails or warns,
+:func:`read_rows` and :func:`parse_rows` read the table row by row,
+skipping blank lines. The rows, with their file lines, are read only for
+an error, so every error, such as a malformed row, a duplicate id, an
+unknown endpoint or a self-loop, names the same file line whichever stage
+parsed the table.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import functools
 import io
 import json
 import math
+import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -359,9 +361,15 @@ def _numpy_columns(text: str, header: Sequence[str],
         return None
     dtype = [(f"c{k}", _NUMPY_DTYPES[kind]) for k, kind in enumerate(convert)]
     try:
-        table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None,
-                           usecols=range(len(convert)), ndmin=1)
-    except ValueError:
+        # numpy releases from 1.23 until a deprecation expired cast an integer
+        # field that parses only as a float (1.0, 1.7, 1e3, 2**63) with just a
+        # DeprecationWarning, where the row reader rejects the row. Raised
+        # here, any warning sends the table to the row reader
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None,
+                               usecols=range(len(convert)), ndmin=1)
+    except (ValueError, Warning):
         return None
     # the csv module reads each nonblank line as a row. numpy skips blank lines
     # and makes at most one row of any other, so the counts agree when numpy's
@@ -388,22 +396,21 @@ class _Deferred(Sequence):
 
 
 def read_table(text: str, header: Sequence[str], what: str, convert: Sequence[type],
-               error_template: str,
-               lines: Iterable[str] | None = None) -> tuple[tuple[np.ndarray, ...], Rows]:
+               error_template: str) -> tuple[tuple[np.ndarray, ...], Rows]:
     """The leading columns of the CSV table in ``text``, below a header starting
     with ``header``, as arrays (one per ``int`` or ``float`` in ``convert``),
     and the table's rows; ``what`` names the table in errors.
 
     numpy's C reader parses the body where the csv module would read the same
-    rows. Otherwise, or where it fails, :func:`read_rows` and
-    :func:`parse_rows` read ``lines`` (by default the lines of ``text``) and
-    raise a DataError from ``error_template`` for the first bad row. After a
-    numpy parse the rows are read only when a check indexes them to name a
-    row, so every error names the same file line either way.
+    rows. Otherwise, or where it fails or warns, :func:`read_rows` and
+    :func:`parse_rows` read ``text`` and raise a DataError from
+    ``error_template`` for the first bad row. After a numpy parse the rows
+    are read only when a check indexes them to name a row, so every error
+    names the same file line either way.
     """
     @functools.cache
     def rows() -> Rows:
-        return read_rows(io.StringIO(text, newline="") if lines is None else lines, header, what)
+        return read_rows(io.StringIO(text, newline=""), header, what)
 
     columns = _numpy_columns(text, header, convert)
     if columns is None:

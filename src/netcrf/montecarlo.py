@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .design import ModelKind, ModelSpec, build_design, format_model_spec, parse_model_spec
-from .dgp import DgpParams, TrueEffects, _true_effects, dgp_scenario, simulate_frames
+from .dgp import DgpParams, TrueEffects, dgp_scenario, simulate_frames, true_aggregate_effects
 from .effects import recover_effect_table
 from .errors import DataError, NumericalError
 from .graph import DEFAULT_RADIUS, build_geometric_network, generate_positions
@@ -100,8 +100,8 @@ def _replicate(config: MCConfig, scenarios, rep_index: int) -> tuple[Replication
             f"replication {rep_index}: no units with F > 0 "
             f"(n_units={config.n_units}, radius={config.radius})"
         )
-    results = tuple(ReplicationResult(rep_index, true, {}, {})
-                    for true in _true_effects(scenarios, frame.f))
+    results = tuple(ReplicationResult(rep_index, true_aggregate_effects(params, frame.f), {}, {})
+                    for params in scenarios)
     for spec in config.estimators:
         key = format_model_spec(spec)
         policy = "drop" if spec.saturated else "error"

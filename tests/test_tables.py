@@ -6,6 +6,7 @@ or the same error."""
 import contextlib
 import csv
 import io
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -248,6 +249,10 @@ class TestDifferential:
     # the csv module reads lines 2-3 of the nodes file as one row, with a quoted
     # newline in its fourth field; numpy would read two rows
     @example(('id,y,d\n5,1.5,0,"x\n7,2.5,1,y"\n', "src,dst\n5,7\n"))
+    # integer fields that parse only as floats, or lie beyond int64
+    @example(("id,y,d\n5,1.5,1.0\n7,2.5,0\n", "src,dst\n5,7\n"))
+    @example(("id,y,d\n5,1.5,1.5\n7,2.5,0\n", "src,dst\n5,7\n"))
+    @example((f"id,y,d\n5,1.5,1\n{2 ** 63},2.5,0\n", f"src,dst\n5,{2 ** 63}\n"))
     def test_network_files(self, texts):
         got = outcome(_load_real_data, *texts)
         with row_reader_only():
@@ -268,6 +273,46 @@ class TestDifferential:
         got = outcome(read_frame_csv, text)
         with row_reader_only():
             assert got == outcome(read_frame_csv, text)
+
+
+def loadtxt_casting_floats(text, dtype, **kwargs):
+    """``np.loadtxt`` as numpy ran it from 1.23 until a deprecation expired: an
+    integer field that parses only as a float is cast, with a DeprecationWarning."""
+    try:
+        return LOADTXT(text, dtype=dtype, **kwargs)
+    except ValueError:
+        text.seek(0)
+        floats = LOADTXT(text, dtype=[(name, np.float64) for name, _ in dtype], **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return floats.astype(dtype)
+
+
+LOADTXT = np.loadtxt
+
+
+class TestNumpyThatCastsFloats:
+    """A numpy that casts a float in an integer column, warning only, must not
+    let the reader accept a row that the row reader rejects."""
+
+    @pytest.mark.parametrize("cell", ["1.0", "1.7", "nan", "1e3"])
+    def test_treatment_written_as_float(self, cell):
+        texts = (f"id,y,d\n5,1.5,1\n7,2.5,{cell}\n", "src,dst\n5,7\n")
+        with mock.patch.object(np, "loadtxt", loadtxt_casting_floats):
+            got = outcome(_load_real_data, *texts)
+        with row_reader_only():
+            expected = outcome(_load_real_data, *texts)
+        assert got == expected == (
+            "DataError", f"nodes row 3: malformed row ['7', '2.5', '{cell}']")
+
+    @pytest.mark.parametrize("cell", ["1.0", "1e3", str(2 ** 63)])
+    def test_id_written_as_float(self, cell):
+        texts = (f"id,y,d\n5,1.5,1\n{cell},2.5,0\n", f"src,dst\n5,{cell}\n")
+        with mock.patch.object(np, "loadtxt", loadtxt_casting_floats):
+            got = outcome(_load_real_data, *texts)
+        with row_reader_only():
+            assert got == outcome(_load_real_data, *texts)
+        assert got[0] == "DataError"
 
 
 class TestUnreadableFiles:
