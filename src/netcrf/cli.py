@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -164,19 +165,20 @@ def read_frame_csv(source) -> tuple[SampleFrame, dict]:
     ``# {json}`` lines hold the metadata: each JSON object among them is
     merged into it, and other ``#`` lines are skipped. They are blanked
     before the rows are read, so that every error names the line of the file.
+    A line ends at LF, CR or CRLF, as the csv module reads the file.
     """
-    lines = read_text(source, "frame").splitlines()
+    lines = io.StringIO(read_text(source, "frame"), newline="").readlines()
     metadata = {}
     for k, line in enumerate(lines):
         if line.startswith("#"):
-            lines[k] = ""
+            lines[k] = "\n"
             try:
                 value = json.loads(line[1:].strip())
             except json.JSONDecodeError:
                 continue
             if isinstance(value, dict):
                 metadata.update(value)
-    (ids, y, d, t, f), rows = read_table("\n".join(lines), ("id", "y", "d", "t", "f"), "frame CSV",
+    (ids, y, d, t, f), rows = read_table("".join(lines), ("id", "y", "d", "t", "f"), "frame CSV",
                                          (int, float, int, int, int),
                                          "frame CSV row {line}: malformed row {row!r}")
     _check_outcomes(rows, y, d, "frame CSV")
@@ -470,9 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first call of main, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

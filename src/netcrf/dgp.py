@@ -86,7 +86,7 @@ class SampleFrame:
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
         if n:
-            if not np.isin(d, (0, 1)).all():
+            if not ((d == 0) | (d == 1)).all():
                 raise ValueError("d entries must be 0 or 1")
             if (f < 1).any():
                 raise ValueError("frames only contain units with f >= 1")
@@ -218,10 +218,20 @@ def _simulate(network: Network, scenarios: Sequence[DgpParams], seed: int, stack
     retained = network.degree > 0
     d_sel, f_sel, z_sel = d[retained], network.degree[retained], z[retained]
     t_sel = treated_neighbor_counts(network, d)[retained]
-    y = [_outcome_mean(params, f_sel, d_sel, t_sel) + params.noise_sd * z_sel
-         for params in scenarios]
-    return SampleFrame(y=np.column_stack(y) if stack else y[0], d=d_sel, t=t_sel, f=f_sel,
-                       ids=np.flatnonzero(retained), n_total=network.n)
+    if d_sel.size:
+        # the mean depends on (d, t, f) alone: evaluated once per occupied
+        # cell and gathered to the units, it has the bits of a per-unit one
+        cells = frame_cells(d_sel, t_sel, f_sel)
+        means = [_outcome_mean(params, cells.f, cells.d, cells.t)[cells.of_unit]
+                 for params in scenarios]
+    else:
+        cells, means = None, [np.zeros(0)] * len(scenarios)
+    y = [mean + params.noise_sd * z_sel for params, mean in zip(scenarios, means)]
+    frame = SampleFrame(y=np.column_stack(y) if stack else y[0], d=d_sel, t=t_sel, f=f_sel,
+                        ids=np.flatnonzero(retained), n_total=network.n)
+    if cells is not None:
+        object.__setattr__(frame, "cells", cells)  # every design of the frame reuses them
+    return frame
 
 
 def simulate_frames(network: Network, scenarios: Sequence[DgpParams], seed: int) -> SampleFrame:

@@ -28,18 +28,20 @@ when fewer than 1000 repetitions are run.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
 from . import __version__
 from .design import ModelKind, ModelSpec, build_design, format_model_spec, parse_model_spec
-from .dgp import DgpParams, TrueEffects, dgp_scenario, simulate_frames, true_aggregate_effects
+from .dgp import DgpParams, dgp_scenario, simulate_frames, true_aggregate_effects
 from .effects import recover_effect_table
 from .errors import DataError, NumericalError
 from .graph import DEFAULT_RADIUS, build_geometric_network, generate_positions
@@ -81,16 +83,11 @@ class MCConfig:
         return self.scenario if isinstance(self.scenario, str) else "custom"
 
 
-@dataclass(frozen=True)
-class ReplicationResult:
-    rep_index: int
-    true: TrueEffects
-    estimates: dict
-    failures: dict
-
-
-def _replicate(config: MCConfig, scenarios, rep_index: int) -> tuple[ReplicationResult, ...]:
-    """One replication of every scenario in ``scenarios``, DgpParams that share ``p_treat``."""
+def _replicate(config: MCConfig, scenarios, rep_index: int):
+    """One replication of every scenario in ``scenarios``, DgpParams that share
+    ``p_treat``: the true effects (scenario x target), every estimator's
+    estimates (scenario x estimator x target) and whether the estimator gave
+    them (scenario x estimator; where not, its estimates are zeros)."""
     seed_positions, seed_frame = child_seeds(config.master_seed, rep_index, 2)
     positions = generate_positions(config.n_units, seed_positions)
     network = build_geometric_network(positions, config.radius)
@@ -100,25 +97,25 @@ def _replicate(config: MCConfig, scenarios, rep_index: int) -> tuple[Replication
             f"replication {rep_index}: no units with F > 0 "
             f"(n_units={config.n_units}, radius={config.radius})"
         )
-    results = tuple(ReplicationResult(rep_index, true_aggregate_effects(params, frame.f), {}, {})
-                    for params in scenarios)
-    for spec in config.estimators:
-        key = format_model_spec(spec)
+    true = np.empty((len(scenarios), len(TARGETS)))
+    for s, params in enumerate(scenarios):
+        effects = true_aggregate_effects(params, frame.f)
+        true[s] = effects.direct, effects.network, effects.interaction
+    estimates = np.zeros((len(scenarios), len(config.estimators), len(TARGETS)))
+    ok = np.zeros(estimates.shape[:2], dtype=bool)
+    for e, spec in enumerate(config.estimators):
         policy = "drop" if spec.saturated else "error"
         try:
             result = lsq_fit(build_design(frame, spec), frame.y, on_rank_deficiency=policy)
             aggregates = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
-        except (NumericalError, DataError, ValueError) as exc:
-            for replication in results:
-                replication.failures[key] = f"{type(exc).__name__}: {exc}"
+        except (NumericalError, DataError, ValueError):
             continue
-        for replication, agg in zip(results, aggregates):
-            if agg.direct is None or agg.network is None or agg.interaction is None:
-                replication.failures[key] = "aggregate effects unavailable (all cells absent)"
-            else:
-                replication.estimates[key] = (float(agg.direct), float(agg.network),
-                                              float(agg.interaction))
-    return results
+        for s, agg in enumerate(aggregates):
+            # an aggregate is None when every cell it needs is absent
+            if agg.direct is not None and agg.network is not None and agg.interaction is not None:
+                estimates[s, e] = agg.direct, agg.network, agg.interaction
+                ok[s, e] = True
+    return true, estimates, ok
 
 
 def _csv_text(metadata: dict, row_type: type, records) -> str:
@@ -127,13 +124,13 @@ def _csv_text(metadata: dict, row_type: type, records) -> str:
     significant digits, None is an empty field, and a field holding a comma
     is quoted."""
     names = [f.name for f in fields(row_type)]
+    values = attrgetter(*names)
     out = io.StringIO()
     out.write("# " + json.dumps(metadata) + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(names)
-    for record in records:
-        values = [getattr(record, name) for name in names]
-        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in values])
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in values(record)]
+                     for record in records)
     return out.getvalue()
 
 
@@ -186,52 +183,18 @@ def run_study(config: MCConfig) -> MCReport:
     on worker scheduling. Replications where an estimator failed are excluded
     from that estimator's aggregate and counted in ``n_failed``.
     """
-    return _run_scenarios(config, (config.scenario,))[0]
-
-
-def _run_scenarios(config: MCConfig, scenarios) -> list[MCReport]:
-    """One report per scenario; ``config`` supplies everything but the scenario."""
-    configs = [replace(config, scenario=scenario) for scenario in scenarios]
-    params = tuple(c.params() for c in configs)
-    indices = range(config.repetitions)
-    if config.n_jobs > 1 and config.repetitions > 1:
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
-            per_rep = list(pool.map(_replicate, repeat(config), repeat(params), indices,
-                                    chunksize=16))
-    else:
-        per_rep = [_replicate(config, params, i) for i in indices]
-    return [_report(c, [rep[pos] for rep in per_rep]) for pos, c in enumerate(configs)]
-
-
-def _report(config: MCConfig, results: list[ReplicationResult]) -> MCReport:
-    # one row per target, one column per replication: reducing a C-contiguous
-    # row sums it pairwise, bit for bit as np.mean of that target's list did
-    # (``take`` keeps the rows contiguous, where ``truths[:, ok]`` would not)
-    truths = np.array([[getattr(r.true, target) for r in results] for target in TARGETS])
-    true_all = truths.mean(axis=1)
-    rows = []
-    for spec in config.estimators:
-        key = format_model_spec(spec)
-        ok = [rep for rep, r in enumerate(results) if key in r.estimates]
-        n_failed = config.repetitions - len(ok)
-        abs_bias = sd = mean_estimate = [None] * len(TARGETS)
-        true_ok = true_all
-        if ok:
-            values = np.array([[results[rep].estimates[key][pos] for rep in ok]
-                               for pos in range(len(TARGETS))])
-            if len(ok) < len(results):
-                true_ok = truths.take(ok, axis=1).mean(axis=1)
-            mean_estimate = values.mean(axis=1)
-            abs_bias = np.abs(mean_estimate - true_ok)
-            if len(ok) > 1:
-                sd = values.std(axis=1, ddof=1)
-        for pos, target in enumerate(TARGETS):
-            rows.append(MCRow(
-                estimator=key, target=target, abs_bias=_optional_float(abs_bias[pos]), sd=_optional_float(sd[pos]),
-                true_value=float(true_ok[pos]), mean_estimate=_optional_float(mean_estimate[pos]),
-                n_ok=len(ok), n_failed=n_failed,
-            ))
-
+    summary = _run_scenarios(config, (config.scenario,))
+    keys = [format_model_spec(spec) for spec in config.estimators]
+    # the rows in (estimator, target) order, that of the flattened statistics
+    n_ok = np.repeat(summary.n_ok[0], len(TARGETS))
+    rows = tuple(map(
+        MCRow, [key for key in keys for _ in TARGETS], TARGETS * len(keys),
+        _where_defined(summary.abs_bias[0].ravel(), n_ok > 0),
+        _where_defined(summary.sd[0].ravel(), n_ok > 1),
+        summary.true_value[0].ravel().tolist(),
+        _where_defined(summary.mean_estimate[0].ravel(), n_ok > 0),
+        n_ok.tolist(), (config.repetitions - n_ok).tolist(),
+    ))
     metadata = {
         "package_version": __version__,
         "generator": GENERATOR_NAME,
@@ -240,20 +203,78 @@ def _report(config: MCConfig, results: list[ReplicationResult]) -> MCReport:
         "radius": config.radius,
         "scenario": config.scenario_label(),
         "params": asdict(config.params()),
-        "estimators": [format_model_spec(s) for s in config.estimators],
+        "estimators": keys,
         "repetitions": config.repetitions,
     }
-    return MCReport(config=config, rows=tuple(rows), metadata=metadata)
+    return MCReport(config=config, rows=rows, metadata=metadata)
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+@dataclass(frozen=True)
+class _Summary:
+    """A study's statistics per (scenario, estimator, target), over the
+    replications where the estimator succeeded, of which ``n_ok`` (scenario
+    x estimator) counts. Means and ``abs_bias`` are NaN where ``n_ok`` is 0,
+    and ``sd`` where it is below 2."""
+
+    n_ok: np.ndarray
+    true_value: np.ndarray
+    mean_estimate: np.ndarray
+    abs_bias: np.ndarray
+    sd: np.ndarray
+
+
+def _run_scenarios(config: MCConfig, scenarios) -> _Summary:
+    """The statistics of every scenario; ``config`` supplies everything but the scenario."""
+    params = tuple(replace(config, scenario=scenario).params() for scenario in scenarios)
+    indices = range(config.repetitions)
+    if config.n_jobs > 1 and config.repetitions > 1:
+        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
+            per_rep = list(pool.map(_replicate, repeat(config), repeat(params), indices,
+                                    chunksize=16))
+    else:
+        per_rep = [_replicate(config, params, i) for i in indices]
+    # the replications go on the last axis, so that each row of one
+    # (scenario, estimator, target) is C-contiguous
+    true, estimates, ok = (np.stack(part, axis=-1) for part in zip(*per_rep))
+    return _summarize(true, estimates, ok)
+
+
+def _summarize(true: np.ndarray, estimates: np.ndarray, ok: np.ndarray) -> _Summary:
+    """Reduce the true effects (scenario x target x replication) and the
+    estimates (scenario x estimator x target x replication) where ``ok``
+    (scenario x estimator x replication) holds.
+
+    Reducing a C-contiguous row along the last axis sums it pairwise, so
+    every mean and SD has the bits ``np.mean`` and ``np.std(ddof=1)`` give
+    for that row's replications as one array (``take`` keeps a row of the
+    successful replications contiguous, where a boolean index would not).
+    """
+    n_ok = ok.sum(axis=-1)
+    reps = ok.shape[-1]
+    true_value = np.repeat(true.mean(axis=-1)[:, None], estimates.shape[1], axis=1)
+    mean_estimate = estimates.mean(axis=-1)
+    sd = estimates.std(axis=-1, ddof=1) if reps > 1 else np.full(mean_estimate.shape, np.nan)
+    for s, e in np.argwhere((n_ok > 0) & (n_ok < reps)):
+        kept = np.flatnonzero(ok[s, e])
+        values = estimates[s, e].take(kept, axis=-1)
+        true_value[s, e] = true[s].take(kept, axis=-1).mean(axis=-1)
+        mean_estimate[s, e] = values.mean(axis=-1)
+        sd[s, e] = values.std(axis=-1, ddof=1) if kept.size > 1 else np.nan
+    mean_estimate[n_ok == 0] = np.nan
+    sd[n_ok < 2] = np.nan
+    return _Summary(n_ok=n_ok, true_value=true_value, mean_estimate=mean_estimate,
+                    abs_bias=np.abs(mean_estimate - true_value), sd=sd)
 
 
 def load_reference_tables() -> dict:
     """Reference bias/SD benchmark values shipped with the package."""
     path = resources.files("netcrf").joinpath("data/reference_tables.json")
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+# replicate_table reads the packaged tables once per process and never changes
+# them; load_reference_tables gives every caller a fresh copy
+_reference_tables = functools.cache(load_reference_tables)
 
 
 @dataclass(frozen=True)
@@ -327,7 +348,7 @@ def replicate_table(
     sqrt(reference / actual); ``n_units`` exists for smoke tests only and is
     echoed in the metadata when overridden.
     """
-    reference = load_reference_tables()
+    reference = _reference_tables()
     if table_id not in reference:
         raise ValueError(f"unknown table id {table_id!r}; expected one of {sorted(reference)}")
     table = reference[table_id]
@@ -336,45 +357,42 @@ def replicate_table(
         raise ValueError("repetitions must be >= 2 for an SD comparison")
     units = table["n_units"] if n_units is None else int(n_units)
     scale = max(1.0, float(np.sqrt(table["repetitions"] / reps)))
-    estimators = tuple(parse_model_spec(s) for s in table["estimators"])
+    scenarios, keys = table["scenarios"], table["estimators"]
 
     config = MCConfig(
         n_units=units,
-        scenario=table["scenarios"][0],
-        estimators=estimators,
+        scenario=scenarios[0],
+        estimators=tuple(parse_model_spec(s) for s in keys),
         repetitions=reps,
         master_seed=master_seed,
         radius=table["radius"],
         n_jobs=n_jobs,
     )
-    reports = _run_scenarios(config, table["scenarios"])
-    cells = []
-    true_means: dict[str, dict[str, float]] = {}
-    for scenario, report in zip(table["scenarios"], reports):
-        true_means[scenario] = {
-            target: report.row(table["estimators"][0], target).true_value for target in TARGETS
-        }
-        for est_key in table["estimators"]:
-            for target in TARGETS:
-                row = report.row(est_key, target)
-                bias_ref, sd_ref = table["cells"][est_key][scenario][target]
-                mcse = None if row.sd is None or row.n_ok == 0 else row.sd / np.sqrt(row.n_ok)
-                bias_tol = max(0.03 * scale, 0.0 if mcse is None else 3.0 * mcse)
-                bias_pass = row.abs_bias is not None and abs(row.abs_bias - bias_ref) <= bias_tol
-                if sd_ref is None:
-                    sd_tol = None
-                    sd_pass = None
-                else:
-                    sd_tol = 0.30 * scale
-                    sd_pass = row.sd is not None and abs(row.sd - sd_ref) <= sd_tol * sd_ref
-                cells.append(ComparisonCell(
-                    estimator=est_key, scenario=scenario, target=target,
-                    bias=row.abs_bias, bias_ref=float(bias_ref), bias_tol=float(bias_tol),
-                    bias_pass=bool(bias_pass),
-                    sd=row.sd, sd_ref=sd_ref, sd_tol=sd_tol, sd_pass=sd_pass,
-                    true_value=row.true_value, true_ref=float(table["true_effects"][scenario][target]),
-                ))
-
+    summary = _run_scenarios(config, scenarios)
+    # the cells in (scenario, estimator, target) order, that of the flattened statistics
+    grid = [(scenario, key, target) for scenario in scenarios for key in keys for target in TARGETS]
+    bias, sd, true_value = (a.ravel() for a in (summary.abs_bias, summary.sd, summary.true_value))
+    n_ok = np.repeat(summary.n_ok.ravel(), len(TARGETS))
+    bias_ref, sd_ref = zip(*(table["cells"][key][scenario][target] for scenario, key, target in grid))
+    bias_ref = np.array(bias_ref, dtype=float)
+    # an SD, and so its MC standard error, is NaN where undefined; NaN fails every comparison
+    three_mcse = 3.0 * (sd / np.sqrt(n_ok))
+    bias_tol = np.where(three_mcse > 0.03 * scale, three_mcse, 0.03 * scale)
+    bias_pass = np.abs(bias - bias_ref) <= bias_tol
+    sd_tol = 0.30 * scale
+    sd_ref_values = np.array([np.nan if value is None else value for value in sd_ref], dtype=float)
+    sd_pass = np.abs(sd - sd_ref_values) <= sd_tol * sd_ref_values
+    scenario_column, key_column, target_column = zip(*grid)
+    cells = tuple(map(
+        ComparisonCell, key_column, scenario_column, target_column,
+        _where_defined(bias, n_ok > 0), bias_ref.tolist(), bias_tol.tolist(), bias_pass.tolist(),
+        _where_defined(sd, n_ok > 1), sd_ref, [None if ref is None else sd_tol for ref in sd_ref],
+        [None if ref is None else ok for ref, ok in zip(sd_ref, sd_pass.tolist())],
+        true_value.tolist(),
+        [float(table["true_effects"][scenario][target]) for scenario, _, target in grid],
+    ))
+    # the true effects as averaged over the first estimator's replications
+    true_reproduced = summary.true_value[:, 0].tolist()
     metadata = {
         "table_id": table_id,
         "n_units": units,
@@ -382,7 +400,13 @@ def replicate_table(
         "master_seed": master_seed,
         "generator": GENERATOR_NAME,
         "tolerance_scale": scale,
-        "true_effects_reproduced": true_means,
+        "true_effects_reproduced": {scenario: dict(zip(TARGETS, values))
+                                    for scenario, values in zip(scenarios, true_reproduced)},
         "n_units_overridden": n_units is not None,
     }
-    return TableComparison(table_id=table_id, cells=tuple(cells), metadata=metadata)
+    return TableComparison(table_id=table_id, cells=cells, metadata=metadata)
+
+
+def _where_defined(values: np.ndarray, defined: np.ndarray) -> list:
+    """``values`` as a list of floats, None where ``defined`` is False."""
+    return [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]

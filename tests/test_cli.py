@@ -1,5 +1,10 @@
+import ast
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netcrf
 from netcrf import DataError, SampleFrame
 from netcrf.cli import main, read_frame_csv, write_frame_csv
+from netcrf.graph import read_table
 
 
 def run_cli(capsys, *argv):
@@ -373,6 +380,58 @@ class TestReplicate:
         assert info.value.code == 2
 
 
+class TestParserReuse:
+    """One process builds the parser once; its calls of main must not affect each other."""
+
+    @staticmethod
+    def files(path):
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    def test_repeated_options_start_empty_on_every_call(self, tmp_path, capsys):
+        run_cli(capsys, "simulate", "--n-units", "300", "--seed", "4", "--out", str(tmp_path))
+        frame = str(tmp_path / "frame.csv")
+        assert run_cli(capsys, "fit", "--frame", frame, "--model", "r", "--model", "tr",
+                       "--out", str(tmp_path / "first"))[0] == 0
+        assert run_cli(capsys, "fit", "--frame", frame, "--model", "t",
+                       "--out", str(tmp_path / "second"))[0] == 0
+        assert sorted(self.files(tmp_path / "second")) == ["effects_t.csv", "fit_t.json"]
+
+    def test_repeated_params_do_not_pile_up(self, tmp_path, capsys):
+        def params(*argv):
+            out = tmp_path / str(len(argv))
+            run_cli(capsys, "simulate", "--n-units", "200", "--out", str(out), *argv)
+            first_line = (out / "frame.csv").read_text().splitlines()[0]
+            return json.loads(first_line[2:])["params"]
+
+        both = params("--param", "beta0=1", "--param", "beta_f=3")
+        assert (both["beta0"], both["beta_f"]) == (1.0, 3.0)
+        one = params("--param", "beta0=2")
+        assert (one["beta0"], one["beta_f"]) == (2.0, 0.0)
+
+    def test_usage_error_between_calls_changes_nothing(self, tmp_path, capsys):
+        argv = ["replicate", "table2", "--reps", "2", "--seed", "5", "--n-units", "400"]
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / "before"))[0] == 0
+        with pytest.raises(SystemExit) as info:
+            main(["replicate", "table9", "--reps", "2"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / "after"))[0] == 0
+        assert self.files(tmp_path / "before") == self.files(tmp_path / "after")
+
+    def test_replicate_in_process_equals_fresh_process(self, tmp_path, capsys):
+        argv = ["replicate", "table1", "--reps", "3", "--seed", "3", "--n-units", "400"]
+        run_cli(capsys, "degree-stats", "--n-units", "300")
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "in"))
+        assert code == 0
+        src = str(Path(netcrf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        fresh = subprocess.run([sys.executable, "-m", "netcrf.cli", *argv, "--out", str(tmp_path / "fresh")],
+                               capture_output=True, text=True, env=env, check=True)
+        assert self.files(tmp_path / "in") == self.files(tmp_path / "fresh")
+        assert out.replace(str(tmp_path / "in"), "") == fresh.stdout.replace(str(tmp_path / "fresh"), "")
+        assert err == fresh.stderr == ""
+
+
 class TestDegreeStats:
     def test_simulated_summary(self, capsys):
         code, out, _ = run_cli(capsys, "degree-stats", "--n-units", "1000",
@@ -526,3 +585,46 @@ class TestFrameCsvProperties:
         lines[line - 1] = ",".join(fields)
         with pytest.raises(DataError, match=f"^frame CSV row {line}: malformed row"):
             read_frame_csv(io.StringIO("\n".join(lines)))
+
+
+# str.splitlines ends a line at each of these too; the csv module does not
+LINE_BREAKING_CHARACTERS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestFrameCsvLineEnds:
+    @staticmethod
+    def outcome(read, text):
+        """The d column read from ``text``, or the file line and d field of
+        the row the reader rejects."""
+        try:
+            return read(text)
+        except DataError as exc:
+            line, row = re.search(r"row (\d+): malformed row (.*)$", str(exc)).groups()
+            return int(line), ast.literal_eval(row)[2]
+
+    @pytest.mark.parametrize("char", LINE_BREAKING_CHARACTERS)
+    def test_character_in_a_field_reads_as_in_a_nodes_file(self, char):
+        def nodes(text):
+            (_, _, d), _ = read_table(text, ("id", "y", "d"), "nodes", (int, float, int),
+                                      "nodes row {line}: malformed row {row!r}")
+            return d.tolist()
+
+        def frame(text):
+            return read_frame_csv(io.StringIO(text))[0].d.tolist()
+
+        # line 1 is a metadata comment in the frame file and a header in the nodes file
+        want = self.outcome(nodes, f"id,y,d\n\n1,0.5,1{char}\n2,1.5,0\n")
+        got = self.outcome(frame, f"# {{}}\nid,y,d,t,f\n1,0.5,1{char},0,1\n2,1.5,0,1,1\n")
+        assert got == want
+
+    @pytest.mark.parametrize("char", LINE_BREAKING_CHARACTERS)
+    def test_later_bad_row_keeps_its_file_line(self, char):
+        text = f"# {{}}\nid,y,d,t,f\n1,0.5,1,0,1{char}\n2,1.5,0,1,1\n3,x,0,1,1\n"
+        try:
+            int(f"1{char}")
+        except ValueError:
+            line = 3  # the field itself is malformed, in the row that holds it
+        else:
+            line = 5
+        with pytest.raises(DataError, match=f"^frame CSV row {line}: malformed row"):
+            read_frame_csv(io.StringIO(text))

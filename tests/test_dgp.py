@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcrf import (
     DgpParams,
@@ -13,6 +15,7 @@ from netcrf import (
     simulate_frames,
     true_aggregate_effects,
 )
+from netcrf.dgp import _outcome_mean, frame_cells
 from netcrf.graph import treated_neighbor_counts
 from conftest import make_frame, potential_outcome, potential_outcome_grid, unit_noise
 
@@ -222,6 +225,45 @@ class TestSimulateFrames:
             assert frame.y[i] == pytest.approx(grid[i][frame.d[i], frame.t[i]], abs=1e-12)
 
 
+@st.composite
+def params_and_units(draw):
+    """Outcome parameters, and per unit (d, t, f) with f >= 1 and t <= f."""
+    coefficient = st.floats(-50.0, 50.0, allow_nan=False)
+    params = DgpParams(**{name: draw(coefficient) for name in (
+        "beta0", "beta_f", "beta_d", "beta_f2", "beta_tau", "beta_r", "beta_dtau", "beta_dr")})
+    n = draw(st.integers(1, 60))
+    f = np.array(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)))
+    t = np.array([draw(st.integers(0, fi)) for fi in f.tolist()])
+    d = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return params, d, t, f
+
+
+class TestOutcomeMeanPerCell:
+    @settings(deadline=None)
+    @given(params_and_units())
+    def test_gathered_cell_means_equal_unit_means_bitwise(self, case):
+        # the frame evaluates the mean once per occupied (d, t, f) cell
+        params, d, t, f = case
+        cells = frame_cells(d, t, f)
+        gathered = _outcome_mean(params, cells.f, cells.d, cells.t)[cells.of_unit]
+        assert gathered.tobytes() == _outcome_mean(params, f, d, t).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_frame_outcome_equals_unit_mean_plus_noise_bitwise(self, network_2000, seed):
+        scenarios = tuple(dgp_scenario(s) for s in ("i", "ii", "iii", "iv"))
+        frame = simulate_frames(network_2000, scenarios, seed)
+        for column, params in enumerate(scenarios):
+            u = unit_noise(network_2000, params, seed)[frame.ids]
+            want = _outcome_mean(params, frame.f, frame.d, frame.t) + u
+            assert np.ascontiguousarray(frame.y[:, column]).tobytes() == want.tobytes()
+
+    def test_frame_cells_are_the_cells_of_its_units(self, network_2000):
+        frame = simulate_frames(network_2000, (dgp_scenario("iv"),), 9)
+        want = frame_cells(frame.d, frame.t, frame.f)
+        for name in ("d", "t", "f", "counts", "of_unit"):
+            assert np.array_equal(getattr(frame.cells, name), getattr(want, name)), name
+
+
 class TestDecompositionIdentity:
     @pytest.mark.parametrize("scenario", ["i", "ii", "iii", "iv"])
     def test_exact_per_unit(self, scenario, network_1000):
@@ -307,6 +349,11 @@ class TestSampleFrameValidation:
     def test_t_bounded_by_f(self):
         with pytest.raises(ValueError):
             make_frame([1.0], [1], [3], [2])
+
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_d_binary(self, value):
+        with pytest.raises(ValueError, match="d entries must be 0 or 1"):
+            make_frame([1.0, 2.0], [1, value], [0, 0], [1, 1])
 
     def test_f_positive(self):
         with pytest.raises(ValueError):
