@@ -472,14 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = None  # built by the first call of main, not at import
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -28,7 +28,6 @@ when fewer than 1000 repetitions are run.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -272,11 +271,6 @@ def load_reference_tables() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-# replicate_table reads the packaged tables once per process and never changes
-# them; load_reference_tables gives every caller a fresh copy
-_reference_tables = functools.cache(load_reference_tables)
-
-
 @dataclass(frozen=True)
 class ComparisonCell:
     estimator: str
@@ -348,7 +342,7 @@ def replicate_table(
     sqrt(reference / actual); ``n_units`` exists for smoke tests only and is
     echoed in the metadata when overridden.
     """
-    reference = _reference_tables()
+    reference = load_reference_tables()
     if table_id not in reference:
         raise ValueError(f"unknown table id {table_id!r}; expected one of {sorted(reference)}")
     table = reference[table_id]

@@ -1,10 +1,7 @@
 import ast
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import netcrf
 from netcrf import DataError, SampleFrame
 from netcrf.cli import main, read_frame_csv, write_frame_csv
 from netcrf.graph import read_table
@@ -378,58 +374,6 @@ class TestReplicate:
         with pytest.raises(SystemExit) as info:
             main(["replicate", "table9", "--out", str(tmp_path)])
         assert info.value.code == 2
-
-
-class TestParserReuse:
-    """One process builds the parser once; its calls of main must not affect each other."""
-
-    @staticmethod
-    def files(path):
-        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
-
-    def test_repeated_options_start_empty_on_every_call(self, tmp_path, capsys):
-        run_cli(capsys, "simulate", "--n-units", "300", "--seed", "4", "--out", str(tmp_path))
-        frame = str(tmp_path / "frame.csv")
-        assert run_cli(capsys, "fit", "--frame", frame, "--model", "r", "--model", "tr",
-                       "--out", str(tmp_path / "first"))[0] == 0
-        assert run_cli(capsys, "fit", "--frame", frame, "--model", "t",
-                       "--out", str(tmp_path / "second"))[0] == 0
-        assert sorted(self.files(tmp_path / "second")) == ["effects_t.csv", "fit_t.json"]
-
-    def test_repeated_params_do_not_pile_up(self, tmp_path, capsys):
-        def params(*argv):
-            out = tmp_path / str(len(argv))
-            run_cli(capsys, "simulate", "--n-units", "200", "--out", str(out), *argv)
-            first_line = (out / "frame.csv").read_text().splitlines()[0]
-            return json.loads(first_line[2:])["params"]
-
-        both = params("--param", "beta0=1", "--param", "beta_f=3")
-        assert (both["beta0"], both["beta_f"]) == (1.0, 3.0)
-        one = params("--param", "beta0=2")
-        assert (one["beta0"], one["beta_f"]) == (2.0, 0.0)
-
-    def test_usage_error_between_calls_changes_nothing(self, tmp_path, capsys):
-        argv = ["replicate", "table2", "--reps", "2", "--seed", "5", "--n-units", "400"]
-        assert run_cli(capsys, *argv, "--out", str(tmp_path / "before"))[0] == 0
-        with pytest.raises(SystemExit) as info:
-            main(["replicate", "table9", "--reps", "2"])
-        assert info.value.code == 2
-        capsys.readouterr()
-        assert run_cli(capsys, *argv, "--out", str(tmp_path / "after"))[0] == 0
-        assert self.files(tmp_path / "before") == self.files(tmp_path / "after")
-
-    def test_replicate_in_process_equals_fresh_process(self, tmp_path, capsys):
-        argv = ["replicate", "table1", "--reps", "3", "--seed", "3", "--n-units", "400"]
-        run_cli(capsys, "degree-stats", "--n-units", "300")
-        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "in"))
-        assert code == 0
-        src = str(Path(netcrf.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        fresh = subprocess.run([sys.executable, "-m", "netcrf.cli", *argv, "--out", str(tmp_path / "fresh")],
-                               capture_output=True, text=True, env=env, check=True)
-        assert self.files(tmp_path / "in") == self.files(tmp_path / "fresh")
-        assert out.replace(str(tmp_path / "in"), "") == fresh.stdout.replace(str(tmp_path / "fresh"), "")
-        assert err == fresh.stderr == ""
 
 
 class TestDegreeStats:

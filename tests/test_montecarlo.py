@@ -350,17 +350,3 @@ class TestReportReductions:
                         assert same_bits(cell.sd, np.std(values, ddof=1))
                     else:
                         assert cell.sd is None
-
-    def test_mutating_loaded_reference_tables_changes_no_later_run(self):
-        def run():
-            return replicate_table("table2", repetitions=3, master_seed=7, n_units=400)
-
-        before = run()
-        tables = load_reference_tables()
-        tables["table2"]["cells"]["tr"]["iii"]["direct"][0] = 99.0
-        tables["table2"]["scenarios"].reverse()
-        tables["table2"]["repetitions"] = 3
-        after = run()
-        assert after.to_csv_text() == before.to_csv_text()
-        assert after.to_text_report() == before.to_text_report()
-        assert load_reference_tables()["table2"]["repetitions"] == 1000
