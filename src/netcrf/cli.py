@@ -290,12 +290,20 @@ def cmd_fit(args: argparse.Namespace) -> int:
         specs = [parse_model_spec(text) for text in model_texts]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    seen = {}
+    for text, spec in zip(model_texts, specs):
+        normal = format_model_spec(spec)
+        if normal in seen:
+            raise UsageError(f"model spec {text!r} repeats {seen[normal]!r}: both are {normal}")
+        seen[normal] = text
 
     frame_path = _merged(args, config, "frame")
     nodes_path = _merged(args, config, "nodes")
     edges_path = _merged(args, config, "edges")
     if frame_path is not None:
         frame, frame_meta = read_frame_csv(frame_path)
+        if frame.n_selected == 0:
+            raise DataError(f"frame CSV {frame_path} has no rows; nothing to estimate on")
     elif nodes_path is not None and edges_path is not None:
         frame = _load_real_data(nodes_path, edges_path)
         frame_meta = {"nodes": str(nodes_path), "edges": str(edges_path)}

@@ -15,13 +15,10 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import get_lapack_funcs
 
+from . import _lapack
 from .dgp import SampleFrame
 from .errors import NumericalError, OutOfSupportError
-
-_GEQP3, _ORGQR = get_lapack_funcs(("geqp3", "orgqr"), dtype=np.float64)
 
 
 class ModelKind(str, Enum):
@@ -266,18 +263,21 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     LAPACK ``dgeqp3`` and ``dorgqr`` are called as scipy calls them (a
     workspace query, then the call), without its per-call validation, which
-    costs more than the factorization of a design's ~100 x 10 block.
+    costs more than the factorization of a design's ~100 x 10 block. An empty
+    ``a`` gets scipy's empty results without a LAPACK call.
     """
     m, n = a.shape
     if a.size == 0:
-        return scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
-    qr, jpvt, tau, _, info = _GEQP3(a, lwork=_workspace(_GEQP3, a))
+        k = min(m, n)
+        return np.empty((m, k)), np.empty((k, n)), np.arange(n, dtype=np.int32)
+    qr, jpvt, tau, _, info = _lapack.dgeqp3(a, lwork=_workspace(_lapack.dgeqp3, a))
     if info != 0:
         raise NumericalError(f"LAPACK dgeqp3 info={info}")
     jpvt -= 1
     r = np.triu(qr) if m < n else np.triu(qr[:n, :])
     a_q = qr[:, :m] if m < n else qr
-    q, _, info = _ORGQR(a_q, tau, lwork=_workspace(_ORGQR, a_q, tau), overwrite_a=1)
+    q, _, info = _lapack.dorgqr(a_q, tau, lwork=_workspace(_lapack.dorgqr, a_q, tau),
+                                overwrite_a=1)
     if info != 0:
         raise NumericalError(f"LAPACK dorgqr info={info}")
     return q, r, jpvt

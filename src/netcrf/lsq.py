@@ -64,12 +64,15 @@ such as a Monte Carlo replication, never pay for them. The variance
 matrices, ``coef`` and the JSON form need a one-outcome fit.
 
 **LAPACK directly.** The factorization (:attr:`DesignMatrix.qr`) and the
-triangular solves call LAPACK ``dgeqp3``/``dorgqr`` and ``dtrtrs`` through
-handles fetched once at import, with the arguments, workspace queries and
+triangular solves call LAPACK ``dgeqp3``/``dorgqr`` and ``dtrtrs``, and the
+inverse ``dtrtri``, with the arguments, workspace queries and
 transpositions of ``scipy.linalg.qr(mode="economic", pivoting=True)`` and
 ``scipy.linalg.solve_triangular``, so the numbers are scipy's bit for bit.
 On a cell design of ~100 x 10 scipy's per-call validation costs more than
-the arithmetic: it was ~0.8 ms of a ~6.3 ms ``table1`` replication.
+the arithmetic: it was ~0.8 ms of a ~6.3 ms ``table1`` replication. The
+routines are scipy's own f2py wrappers, reached through
+:mod:`netcrf._lapack`, which loads them without importing the
+``scipy.linalg`` package and so halves a process's start-up.
 """
 
 from __future__ import annotations
@@ -80,15 +83,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg.lapack
 
+from . import _lapack
 from .design import DesignMatrix, QRBlock
 from .dgp import check_finite_y
 from .errors import NumericalError, RankDeficiencyError
 
 DEFAULT_RANK_TOL = 1e-10
-
-(_TRTRS,) = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class FitResult:
         for block, rank in zip(self.design.qr, self.block_ranks):
             if rank == 0:
                 continue
-            r_inv, info = scipy.linalg.lapack.dtrtri(block.r[:rank, :rank])
+            r_inv, info = _lapack.dtrtri(block.r[:rank, :rank])
             if info != 0:
                 labels = ", ".join(self.labels[i] for i in block.columns[block.pivots[:rank]])
                 raise NumericalError(f"cannot invert R of the block with columns {labels}: "
@@ -299,9 +300,9 @@ def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     arithmetic differs in the last bits.
     """
     if r.flags.f_contiguous:
-        x, info = _TRTRS(r, b)
+        x, info = _lapack.dtrtrs(r, b)
     else:
-        x, info = _TRTRS(r.T, b, lower=1, trans=1)
+        x, info = _lapack.dtrtrs(r.T, b, lower=1, trans=1)
     if info != 0:
         raise NumericalError(f"LAPACK dtrtrs info={info}")
     return x

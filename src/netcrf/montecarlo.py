@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from itertools import repeat
@@ -227,6 +226,9 @@ def _run_scenarios(config: MCConfig, scenarios) -> _Summary:
     params = tuple(replace(config, scenario=scenario).params() for scenario in scenarios)
     indices = range(config.repetitions)
     if config.n_jobs > 1 and config.repetitions > 1:
+        # imported here: the pool's modules cost a one-worker run ~20 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
             per_rep = list(pool.map(_replicate, repeat(config), repeat(params), indices,
                                     chunksize=16))

@@ -221,6 +221,36 @@ class TestFit:
         assert (code, out) == (3, "")
         assert err == "data error: frame CSV row 5: duplicate unit id 7\n"
 
+    def test_frame_without_rows_is_data_error(self, tmp_path, capsys):
+        # a one-unit network has no friends, so simulate writes a header only
+        run_cli(capsys, "simulate", "--n-units", "1", "--out", str(tmp_path))
+        frame = tmp_path / "frame.csv"
+        code, out, err = run_cli(capsys, "fit", "--frame", str(frame), "--model", "t",
+                                 "--out", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err == f"data error: frame CSV {frame} has no rows; nothing to estimate on\n"
+
+    @pytest.mark.parametrize("first, second, normal", [
+        ("crf2:J=2", "crf2:J=2,t_order=1", "crf2:J=2"),
+        ("t", "t", "t"),
+        ("crf1short:f=4", "crf1short:f=04", "crf1short:f=4"),
+    ])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_repeated_model_spec_is_usage_error(self, tmp_path, capsys, first, second, normal,
+                                                source):
+        # the frame is never read: the specs are checked first
+        argv = ["fit", "--frame", str(tmp_path / "absent.csv"), "--out", str(tmp_path)]
+        if source == "flags":
+            argv += ["--model", "tr", "--model", first, "--model", second]
+        else:
+            config = tmp_path / "fit.json"
+            config.write_text(json.dumps({"models": ["tr", first, second]}))
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: model spec {second!r} repeats {first!r}: both are {normal}\n"
+        assert not list(tmp_path.glob("fit_*.json"))
+
     @pytest.mark.parametrize("line", ["# [1, 2]", "# 5", '# "n_total"', '# [["n_total", 1]]'])
     def test_comment_that_is_not_a_json_object_is_skipped(self, noiseless_frame_path, tmp_path,
                                                           capsys, line):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -20,6 +20,7 @@ from netcrf import (
     recover_effect_table,
     simulate_frame,
 )
+from netcrf import _lapack
 from netcrf.design import _pivoted_qr
 from netcrf.lsq import DEFAULT_RANK_TOL, _solve_upper
 from conftest import cell_means, identified_effects, make_frame
@@ -509,7 +510,7 @@ class TestMinPivotRatio:
         # retained pivots are nonzero, so dtrtri cannot fail here: fake its failure
         x, y = near_collinear_system()
         result = fit(x, y)
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", lambda r: (r, 3))
+        monkeypatch.setattr(_lapack, "dtrtri", lambda r: (r, 3))
         with pytest.raises(NumericalError, match=r"columns 1, a, a_near: LAPACK dtrtri info=3"):
             result.vcov_robust
 
@@ -613,6 +614,9 @@ class TestDirectLapack:
 
     @settings(deadline=None, max_examples=300)
     @given(float_blocks())
+    @example(np.zeros((0, 4)))
+    @example(np.zeros((5, 0)))
+    @example(np.zeros((0, 0)))
     def test_pivoted_qr_equals_scipy(self, a):
         want = scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
         got = _pivoted_qr(a.copy())
@@ -633,6 +637,17 @@ class TestDirectLapack:
         want = scipy.linalg.solve_triangular(r, b, check_finite=False)
         got = _solve_upper(r, b.copy())
         assert np.array_equal(got, want) and same_bits(got, want)
+
+    @settings(deadline=None, max_examples=100)
+    @given(float_blocks())
+    def test_triangular_inverse_equals_scipy(self, a):
+        _, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
+        rank = rank_of(r)
+        if rank == 0:
+            return
+        r = r[:rank, :rank]
+        got, want = _lapack.dtrtri(r), scipy.linalg.lapack.dtrtri(r)
+        assert got[1] == want[1] == 0 and same_bits(got[0], want[0])
 
 
 class TestResultsOnDemand:
