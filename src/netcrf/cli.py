@@ -205,15 +205,14 @@ def _check_outcomes(rows, y: np.ndarray, d: np.ndarray, what: str) -> None:
 
 
 def _load_real_data(nodes_path: str, edges_path: str) -> SampleFrame:
-    """Real-data mode: nodes.csv has header id,y,d; edges.csv has src,dst."""
+    """Real-data mode: nodes.csv has header id,y,d; edges.csv has src,dst.
+    The frame holds the units with F > 0, and may be empty."""
     (ids, y, d), rows = read_table(read_text(nodes_path, "nodes"), ("id", "y", "d"), "nodes",
                                    (int, float, int), "nodes row {line}: malformed row {row!r}")
     _check_outcomes(rows, y, d, "nodes")
     network = ingest_edges(ids, rows[0], edges_path)
     t = treated_neighbor_counts(network, d)
     retained = network.degree > 0
-    if not retained.any():
-        raise DataError("no units with F > 0; nothing to estimate on")
     return SampleFrame(
         y=y[retained], d=d[retained], t=t[retained],
         f=network.degree[retained], ids=ids[retained], n_total=network.n,
@@ -302,18 +301,22 @@ def cmd_fit(args: argparse.Namespace) -> int:
     edges_path = _merged(args, config, "edges")
     if frame_path is not None:
         frame, frame_meta = read_frame_csv(frame_path)
-        if frame.n_selected == 0:
-            raise DataError(f"frame CSV {frame_path} has no rows; nothing to estimate on")
+        empty = f"frame CSV {frame_path} has no rows"
     elif nodes_path is not None and edges_path is not None:
         frame = _load_real_data(nodes_path, edges_path)
         frame_meta = {"nodes": str(nodes_path), "edges": str(edges_path)}
+        empty = f"nodes file {nodes_path} and edges file {edges_path} have no units with F > 0"
     else:
         raise UsageError("provide --frame, or both --nodes and --edges")
+    if frame.n_selected == 0:
+        raise DataError(f"{empty}; nothing to estimate on")
 
     rank_policy = _merged(args, config, "rank_policy", "auto")
     if rank_policy not in ("auto", "error", "drop"):
         raise UsageError("--rank-policy must be auto, error, or drop")
 
+    # every spec is fitted before any file is written, so a failing spec leaves none
+    fits = []
     for spec in specs:
         text = format_model_spec(spec)
         policy = rank_policy
@@ -324,10 +327,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             work = frame.restrict_to_f(spec.f)
             if work.n_selected == 0:
                 raise DataError(f"no rows with F={spec.f} for {text}")
-        design = build_design(work, spec)
-        result = lsq_fit(design, work.y, on_rank_deficiency=policy)
-        table = recover_effect_table(result, spec, work.f)
+        result = lsq_fit(build_design(work, spec), work.y, on_rank_deficiency=policy)
+        fits.append((text, policy, result, recover_effect_table(result, spec, work.f)))
 
+    for text, policy, result, table in fits:
         metadata = {
             "command": "fit",
             "package_version": __version__,

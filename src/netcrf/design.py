@@ -158,22 +158,6 @@ def format_model_spec(spec: ModelSpec) -> str:
     return spec.kind.value
 
 
-@dataclass(frozen=True)
-class QRBlock:
-    """Economic column-pivoted QR ``(q, r, pivots)`` of one diagonal block of a design.
-
-    ``rows`` holds the indices of the block's cells, i.e. rows of the design's
-    ``cell_values``, ``columns`` its design column indices, both in ascending
-    order, and ``pivots`` indexes ``columns``.
-    """
-
-    rows: np.ndarray
-    columns: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-    pivots: np.ndarray
-
-
 class DesignMatrix:
     """Design matrix plus per-column labels, stored by cell.
 
@@ -184,6 +168,10 @@ class DesignMatrix:
     function of (d, t, f) alone. A design built directly from ``values`` has
     one cell per row with count 1. ``values`` is the read-only n x k
     unit-level matrix, gathered from the cells on first use.
+
+    ``own_cell`` is None except for the saturated designs of
+    :func:`build_design`, where it holds per column the index of its own
+    cell, the lowest cell the column reaches, or -1 when no unit is in it.
     """
 
     def __init__(self, values, labels):
@@ -199,22 +187,25 @@ class DesignMatrix:
         bad = _non_finite(values, labels, np.arange(n))
         if bad:
             raise ValueError(bad)
-        self._set(values, labels, np.ones(n, dtype=np.int64), np.arange(n))
+        self._set(values, labels, np.ones(n, dtype=np.int64), np.arange(n), None)
 
     @classmethod
-    def from_cells(cls, cell_values, labels, cell_counts, cell_of_unit) -> "DesignMatrix":
+    def from_cells(cls, cell_values, labels, cell_counts, cell_of_unit,
+                   own_cell=None) -> "DesignMatrix":
         """The design whose unit ``i`` has row ``cell_values[cell_of_unit[i]]``;
-        the caller guarantees finite values and unique labels."""
+        the caller guarantees finite values, unique labels and, with
+        ``own_cell``, that every cell owns exactly one column."""
         design = cls.__new__(cls)
         design._set(np.asarray(cell_values, dtype=float), tuple(labels),
-                    np.asarray(cell_counts), np.asarray(cell_of_unit))
+                    np.asarray(cell_counts), np.asarray(cell_of_unit), own_cell)
         return design
 
-    def _set(self, cell_values, labels, cell_counts, cell_of_unit) -> None:
+    def _set(self, cell_values, labels, cell_counts, cell_of_unit, own_cell) -> None:
         cell_values.setflags(write=False)
         self.cell_values, self.labels = cell_values, labels
         self.cell_counts, self.cell_of_unit = cell_counts, cell_of_unit
         self.cell_weights = np.sqrt(cell_counts)
+        self.own_cell = own_cell
 
     @property
     def n_rows(self) -> int:
@@ -243,18 +234,10 @@ class DesignMatrix:
         return a[self.cell_of_unit]
 
     @cached_property
-    def qr(self) -> tuple[QRBlock, ...]:
-        """Pivoted QR of each diagonal block of the sqrt(count)-weighted cell
-        rows, shared by every fit of the matrix.
-
-        A block is a connected set of rows and columns in the nonzero pattern,
-        so the design is block-diagonal up to a permutation; blocks come in
-        the order of their first column. A design with a column that has no
-        zero entry (``1``, ``F^0``) is one block.
-        """
-        weighted = self.cell_values * self.cell_weights[:, None]
-        return tuple(QRBlock(rows, columns, *_pivoted_qr(block))
-                     for rows, columns, block in _diagonal_blocks(weighted))
+    def qr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Economic column-pivoted QR ``(q, r, pivots)`` of the sqrt(count)-weighted
+        cell rows, computed on first use and shared by every fit of the matrix."""
+        return _pivoted_qr(self.cell_values * self.cell_weights[:, None])
 
 
 def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,7 +246,7 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     LAPACK ``dgeqp3`` and ``dorgqr`` are called as scipy calls them (a
     workspace query, then the call), without its per-call validation, which
-    costs more than the factorization of a design's ~100 x 10 block. An empty
+    costs more than the factorization of a ~100 x 10 cell design. An empty
     ``a`` gets scipy's empty results without a LAPACK call.
     """
     m, n = a.shape
@@ -298,37 +281,6 @@ def _non_finite(values: np.ndarray, labels, cell_of_unit: np.ndarray) -> str | N
     cell = int(cell_of_unit[row])
     col = int(np.argmax(~finite[cell]))
     return f"design row {row}, column {labels[col]!r} is not finite ({values[cell, col]})"
-
-
-def _diagonal_blocks(values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, columns, values) of each connected block of the nonzero pattern,
-    by first column.
-
-    A block grows from its first column: take the rows where its columns are
-    nonzero, then every column nonzero in those rows, until no column is new.
-    All-zero rows belong to no block, and an all-zero column is a block
-    without rows. A column without zeros joins every row and column into one
-    block when no column is all zero, and that block is ``values`` itself.
-    """
-    m, k = values.shape
-    nonzero = values != 0
-    if m and nonzero.all(axis=0).any() and nonzero.any(axis=0).all():
-        return [(np.arange(m), np.arange(k), values)]
-    blocks, seen = [], np.zeros(k, dtype=bool)
-    for first in range(k):
-        if seen[first]:
-            continue
-        cols = np.arange(k) == first
-        while True:
-            rows = nonzero[:, cols].any(axis=1)
-            grown = cols | nonzero[rows].any(axis=0)
-            if (grown == cols).all():
-                break
-            cols = grown
-        seen |= cols
-        rows, cols = np.flatnonzero(rows), np.flatnonzero(cols)
-        blocks.append((rows, cols, values[np.ix_(rows, cols)]))
-    return blocks
 
 
 def design_values(labels, d, t, f) -> np.ndarray:
@@ -374,16 +326,34 @@ def _atom(atom: str, label: str, d, t, f):
     raise ValueError(f"unknown column atom {atom!r} in label {label!r}")
 
 
-def _crf1_long_labels(f_max: int, t_max: int) -> list[str]:
-    labels = []
-    for f in range(1, f_max + 1):
-        labels.append(f"F={f}")
-        labels.append(f"D:F={f}")
-        for t in range(1, min(f, t_max) + 1):
-            labels.append(f"T={t}:F={f}")
-        for t in range(1, min(f, t_max) + 1):
-            labels.append(f"D:T={t}:F={f}")
-    return labels
+def _saturated_columns(f_values, t_max: int, with_f: bool) -> tuple[list[str], list]:
+    """Labels of a saturated design and the own cell (d, t, f) of each column.
+
+    Per f: ``F=f``, ``D:F=f``, ``T=t:F=f`` for ``t <= min(f, t_max)``, then
+    ``D:T=t:F=f``; without ``with_f`` the ``:F=f`` atom is left out and
+    ``F=f`` is ``1``. A column's own cell is the lowest cell in (f, t, d)
+    order that it reaches: d and t are 0 unless its label sets them.
+    """
+    labels, owners = [], []
+    for f in f_values:
+        treated = range(1, min(f, t_max) + 1)
+        tail = f":F={f}" if with_f else ""
+        labels += [f"F={f}" if with_f else "1", "D" + tail,
+                   *(f"T={t}{tail}" for t in treated), *(f"D:T={t}{tail}" for t in treated)]
+        owners += [(0, 0, f), (1, 0, f), *((0, t, f) for t in treated),
+                   *((1, t, f) for t in treated)]
+    return labels, owners
+
+
+def _cell_index(owners, cells) -> np.ndarray:
+    """Index of each (d, t, f) of ``owners`` among the occupied ``cells``, -1
+    where no unit is in it; cells come in ascending (f, t, d) order."""
+    d, t, f = np.array(owners, dtype=np.int64).T
+    width = int(max(t.max(), cells.t.max())) + 1
+    keys = (cells.f * width + cells.t) * 2 + cells.d
+    wanted = (f * width + t) * 2 + d
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return np.where(keys[at] == wanted, at, -1)
 
 
 def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
@@ -400,13 +370,17 @@ def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
       crf1short  [1, D, T=1..T=f, D:T=1..D:T=f]; frame must satisfy F == f
 
     The labels are evaluated once per occupied (d, t, f) cell of the frame
-    (:attr:`SampleFrame.cells`). An entry that is not finite, such as an
+    (:attr:`SampleFrame.cells`). The two saturated designs record the own
+    cell of each column (:attr:`DesignMatrix.own_cell`); since rows beyond
+    their support are rejected, every occupied cell owns exactly one column.
+    An entry that is not finite, such as an
     ``F^j`` beyond the float64 range, raises :class:`NumericalError` naming
     the first unit row it reaches and the column label.
     """
     if frame.n_selected == 0:
         raise ValueError("cannot build a design matrix on an empty frame")
 
+    owners = None
     if spec.kind == ModelKind.T:
         labels = ["1", "D", "T", "F"]
     elif spec.kind == ModelKind.R:
@@ -428,13 +402,11 @@ def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
         if (frame.t > t_max).any():
             bad = int(frame.t[frame.t > t_max][0])
             raise OutOfSupportError(f"frame contains T={bad} beyond t_max={t_max}")
-        labels = _crf1_long_labels(f_max, t_max)
+        labels, owners = _saturated_columns(range(1, f_max + 1), t_max, with_f=True)
     elif spec.kind == ModelKind.CRF1_SHORT:
         if (frame.f != spec.f).any():
             raise ValueError(f"crf1short:f={spec.f} requires a frame restricted to F={spec.f}")
-        labels = ["1", "D"]
-        labels += [f"T={k}" for k in range(1, spec.f + 1)]
-        labels += [f"D:T={k}" for k in range(1, spec.f + 1)]
+        labels, owners = _saturated_columns([spec.f], spec.f, with_f=False)
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unsupported model kind {spec.kind}")
 
@@ -444,5 +416,6 @@ def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
     bad = _non_finite(values, labels, cells.of_unit)
     if bad:
         raise NumericalError(bad)
-    return DesignMatrix.from_cells(values, labels, cells.counts, cells.of_unit)
+    own_cell = None if owners is None else _cell_index(owners, cells)
+    return DesignMatrix.from_cells(values, labels, cells.counts, cells.of_unit, own_cell)
 

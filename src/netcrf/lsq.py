@@ -1,11 +1,13 @@
 """Ordinary least squares with rank diagnostics; the shared numerical core.
 
-Fitting goes through column-pivoted QR factorizations with tolerance-based
-rank detection. Rank-deficient designs either raise (policy ``error``,
-appropriate for the linear models, which should never be silently altered)
-or drop the pivoted-out columns (policy ``drop``, appropriate for saturated
-dummy designs whose empty cells legitimately produce zero columns). Normal
-equations exist in the test suite only, as an independent oracle.
+A saturated dummy design keeps the columns of its occupied cells; every
+other design goes through one column-pivoted QR with tolerance-based rank
+detection (``rank_tol`` applies to these only). Rank-deficient designs
+either raise (policy ``error``, appropriate for the linear models, which
+should never be silently altered) or drop the columns left out (policy
+``drop``, appropriate for saturated dummy designs whose empty cells
+legitimately produce zero columns). Normal equations exist in the test
+suite only, as an independent oracle.
 
 **Cells.** A design stores one row ``x_c`` per cell ``c`` with its unit
 count ``n_c`` (:class:`DesignMatrix`); :func:`build_design` makes a cell of
@@ -26,24 +28,31 @@ variance, the sum of squared residuals: its meat is
 directly from a matrix has one cell per row with count 1 and is fitted
 with the same arithmetic as a unit-level design.
 
-The factorization belongs to the design (:attr:`DesignMatrix.qr`): it is
-computed by the first fit of a matrix and reused by every later fit of the
-same matrix. It is one pivoted QR per diagonal block of the weighted cell
-rows, a block being a connected set of rows and columns in the nonzero
-pattern. Every linear design has a column without zeros (``1`` or ``F^0``)
-and is one block; a ``crf1long`` design has one block per friend count.
-**Rank rule:** a block keeps its leading pivots whose magnitude exceeds ``rank_tol`` times that
-block's largest pivot and drops the rest; the fit's rank is the sum over
-blocks, and ``dropped_columns`` the union. Coefficients, fitted values,
-residuals, ``(X'X)^-1`` and both variance matrices assemble block by block,
-so no product runs over the whole design; ``min_pivot_ratio`` reports the
-smallest retained pivot relative to its block's largest, i.e. how close the
-fit came to dropping another column.
+**Saturated designs.** A ``crf1long`` or ``crf1short`` design has one
+column per possible (d, t, f) cell, and each column has an *own cell*, the
+lowest cell in (f, t, d) order that it reaches: ``F=f`` (or ``1``) owns
+(0, 0, f), ``D:F=f`` (or ``D``) owns (1, 0, f), ``T=t:F=f`` owns (0, t, f)
+and ``D:T=t:F=f`` owns (1, t, f). :func:`build_design` records it
+(:attr:`DesignMatrix.own_cell`), and every occupied cell owns exactly one
+column. A fit keeps exactly the columns whose own cell is occupied and
+drops the rest. In cell order, the kept columns make the weighted cell rows
+square and lower triangular, with ``sqrt(n_c)`` on the diagonal, so the fit
+needs no QR and no tolerance: the coefficients are one triangular solve per
+outcome, the fitted values are the cell means, the rank is the number of
+occupied cells and ``min_pivot_ratio`` is None.
 
-**Inverse.** A block's ``(X'X)^-1`` over its retained columns is
-``R^-1 R^-T``, with ``R^-1`` from LAPACK ``dtrtri``: for blocks of up to
-~20 columns that is unblocked level-2 work on the calling thread.
-``solve_triangular(R, I)`` gives the same numbers to roundoff, but its
+**Other designs** are one pivoted QR of the weighted cell rows
+(:attr:`DesignMatrix.qr`), computed by the first fit of a matrix and reused
+by every later fit of the same matrix. **Rank rule:** the fit keeps the
+leading pivots whose magnitude exceeds ``rank_tol`` times the largest and
+drops the rest; ``min_pivot_ratio`` reports the smallest retained pivot
+relative to the largest, i.e. how close the fit came to dropping another
+column.
+
+**Inverse.** Both kinds end with one triangular factor ``T`` over the kept
+columns, ``R`` of the QR or the square saturated one, and ``(X'X)^-1`` is
+``T^-1 T^-T``, with ``T^-1`` from LAPACK ``dtrtri``.
+``solve_triangular(T, I)`` gives the same numbers to roundoff, but its
 matrix right-hand side goes to OpenBLAS's threaded level-3 ``trsm``, which
 first wakes the BLAS threads that fell asleep between fits. In a loop of
 ``fit`` runs with six specs on N=2000 networks (2-vCPU VM, two OpenBLAS
@@ -54,7 +63,7 @@ threads its ``lauum``.
 ``y`` may also hold several outcomes as columns, shape ``(n, s)`` as in
 ``numpy.linalg.lstsq``; one call then computes the rank and the dropped
 columns once and solves each column with exactly the one-outcome
-arithmetic (its own ``Q'y`` and triangular solve per block), so a column's
+arithmetic (its own right-hand side and triangular solve), so a column's
 numbers never depend on the columns fitted alongside it.
 
 **On demand.** A fit stores its cell fits; the unit-level ``fitted`` and
@@ -85,7 +94,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _lapack
-from .design import DesignMatrix, QRBlock
+from .design import DesignMatrix
 from .dgp import check_finite_y
 from .errors import NumericalError, RankDeficiencyError
 
@@ -99,11 +108,13 @@ class FitResult:
 
     For an ``(n, s)`` outcome, ``coefficients`` is ``(k, s)`` and
     ``residuals``/``fitted`` are ``(n, s)``, one column per outcome.
-    ``block_ranks`` holds the rank of each block of ``design.qr``, and
-    ``min_pivot_ratio`` the smallest retained pivot over its block's largest
-    (None at rank 0). ``cell_fitted`` holds the fitted value of each design
-    cell, ``(n_cells, s)``; ``fitted`` and ``residuals`` repeat it for each
-    unit on first read.
+    ``min_pivot_ratio`` is the smallest retained pivot of the QR over its
+    largest (None at rank 0 and for a saturated design). ``factor`` is the
+    triangular factor over the retained columns, lower for a saturated
+    design and upper otherwise, and ``factor_columns`` the design columns in
+    its order. ``cell_fitted`` holds the fitted value of each design cell,
+    ``(n_cells, s)``; ``fitted`` and ``residuals`` repeat it for each unit
+    on first read.
     """
 
     coefficients: np.ndarray
@@ -112,7 +123,8 @@ class FitResult:
     dropped_columns: tuple[str, ...]
     n: int
     min_pivot_ratio: float | None
-    block_ranks: tuple[int, ...] = field(repr=False)
+    factor: np.ndarray = field(repr=False, compare=False)
+    factor_columns: np.ndarray = field(repr=False, compare=False)
     design: DesignMatrix = field(repr=False, compare=False)
     y: np.ndarray = field(repr=False, compare=False)
     cell_fitted: np.ndarray = field(repr=False, compare=False)
@@ -136,36 +148,15 @@ class FitResult:
             raise ValueError(f"{what} needs a one-outcome fit, got {self.n_outcomes} outcomes")
 
     @cached_property
-    def _blocks(self) -> list[tuple[QRBlock, np.ndarray, np.ndarray]]:
-        """Per block with retained columns: the block, those columns ascending,
-        and their (X'X)^-1 in that order."""
-        out = []
-        for block, rank in zip(self.design.qr, self.block_ranks):
-            if rank == 0:
-                continue
-            r_inv, info = _lapack.dtrtri(block.r[:rank, :rank])
-            if info != 0:
-                labels = ", ".join(self.labels[i] for i in block.columns[block.pivots[:rank]])
-                raise NumericalError(f"cannot invert R of the block with columns {labels}: "
-                                     f"LAPACK dtrtri info={info}")
-            order = np.argsort(block.pivots[:rank])
-            out.append((block, np.sort(block.columns[block.pivots[:rank]]),
-                        (r_inv @ r_inv.T)[np.ix_(order, order)]))
-        return out
-
-    def _block_diagonal(self, pieces) -> np.ndarray:
-        """Assemble per-block square matrices over all retained columns, ascending."""
-        retained = np.sort(np.concatenate([cols for _, cols, _ in self._blocks]))
-        out = np.zeros((self.rank, self.rank))
-        for (_, cols, _), piece in zip(self._blocks, pieces):
-            at = np.searchsorted(retained, cols)
-            out[np.ix_(at, at)] = piece
-        return out
-
-    @cached_property
     def _xtx_inv(self) -> np.ndarray:
         """(X'X)^-1 over the retained columns, in ascending column order."""
-        return self._block_diagonal([inv for _, _, inv in self._blocks])
+        t_inv, info = _lapack.dtrtri(self.factor, lower=self.design.own_cell is not None)
+        if info != 0:
+            labels = ", ".join(self.labels[i] for i in self.factor_columns)
+            raise NumericalError(f"cannot invert the triangular factor of columns {labels}: "
+                                 f"LAPACK dtrtri info={info}")
+        order = np.argsort(self.factor_columns)
+        return (t_inv @ t_inv.T)[np.ix_(order, order)]
 
     @cached_property
     def vcov_classical(self) -> np.ndarray | None:
@@ -186,12 +177,9 @@ class FitResult:
             return np.zeros((0, 0))
         x = self.design
         residual_scale = np.sqrt(x.cell_sums(np.square(self.residuals)))
-        pieces = []
-        for block, cols, inv in self._blocks:
-            weighted = x.cell_values[block.rows][:, cols] * residual_scale[block.rows, None]
-            meat = weighted.T @ weighted
-            pieces.append(inv @ meat @ inv)
-        return _symmetrize(self._block_diagonal(pieces))
+        weighted = x.cell_values[:, np.sort(self.factor_columns)] * residual_scale[:, None]
+        inv = self._xtx_inv
+        return _symmetrize(inv @ (weighted.T @ weighted) @ inv)
 
     def coef(self, label: str) -> float | None:
         """Coefficient by column label; None when the column was dropped."""
@@ -224,14 +212,14 @@ def fit(
 ) -> FitResult:
     """Least-squares fit of ``y``, shape ``(n,)`` or ``(n, s)``, on the columns of ``x``.
 
-    The design is factored block by block (:attr:`DesignMatrix.qr`). A
-    block's rank is the number of its leading pivots whose magnitude exceeds
-    ``rank_tol`` times the block's largest pivot; the fit's rank is their
-    sum. With ``on_rank_deficiency="drop"`` the pivoted-out columns of
-    every block are reported in ``dropped_columns`` and their
-    coefficients are NaN; with ``"error"`` a deficient design raises
-    :class:`RankDeficiencyError` listing the dependent columns. A non-finite
-    ``y`` raises ValueError naming its first bad entry.
+    A saturated design (``x.own_cell`` set) keeps the columns whose own cell
+    is occupied. Any other design is factored by one pivoted QR
+    (:attr:`DesignMatrix.qr`), and its rank is the number of leading pivots
+    whose magnitude exceeds ``rank_tol`` times the largest. With
+    ``on_rank_deficiency="drop"`` the other columns are reported in
+    ``dropped_columns`` and their coefficients are NaN; with ``"error"`` a
+    deficient design raises :class:`RankDeficiencyError` listing them. A
+    non-finite ``y`` raises ValueError naming its first bad entry.
     """
     if on_rank_deficiency not in ("error", "drop"):
         raise ValueError(f"unknown rank policy {on_rank_deficiency!r}")
@@ -243,37 +231,44 @@ def fit(
         raise ValueError("need at least one observation")
     check_finite_y(y)
 
-    block_ranks, ratios = [], []
-    for block in x.qr:
-        diag = np.abs(np.diag(block.r))
+    saturated = x.own_cell is not None
+    min_pivot_ratio = None
+    if saturated:
+        # in cell order, the kept columns' weighted cell rows are square and lower triangular
+        kept = np.flatnonzero(x.own_cell >= 0)
+        kept = kept[np.argsort(x.own_cell[kept])]
+        rank = kept.size
+        factor = x.cell_values[:, kept] * x.cell_weights[:, None]
+    else:
+        q, r, pivots = x.qr
+        diag = np.abs(np.diag(r))
         largest = diag[0] if diag.size else 0.0
-        if largest == 0.0:
-            block_ranks.append(0)
-            continue
-        below = diag <= rank_tol * largest
-        block_ranks.append(int(np.argmax(below)) if below.any() else int(diag.size))
-        ratios.append(diag[:block_ranks[-1]].min() / largest)
-    rank = sum(block_ranks)
+        rank = 0
+        if largest != 0.0:
+            below = diag <= rank_tol * largest
+            rank = int(np.argmax(below)) if below.any() else int(diag.size)
+            min_pivot_ratio = float(diag[:rank].min() / largest)
+        kept, factor = pivots[:rank], r[:rank, :rank]
 
-    dropped_idx = [i for b, r in zip(x.qr, block_ranks) for i in b.columns[b.pivots[r:]]]
-    dropped = tuple(x.labels[i] for i in sorted(dropped_idx))
+    is_dropped = np.ones(k, dtype=bool)
+    is_dropped[kept] = False
+    dropped = tuple(x.labels[i] for i in np.flatnonzero(is_dropped))
     if dropped and on_rank_deficiency == "error":
         raise RankDeficiencyError(dropped)
 
     columns = [y] if y.ndim == 1 else list(np.asfortranarray(y).T)
-    cell_columns = [x.cell_sums(column) / x.cell_weights for column in columns]
     coefficients = np.full((k, len(columns)), np.nan)
     cell_fitted = np.zeros((x.n_cells, len(columns)))
-    for block, block_rank in zip(x.qr, block_ranks):
-        if block_rank == 0:
-            continue
-        kept = block.columns[block.pivots[:block_rank]]
-        r = block.r[:block_rank, :block_rank]
-        retained = x.cell_values[block.rows][:, kept]
-        for j, column in enumerate(cell_columns):
-            beta = _solve_upper(r, (block.q.T @ column[block.rows])[:block_rank])
-            coefficients[kept, j] = beta
-            cell_fitted[block.rows, j] = retained @ beta
+    retained = None if saturated else x.cell_values[:, kept]
+    for j, column in enumerate(columns if rank else ()):
+        sums = x.cell_sums(column)
+        if saturated:
+            beta = _solve_triangular(factor, sums / x.cell_weights, lower=True)
+            cell_fitted[:, j] = sums / x.cell_counts
+        else:
+            beta = _solve_triangular(factor, (q.T @ (sums / x.cell_weights))[:rank], lower=False)
+            cell_fitted[:, j] = retained @ beta
+        coefficients[kept, j] = beta
     if y.ndim == 1:
         coefficients = coefficients[:, 0]
 
@@ -283,26 +278,28 @@ def fit(
         rank=rank,
         dropped_columns=dropped,
         n=n,
-        min_pivot_ratio=float(min(ratios)) if ratios else None,
-        block_ranks=tuple(block_ranks),
+        min_pivot_ratio=min_pivot_ratio,
+        factor=factor,
+        factor_columns=kept,
         design=x,
         y=y,
         cell_fitted=cell_fitted,
     )
 
 
-def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(r, b, check_finite=False)`` for an upper
-    triangular ``r`` with a nonzero diagonal and a nonempty ``b``, bit for bit.
+def _solve_triangular(r: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(r, b, lower=lower, check_finite=False)``
+    for a triangular ``r`` with a nonzero diagonal and a nonempty ``b``, bit
+    for bit.
 
     Like scipy, it calls LAPACK ``dtrtrs`` on ``r`` when ``r`` is
     F-contiguous and otherwise solves the transposed system on ``r.T``, whose
     arithmetic differs in the last bits.
     """
     if r.flags.f_contiguous:
-        x, info = _lapack.dtrtrs(r, b)
+        x, info = _lapack.dtrtrs(r, b, lower=lower)
     else:
-        x, info = _lapack.dtrtrs(r.T, b, lower=1, trans=1)
+        x, info = _lapack.dtrtrs(r.T, b, lower=not lower, trans=1)
     if info != 0:
         raise NumericalError(f"LAPACK dtrtrs info={info}")
     return x
@@ -310,4 +307,3 @@ def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
-

@@ -54,10 +54,10 @@ def cell_means(frame):
 def identified_effects(means, f, t):
     """Effect fields pinned by occupied (d, t, f) cells.
 
-    A saturated-fit coefficient is a well-defined cell-mean contrast only
-    when every cell entering the contrast is occupied; otherwise exactly
-    collinear dummy twins exist and which twin survives pivoting (and hence
-    the attribution of the combined contrast) is arbitrary.
+    A saturated-fit field is its cell-mean contrast only when every cell
+    entering the contrast is occupied. Otherwise a kept column may still
+    carry it, as another contrast: with (0, 0, f) empty, for example,
+    ``D:F=f`` is the level of (1, 0, f), not the direct effect.
     """
     names = []
     if (0, 0, f) in means:

@@ -119,8 +119,7 @@ def test_criterion_3_saturated_oracle():
     )
 
     # compare only effects identified by occupied cells: when a companion
-    # cell is empty, exactly collinear dummy twins exist and the surviving
-    # twin's combined contrast has arbitrary attribution
+    # cell is empty, a field present in both fits is another contrast
     from conftest import identified_effects
 
     long_table = recover_effect_table(long_fit, long_spec, frame.f)

@@ -369,6 +369,49 @@ class TestFit:
         assert coef["F"] == pytest.approx(-0.25, abs=1e-8)
 
 
+    def test_failing_spec_writes_no_file(self, noiseless_frame_path, tmp_path, capsys):
+        # the first spec fits; the second has no rows, so neither writes a file
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "fit", "--frame", str(noiseless_frame_path),
+                                 "--model", "t", "--model", "crf1short:f=40",
+                                 "--out", str(out_dir))
+        assert (code, out) == (3, "")
+        assert err == "data error: no rows with F=40 for crf1short:f=40\n"
+        assert list(out_dir.iterdir()) == []
+
+    def test_network_without_friendships_names_both_files(self, tmp_path, capsys):
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+        nodes.write_text("id,y,d\n1,0.5,1\n2,1.5,0\n")
+        edges.write_text("src,dst\n")
+        code, out, err = run_cli(capsys, "fit", "--nodes", str(nodes), "--edges", str(edges),
+                                 "--model", "t", "--out", str(tmp_path / "out"))
+        assert (code, out) == (3, "")
+        assert err == (f"data error: nodes file {nodes} and edges file {edges} have no units "
+                       "with F > 0; nothing to estimate on\n")
+
+    def test_saturated_error_policy_names_the_columns_of_empty_cells(self, tmp_path, capsys):
+        # cells (0,0,1) (1,0,1) (0,1,1) (0,0,2); t_max = 1
+        frame = tmp_path / "frame.csv"
+        frame.write_text('# {"n_total": 4}\nid,y,d,t,f\n'
+                         "1,0.5,0,0,1\n2,1.5,1,0,1\n3,2.5,0,1,1\n4,3.0,0,0,2\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "fit", "--frame", str(frame), "--model", "crf1long",
+                                 "--rank-policy", "error", "--out", str(out_dir))
+        assert (code, out) == (4, "")
+        assert err == ("numerical failure: design matrix is rank deficient; dependent columns: "
+                       "D:T=1:F=1, D:F=2, T=1:F=2, D:T=1:F=2\n")
+        assert list(out_dir.iterdir()) == []
+
+    def test_only_qr_fits_report_a_pivot_ratio(self, noiseless_frame_path, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "fit", "--frame", str(noiseless_frame_path), "--model", "tr",
+                             "--model", "crf1long", "--model", "crf1short:f=2",
+                             "--out", str(tmp_path))
+        assert code == 0
+        ratios = {name: json.loads((tmp_path / f"fit_{name}.json").read_text())["min_pivot_ratio"]
+                  for name in ("tr", "crf1long", "crf1short-f2")}
+        assert ratios["crf1long"] is None and ratios["crf1short-f2"] is None
+        assert 0.0 < ratios["tr"] <= 1.0
+
 class TestMissingNetworkFiles:
     @pytest.mark.parametrize("missing", ["nodes", "edges"])
     @pytest.mark.parametrize("command", ["fit", "degree-stats"])

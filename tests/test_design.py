@@ -18,7 +18,6 @@ from netcrf import (
     parse_model_spec,
     simulate_frame,
 )
-from netcrf.design import _diagonal_blocks
 from conftest import make_frame
 
 
@@ -270,54 +269,50 @@ class TestNonFiniteDesign:
                 build_design(frame, ModelSpec.crf2(200))
 
 
-def grown_blocks(values):
-    """The block search without the one-block shortcut: each block grows from
-    its first column through the rows and columns its nonzeros reach."""
-    k = values.shape[1]
-    nonzero = values != 0
-    blocks, seen = [], np.zeros(k, dtype=bool)
-    for first in range(k):
-        if seen[first]:
-            continue
-        cols = np.arange(k) == first
-        while True:
-            rows = nonzero[:, cols].any(axis=1)
-            grown = cols | nonzero[rows].any(axis=0)
-            if (grown == cols).all():
-                break
-            cols = grown
-        seen |= cols
-        rows, cols = np.flatnonzero(rows), np.flatnonzero(cols)
-        blocks.append((rows, cols, values[np.ix_(rows, cols)]))
-    return blocks
-
-
 @st.composite
-def patterns_with_a_full_column(draw):
-    """Sparse matrices with a column without zeros somewhere among sparse
-    columns, and all-zero columns before and after them."""
-    m = draw(st.integers(1, 8))
-    sparse = st.lists(st.sampled_from([0.0, 0.0, 1.0, -2.5, 0.25]), min_size=m, max_size=m)
-    full = st.lists(st.sampled_from([1.0, -3.0, 0.5, 7.0]), min_size=m, max_size=m)
-    middle = draw(st.lists(sparse, max_size=5))
-    middle.insert(draw(st.integers(0, len(middle))), draw(full))
-    zeros = [0.0] * m
-    columns = [zeros] * draw(st.integers(0, 3)) + middle + [zeros] * draw(st.integers(0, 3))
-    return np.array(columns).T.copy()
+def sparse_saturated_designs(draw):
+    """A crf1long design (with or without bounds) or a crf1short design on a
+    random sparse frame: few units over many possible cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    f = rng.integers(1, draw(st.integers(1, 7)) + 1, size=n)
+    t = rng.integers(0, f + 1)
+    frame = make_frame(rng.standard_normal(n), rng.integers(0, 2, size=n), t, f)
+    kind = draw(st.sampled_from(["long", "bounded", "short"]))
+    if kind == "short":
+        f_common = int(f[0])
+        return build_design(frame.restrict_to_f(f_common), ModelSpec.crf1_short(f_common))
+    if kind == "bounded":
+        f_max = int(f.max()) + draw(st.integers(0, 2))
+        t_max = max(1, int(t.max())) + draw(st.integers(0, 2))
+        return build_design(frame, ModelSpec.crf1_long(f_max, t_max))
+    return build_design(frame, ModelSpec.crf1_long())
 
 
-class TestDiagonalBlocks:
-    @settings(deadline=None, max_examples=200)
-    @given(patterns_with_a_full_column())
-    def test_one_block_shortcut_equals_the_grown_blocks(self, values):
-        got, want = _diagonal_blocks(values), grown_blocks(values)
-        assert len(got) == len(want)
-        for (rows, cols, block), (rows_w, cols_w, block_w) in zip(got, want):
-            for a, b in ((rows, rows_w), (cols, cols_w), (block, block_w)):
-                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+class TestOwnCell:
+    @settings(deadline=None, max_examples=150)
+    @given(sparse_saturated_designs())
+    def test_each_occupied_cell_owns_one_column_that_starts_in_it(self, x):
+        own = x.own_cell
+        assert own.shape == (x.n_cols,)
+        assert sorted(own[own >= 0].tolist()) == list(range(x.n_cells))
+        for j in np.flatnonzero(own >= 0):
+            reached = np.flatnonzero(x.cell_values[:, j])
+            assert reached[0] == own[j] and x.cell_values[own[j], j] == 1.0
 
-    def test_one_block_without_empty_columns_is_the_matrix_itself(self):
-        values = np.array([[1.0, 0.0, 2.0], [3.0, 4.0, 0.0]])
-        [(rows, cols, block)] = _diagonal_blocks(values)
-        assert block is values
-        assert rows.tolist() == [0, 1] and cols.tolist() == [0, 1, 2]
+    def test_own_cells_follow_the_labels(self):
+        # cells of this frame: (0,0,1) (1,0,1) (1,1,1) (0,1,2) (1,2,2)
+        frame = make_frame(np.zeros(6), [0, 1, 1, 0, 1, 1], [0, 0, 1, 1, 2, 2], [1, 1, 1, 2, 2, 2])
+        x = build_design(frame, ModelSpec.crf1_long(f_max=2, t_max=2))
+        owners = dict(zip(x.labels, x.own_cell.tolist()))
+        assert owners == {"F=1": 0, "D:F=1": 1, "T=1:F=1": -1, "D:T=1:F=1": 2,
+                          "F=2": -1, "D:F=2": -1, "T=1:F=2": 3, "T=2:F=2": -1,
+                          "D:T=1:F=2": -1, "D:T=2:F=2": 4}
+        short = build_design(frame.restrict_to_f(2), ModelSpec.crf1_short(2))
+        assert dict(zip(short.labels, short.own_cell.tolist())) == {
+            "1": -1, "D": -1, "T=1": 0, "T=2": -1, "D:T=1": -1, "D:T=2": 1}
+
+    def test_other_designs_have_no_own_cells(self):
+        frame = make_frame(np.zeros(3), [0, 1, 1], [0, 1, 2], [1, 2, 2])
+        assert build_design(frame, ModelSpec.tr_model()).own_cell is None
+        assert DesignMatrix(values=np.eye(2), labels=("a", "b")).own_cell is None

@@ -272,8 +272,8 @@ class TestAbsentCells:
     def test_aggregate_skips_absent_cells_and_counts_their_units(self, caplog):
         # no unit has t=1 at f=2, so the network aggregate skips the two f=2
         # units; no treated unit has t=1 at all, so the interaction aggregate
-        # skips all five. Collinear dummy twins at both f make the direct
-        # effect's presence depend on which twin is dropped
+        # skips all five. No unit is in (1, 0, 2), whose column D:F=2 carries
+        # the direct effect at f=2, so the direct aggregate skips the f=2 units
         frame = make_frame([1.0, 2.0, 1.5, 0.5, 2.5],
                            [0, 1, 0, 1, 0],
                            [0, 2, 1, 0, 1],
@@ -285,7 +285,7 @@ class TestAbsentCells:
         assert table.aggregates.network is not None
         direct, network, interaction = table.aggregates.skipped_units
         assert (network, interaction) == (2, 5)
-        assert direct == sum(n for f, n in ((1, 3), (2, 2)) if table.cell(f, 1).delta0 is None)
+        assert direct == 2 == sum(n for f, n in ((1, 3), (2, 2)) if table.cell(f, 1).delta0 is None)
         assert table.aggregates.interaction is None
         assert json.loads(table.to_json())["aggregates"]["skipped_units"] == [direct, 2, 5]
         assert not caplog.records

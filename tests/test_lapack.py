@@ -16,7 +16,7 @@ from netcrf import build_design, build_geometric_network, generate_positions, pa
 from netcrf.cli import _load_real_data
 
 # the six specs of the benchmark's fit_ingest workload, and one whose
-# design has all-zero columns, i.e. QR blocks without rows, on these data
+# design has all-zero columns, the columns of empty cells, on these data
 MODELS = ("t", "r", "tr", "crf2:J=2,t_order=2", "crf1long", "crf1short:f=4", "crf1short:f=8")
 
 
@@ -52,11 +52,12 @@ def fit_argv(nodes, edges, out):
     return argv
 
 
-def test_fit_data_reach_a_qr_block_without_rows(tmp_path):
+def test_fit_data_reach_a_column_of_an_empty_cell(tmp_path):
     frame = _load_real_data(*map(str, write_network(tmp_path))).restrict_to_f(8)
     design = build_design(frame, parse_model_spec("crf1short:f=8"))
     assert frame.n_selected > 0
-    assert any(block.rows.size == 0 for block in design.qr)
+    all_zero = ~design.cell_values.any(axis=0)
+    assert all_zero.any() and (design.own_cell[all_zero] < 0).all()
 
 
 def test_fit_and_replicate_import_neither_scipy_linalg_nor_the_process_pool(tmp_path):

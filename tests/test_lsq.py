@@ -22,7 +22,7 @@ from netcrf import (
 )
 from netcrf import _lapack
 from netcrf.design import _pivoted_qr
-from netcrf.lsq import DEFAULT_RANK_TOL, _solve_upper
+from netcrf.lsq import DEFAULT_RANK_TOL, _solve_triangular
 from conftest import cell_means, identified_effects, make_frame
 
 
@@ -288,8 +288,8 @@ class TestNonFiniteOutcome:
 
 
 def saturated_frame(seed):
-    """A crf1long frame with empty F=3 cells, a one-row F=5 block and an F=6
-    block without a t=0 unit; elsewhere d and t are random."""
+    """A crf1long frame with empty F=3 cells, one F=5 unit and twelve F=6
+    units none of which has t=0; elsewhere d and t are random."""
     rng = np.random.default_rng(seed)
     f = np.concatenate([rng.choice([1, 2, 4], size=150), [5], np.full(12, 6)])
     t = rng.integers(0, f + 1)
@@ -301,7 +301,7 @@ def saturated_frame(seed):
 
 def dense_fit(x, y):
     """One dense pivoted QR of the whole design, rank against its largest pivot,
-    and the variance arithmetic of a one-block fit, written out directly."""
+    and the variance arithmetic of a QR fit, written out directly."""
     q, r, pivots = scipy.linalg.qr(x.values, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     below = diag <= DEFAULT_RANK_TOL * diag[0]
@@ -343,40 +343,15 @@ def assert_close(a, b, tol=1e-12):
 
 class TestBlockFit:
     @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_blocks_partition_the_nonzero_pattern(self, seed):
-        # block rows index the design's cells
-        x = build_design(saturated_frame(seed), ModelSpec.crf1_long())
-        cells = x.cell_values
-        covered = np.zeros(cells.shape, dtype=bool)
-        for block in x.qr:
-            rows = np.zeros(x.n_cells, dtype=bool)
-            rows[block.rows] = True
-            assert not cells[~rows][:, block.columns].any()
-            covered[np.ix_(rows, np.isin(np.arange(x.n_cols), block.columns))] = True
-        assert not cells[~covered].any()
-        assert sorted(np.concatenate([b.columns for b in x.qr]).tolist()) == list(range(x.n_cols))
-        with_rows = [b for b in x.qr if b.q.shape[0]]
-        assert len(with_rows) == 5  # F = 1, 2, 4, 5, 6
-        assert min(b.q.shape[0] for b in with_rows) == 1  # the one-unit F=5 block
-
-    @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_dropped_columns_are_spanned_within_their_block(self, seed):
-        x = build_design(saturated_frame(seed), ModelSpec.crf1_long())
-        result = fit(x, saturated_frame(seed).y, on_rank_deficiency="drop")
-        dropped = []
-        for block, rank in zip(x.qr, result.block_ranks):
-            sub = x.cell_values[block.rows][:, block.columns]
-            kept = sub[:, block.pivots[:rank]]
-            for j in block.pivots[rank:]:
-                dropped.append(block.columns[j])
-                coef = np.linalg.lstsq(kept, sub[:, j], rcond=None)[0] if rank else np.zeros(0)
-                left = np.linalg.norm(sub[:, j] - kept @ coef)
-                assert left <= 1e-10 * max(1.0, np.linalg.norm(sub[:, j]))
-        assert tuple(x.labels[i] for i in sorted(dropped)) == result.dropped_columns
-        # without a t=0 unit, F=6 is the sum of the T=t:F=6 columns: one twin goes
-        assert any(label == "F=6" or (label.startswith("T=") and label.endswith(":F=6"))
-                   for label in result.dropped_columns)
-        assert {"F=3", "D:F=3"} <= set(result.dropped_columns)
+    def test_dropped_columns_are_the_columns_of_empty_cells(self, seed):
+        frame = saturated_frame(seed)
+        x = build_design(frame, ModelSpec.crf1_long())
+        result = fit(x, frame.y, on_rank_deficiency="drop")
+        empty = tuple(label for label, own in zip(x.labels, x.own_cell) if own < 0)
+        assert result.dropped_columns == empty
+        assert result.rank == x.n_cells and result.min_pivot_ratio is None
+        # F=6 has no t=0 unit: F=6 goes, not one of its T=t:F=6 twins
+        assert {"F=3", "D:F=3", "F=6"} <= set(result.dropped_columns)
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_identified_effects_and_variances_equal_the_dense_fit(self, seed):
@@ -390,11 +365,11 @@ class TestBlockFit:
 
         as_dense = dataclasses.replace(result, coefficients=dense["coefficients"],
                                        dropped_columns=dense["dropped_columns"])
-        block_table = recover_effect_table(result, spec, frame.f)
+        cell_table = recover_effect_table(result, spec, frame.f)
         dense_table = recover_effect_table(as_dense, spec, frame.f)
         means = cell_means(frame)
         checked = 0
-        for cell in block_table.cells:
+        for cell in cell_table.cells:
             for name in identified_effects(means, cell.f, cell.t):
                 got, want = getattr(cell, name), getattr(dense_table.cell(cell.f, cell.t), name)
                 assert got is not None and want is not None, (cell.f, cell.t, name)
@@ -414,7 +389,7 @@ class TestBlockFit:
         cells = build_design(frame, parse_model_spec(text))
         x = DesignMatrix(values=cells.values, labels=cells.labels)
         result = fit(x, frame.y)
-        assert len(x.qr) == 1 and x.n_cells == x.n_rows
+        assert x.n_cells == x.n_rows
         for name, want in dense_fit(x, frame.y).items():
             got = getattr(result, name)
             if isinstance(want, tuple):
@@ -436,18 +411,6 @@ class TestBlockFit:
         # number (~7e3 for crf2 with t_order=2, whose entries agree to ~5e-12)
         robust = dense["vcov_robust"]
         assert np.abs(result.vcov_robust - robust).max() <= 1e-10 * np.abs(robust).max()
-
-    def test_rank_is_decided_per_block(self):
-        # the second block is 1e-12 times smaller than the first: a rule against
-        # the largest pivot of the whole design would drop it
-        rng = np.random.default_rng(24)
-        values = np.zeros((40, 4))
-        values[:20, :2] = rng.standard_normal((20, 2))
-        values[20:, 2:] = 1e-12 * rng.standard_normal((20, 2))
-        x = DesignMatrix(values=values, labels=("a", "b", "c", "d"))
-        result = fit(x, rng.standard_normal(40))
-        assert len(x.qr) == 2 and result.rank == 4 and result.block_ranks == (2, 2)
-        assert result.min_pivot_ratio > 0.1
 
     def test_all_zero_rows_and_columns(self):
         values = np.zeros((6, 3))
@@ -492,7 +455,7 @@ class TestMinPivotRatio:
     def test_near_collinear_variances_match_the_oracles(self):
         x, y = near_collinear_system()
         result = fit(x, y)
-        r, pivots = x.qr[0].r, x.qr[0].pivots
+        _, r, pivots = x.qr
         cond, eps = np.linalg.cond(r), np.finfo(float).eps
         # the sandwich oracle factors the columns afresh: a perturbation of X
         # of relative size eps moves (X'X)^-1 by up to cond(R)^2 eps relative
@@ -510,7 +473,7 @@ class TestMinPivotRatio:
         # retained pivots are nonzero, so dtrtri cannot fail here: fake its failure
         x, y = near_collinear_system()
         result = fit(x, y)
-        monkeypatch.setattr(_lapack, "dtrtri", lambda r: (r, 3))
+        monkeypatch.setattr(_lapack, "dtrtri", lambda r, lower: (r, 3))
         with pytest.raises(NumericalError, match=r"columns 1, a, a_near: LAPACK dtrtri info=3"):
             result.vcov_robust
 
@@ -577,6 +540,95 @@ class TestCellFit:
 
 
 @st.composite
+def sparse_saturated_fits(draw):
+    """A frame of 2-60 units over friend counts up to 8, so most possible
+    (d, t, f) cells are empty, with a crf1long spec (with or without
+    ``f_max``/``t_max`` beyond the data) or a crf1short spec."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 60))
+    f = rng.integers(1, draw(st.integers(1, 8)) + 1, size=n)
+    t = rng.integers(0, f + 1)
+    d = rng.integers(0, 2, size=n)
+    frame = make_frame(rng.standard_normal(n) + f - d * t, d, t, f)
+    kind = draw(st.sampled_from(["crf1long", "bounded", "crf1short"]))
+    if kind == "crf1short":
+        f_common = int(f[0])
+        return frame.restrict_to_f(f_common), ModelSpec.crf1_short(f_common)
+    if kind == "bounded":
+        return frame, ModelSpec.crf1_long(int(f.max()) + draw(st.integers(0, 2)),
+                                          max(1, int(t.max())) + draw(st.integers(0, 2)))
+    return frame, ModelSpec.crf1_long()
+
+
+def own_cell_of(label, f_frame):
+    """The (d, t, f) a saturated column label owns, read from its atoms."""
+    atoms = label.split(":")
+    t = [int(a[2:]) for a in atoms if a.startswith("T=")]
+    f = [int(a[2:]) for a in atoms if a.startswith("F=")]
+    return int("D" in atoms), t[0] if t else 0, f[0] if f else f_frame
+
+
+def cell_mean_contrast(means, f, t, name):
+    mean = lambda d, tt: means[(d, tt, f)][0]
+    if name == "baseline":
+        return mean(0, 0)
+    if name == "delta0":
+        return mean(1, 0) - mean(0, 0)
+    if name == "tau0":
+        return mean(0, t) - mean(0, 0)
+    return mean(1, t) - mean(1, 0) - mean(0, t) + mean(0, 0)
+
+
+class TestSaturatedFit:
+    """A saturated fit keeps the column of each occupied cell: on sparse
+    frames its numbers equal cell means, lstsq and the sandwich oracle."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(sparse_saturated_fits())
+    def test_equals_the_cell_mean_oracles(self, case):
+        frame, spec = case
+        x = build_design(frame, spec)
+        result = fit(x, frame.y, on_rank_deficiency="drop")
+        means = cell_means(frame)
+
+        f_frame = int(frame.f[0])
+        empty = tuple(label for label in x.labels if own_cell_of(label, f_frame) not in means)
+        assert result.dropped_columns == empty
+        assert result.rank == x.n_cells == len(means)
+        assert result.to_json_dict()["min_pivot_ratio"] is None
+        unit_means = np.array([means[key][0] for key in zip(frame.d.tolist(), frame.t.tolist(),
+                                                             frame.f.tolist())])
+        assert_close(result.fitted, unit_means)
+
+        table = recover_effect_table(result, spec, frame.f)
+        for cell in table.cells:
+            for name in identified_effects(means, cell.f, cell.t):
+                got, want = getattr(cell, name), cell_mean_contrast(means, cell.f, cell.t, name)
+                assert got is not None and abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+        retained = [i for i, label in enumerate(x.labels) if label not in empty]
+        beta = np.linalg.lstsq(x.values[:, retained], frame.y, rcond=None)[0]
+        assert_close(result.coefficients[retained], beta)
+        classical, robust = sandwich(x, retained, result.residuals)
+        assert_close(result.vcov_robust, robust)
+        if classical is None:
+            assert result.vcov_classical is None
+        else:
+            assert_close(result.vcov_classical, classical)
+
+    def test_linear_design_with_an_all_zero_column_names_it(self):
+        # no unit has a treated friend, so the T column of the t model is zero
+        frame = make_frame([0.5, 1.5, 2.5, 3.0, 1.0], [0, 1, 0, 1, 1], [0] * 5, [1, 1, 2, 3, 2])
+        x = build_design(frame, ModelSpec.t_model())
+        assert not x.cell_values[:, x.labels.index("T")].any()
+        with pytest.raises(RankDeficiencyError) as info:
+            fit(x, frame.y)
+        assert info.value.dependent_columns == ("T",)
+        dropped = fit(x, frame.y, on_rank_deficiency="drop")
+        assert dropped.dropped_columns == ("T",) and dropped.min_pivot_ratio is not None
+
+
+@st.composite
 def float_blocks(draw):
     """Float blocks as a design's diagonal blocks come: random, with exact
     twin columns, with all-zero columns, wide (m < n), without rows, or of
@@ -634,9 +686,11 @@ class TestDirectLapack:
         r = r[:rank, :rank]
         b = data.draw(hnp.arrays(np.float64, rank,
                                  elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)))
-        want = scipy.linalg.solve_triangular(r, b, check_finite=False)
-        got = _solve_upper(r, b.copy())
-        assert np.array_equal(got, want) and same_bits(got, want)
+        # upper R as the QR gives it, and lower R' in both memory orders
+        for t, lower in ((r, False), (r.T, True), (np.ascontiguousarray(r.T), True)):
+            want = scipy.linalg.solve_triangular(t, b, lower=lower, check_finite=False)
+            got = _solve_triangular(t, b.copy(), lower=lower)
+            assert np.array_equal(got, want) and same_bits(got, want)
 
     @settings(deadline=None, max_examples=100)
     @given(float_blocks())
