@@ -373,9 +373,9 @@ def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
     (:attr:`SampleFrame.cells`). The two saturated designs record the own
     cell of each column (:attr:`DesignMatrix.own_cell`); since rows beyond
     their support are rejected, every occupied cell owns exactly one column.
-    An entry that is not finite, such as an
-    ``F^j`` beyond the float64 range, raises :class:`NumericalError` naming
-    the first unit row it reaches and the column label.
+    An entry that is not finite, such as an ``F^j`` beyond the float64
+    range, raises :class:`NumericalError` naming the first unit row it
+    reaches and the column label.
     """
     if frame.n_selected == 0:
         raise ValueError("cannot build a design matrix on an empty frame")
