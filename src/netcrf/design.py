@@ -347,13 +347,12 @@ def _saturated_columns(f_values, t_max: int, with_f: bool) -> tuple[list[str], l
 
 def _cell_index(owners, cells) -> np.ndarray:
     """Index of each (d, t, f) of ``owners`` among the occupied ``cells``, -1
-    where no unit is in it; cells come in ascending (f, t, d) order."""
-    d, t, f = np.array(owners, dtype=np.int64).T
-    width = int(max(t.max(), cells.t.max())) + 1
-    keys = (cells.f * width + cells.t) * 2 + cells.d
-    wanted = (f * width + t) * 2 + d
-    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-    return np.where(keys[at] == wanted, at, -1)
+    where no unit is in it. An occupied cell without an owner raises KeyError."""
+    column = {owner: j for j, owner in enumerate(owners)}
+    occupied = zip(cells.d.tolist(), cells.t.tolist(), cells.f.tolist())
+    own = np.full(len(owners), -1)
+    own[[column[cell] for cell in occupied]] = np.arange(cells.counts.size)
+    return own
 
 
 def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:

@@ -20,8 +20,14 @@ An entry is absent (never zero) when its contrast weights a dropped column,
 when a saturated design has no column carrying it (its contrast is all zero,
 as for ``crf1long`` beyond ``f_max`` or ``t_max``), or for ``crf1short`` at a
 friend count other than its own. Aggregates skip absent cells and count the
-units they leave out. Contrasts and the absent rule depend on the design
-alone, so a multi-outcome fit evaluates them once and aggregates each column
+units they leave out. For a saturated design they also skip a field that
+is not identified, because its contrast reaches an empty cell; the table
+still shows it as the value of the kept columns. With (0, 0, f) empty, for
+example, ``T=t:F=f`` is kept and its coefficient, the table's tau0, is the
+level of (0, t, f), not a contrast. Such a field is absent itself or builds
+on an absent one: delta0 and tau0 build on the baseline, tau_pm on all
+three. Contrasts and the absent rules depend on the design alone, so a
+multi-outcome fit evaluates them once and aggregates each column
 separately. The aggregates' contrasts at one treated friend are kept in a
 small per-process cache keyed by the column labels and the distinct friend
 counts, since a Monte Carlo study asks for the same few in every replication.
@@ -75,7 +81,8 @@ class EffectAggregates:
     """Frame-weighted aggregate effects; None when no cell was available.
 
     ``skipped_units`` counts, per aggregate (direct, network, interaction),
-    the units whose cell at one treated friend is absent and so left out.
+    the units whose cell at one treated friend is absent, or not identified
+    by a saturated design, and so left out.
     """
 
     direct: float | None
@@ -152,6 +159,17 @@ def _absent(fit: FitResult, spec: ModelSpec, weights: np.ndarray, f: np.ndarray)
     return absent
 
 
+def _unidentified(absent: np.ndarray) -> np.ndarray:
+    """Widen a saturated fit's absent mask (4, pairs) to the fields that are
+    not identified: absent, or built on an absent field. The design rows of
+    a field's cells and the contrasts it builds on span each other, so one
+    set avoids the dropped columns, the columns of empty cells, exactly
+    when the other does."""
+    baseline, delta0, tau0, tau_pm = absent
+    return np.stack([baseline, baseline | delta0, baseline | tau0,
+                     baseline | delta0 | tau0 | tau_pm])
+
+
 def _dropped(fit: FitResult) -> np.ndarray:
     return np.isnan(fit.coefficients.reshape(len(fit.labels), -1)[:, 0])
 
@@ -176,8 +194,9 @@ def recover_effect_table(
     friend counts tabulated per f (default 1..f; an empty grid yields the
     aggregates alone). Aggregates average the per-unit effect functions
     evaluated at one treated friend over the empirical f distribution,
-    skipping absent cells (``EffectAggregates.skipped_units`` counts the
-    units left out). A multi-outcome fit needs
+    skipping absent cells and, for a saturated design, fields that are not
+    identified (``EffectAggregates.skipped_units`` counts the units left
+    out). A multi-outcome fit needs
     ``t_grid=()`` and yields a tuple of aggregates, one per outcome column.
     """
     f_values = np.asarray(f_values, dtype=np.int64)
@@ -208,8 +227,11 @@ def recover_effect_table(
     # the t = 1 contrasts, their absent cells and so each target's weight
     # depend on the design alone
     weights = _aggregate_contrasts(fit.labels, tuple(unique_f.tolist()))
+    absent = _absent(fit, spec, weights, unique_f)
+    if spec.saturated:
+        absent = _unidentified(absent)
     targets = [(present, counts[present], int(counts[present].sum()), int(counts[~present].sum()))
-               for present in ~_absent(fit, spec, weights, unique_f)[1:]]
+               for present in ~absent[1:]]
     aggregates = tuple(_aggregates((weights @ coefficients)[1:], targets)
                        for coefficients in _outcome_coefficients(fit))
     if fit.n_outcomes is None:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from netcrf import SampleFrame, build_geometric_network, generate_positions
+from netcrf import ModelSpec, SampleFrame, build_geometric_network, generate_positions
 from netcrf.rng import child_seeds, rng_from_seed
 
 
@@ -69,6 +70,27 @@ def identified_effects(means, f, t):
             if (1, 0, f) in means and (1, t, f) in means:
                 names.append("tau_pm")
     return names
+
+
+@st.composite
+def sparse_saturated_fits(draw):
+    """A frame of 2-60 units over friend counts up to 8, so most possible
+    (d, t, f) cells are empty, with a crf1long spec (with or without
+    ``f_max``/``t_max`` beyond the data) or a crf1short spec."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 60))
+    f = rng.integers(1, draw(st.integers(1, 8)) + 1, size=n)
+    t = rng.integers(0, f + 1)
+    d = rng.integers(0, 2, size=n)
+    frame = make_frame(rng.standard_normal(n) + f - d * t, d, t, f)
+    kind = draw(st.sampled_from(["crf1long", "bounded", "crf1short"]))
+    if kind == "crf1short":
+        f_common = int(f[0])
+        return frame.restrict_to_f(f_common), ModelSpec.crf1_short(f_common)
+    if kind == "bounded":
+        return frame, ModelSpec.crf1_long(int(f.max()) + draw(st.integers(0, 2)),
+                                          max(1, int(t.max())) + draw(st.integers(0, 2)))
+    return frame, ModelSpec.crf1_long()
 
 
 @pytest.fixture(scope="session")

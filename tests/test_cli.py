@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from netcrf import DataError, SampleFrame
 from netcrf.cli import main, read_frame_csv, write_frame_csv
 from netcrf.graph import read_table
+from conftest import cell_means, identified_effects
 
 
 def run_cli(capsys, *argv):
@@ -324,15 +325,17 @@ class TestFit:
         assert code == 0 and err == ""
         skipped = json.loads(out)["skipped_units"]
         assert json.loads((tmp_path / "fit_crf1long.json").read_text())["skipped_units"] == skipped
-        # a unit is skipped when its friend count's t=1 cell lacks the effect
+        # a unit is skipped when its friend count's t=1 effect is not
+        # identified, which includes every effect the table leaves empty
         frame, _ = read_frame_csv(noiseless_frame_path)
-        counts = np.bincount(frame.f)
+        counts, means = np.bincount(frame.f), cell_means(frame)
         lines = (tmp_path / "effects_crf1long.csv").read_text().splitlines()[1:]
         rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
         at_one = {int(row["f"]): row for row in rows if row["t"] == "1"}
         for name, field in (("direct", "delta0"), ("network", "tau0"), ("interaction", "tau_pm")):
-            assert skipped[name] == sum(int(counts[f]) for f, row in at_one.items()
-                                        if row[field] == ""), name
+            unidentified = [f for f in at_one if field not in identified_effects(means, f, 1)]
+            assert skipped[name] == sum(int(counts[f]) for f in unidentified), name
+            assert {f for f, row in at_one.items() if row[field] == ""} <= set(unidentified)
         assert sum(skipped.values()) > 0
 
     def test_overflowing_design_is_numerical_failure_without_warnings(self, tmp_path, capsys):

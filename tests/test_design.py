@@ -3,8 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from netcrf import (
     DesignMatrix,
@@ -269,37 +267,7 @@ class TestNonFiniteDesign:
                 build_design(frame, ModelSpec.crf2(200))
 
 
-@st.composite
-def sparse_saturated_designs(draw):
-    """A crf1long design (with or without bounds) or a crf1short design on a
-    random sparse frame: few units over many possible cells."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(1, 40))
-    f = rng.integers(1, draw(st.integers(1, 7)) + 1, size=n)
-    t = rng.integers(0, f + 1)
-    frame = make_frame(rng.standard_normal(n), rng.integers(0, 2, size=n), t, f)
-    kind = draw(st.sampled_from(["long", "bounded", "short"]))
-    if kind == "short":
-        f_common = int(f[0])
-        return build_design(frame.restrict_to_f(f_common), ModelSpec.crf1_short(f_common))
-    if kind == "bounded":
-        f_max = int(f.max()) + draw(st.integers(0, 2))
-        t_max = max(1, int(t.max())) + draw(st.integers(0, 2))
-        return build_design(frame, ModelSpec.crf1_long(f_max, t_max))
-    return build_design(frame, ModelSpec.crf1_long())
-
-
 class TestOwnCell:
-    @settings(deadline=None, max_examples=150)
-    @given(sparse_saturated_designs())
-    def test_each_occupied_cell_owns_one_column_that_starts_in_it(self, x):
-        own = x.own_cell
-        assert own.shape == (x.n_cols,)
-        assert sorted(own[own >= 0].tolist()) == list(range(x.n_cells))
-        for j in np.flatnonzero(own >= 0):
-            reached = np.flatnonzero(x.cell_values[:, j])
-            assert reached[0] == own[j] and x.cell_values[own[j], j] == 1.0
-
     def test_own_cells_follow_the_labels(self):
         # cells of this frame: (0,0,1) (1,0,1) (1,1,1) (0,1,2) (1,2,2)
         frame = make_frame(np.zeros(6), [0, 1, 1, 0, 1, 1], [0, 0, 1, 1, 2, 2], [1, 1, 1, 2, 2, 2])

@@ -21,6 +21,7 @@ from netcrf import (
     simulate_frame,
     telescope_level_from_changes,
 )
+from netcrf.dgp import true_aggregate_effects
 from netcrf.effects import _aggregate_contrasts, _contrasts
 from conftest import cell_means, make_frame, potential_outcome_grid
 
@@ -272,23 +273,54 @@ class TestAbsentCells:
     def test_aggregate_skips_absent_cells_and_counts_their_units(self, caplog):
         # no unit has t=1 at f=2, so the network aggregate skips the two f=2
         # units; no treated unit has t=1 at all, so the interaction aggregate
-        # skips all five. No unit is in (1, 0, 2), whose column D:F=2 carries
+        # skips all six. No unit is in (1, 0, 2), whose column D:F=2 carries
         # the direct effect at f=2, so the direct aggregate skips the f=2 units
-        frame = make_frame([1.0, 2.0, 1.5, 0.5, 2.5],
-                           [0, 1, 0, 1, 0],
-                           [0, 2, 1, 0, 1],
-                           [2, 2, 1, 1, 1])
+        frame = make_frame([1.0, 2.0, 1.5, 0.5, 2.5, 0.25],
+                           [0, 1, 0, 1, 0, 0],
+                           [0, 2, 1, 0, 1, 0],
+                           [2, 2, 1, 1, 1, 1])
         spec = ModelSpec.crf1_long(f_max=2, t_max=2)
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
         with caplog.at_level("DEBUG"):
             table = recover_effect_table(result, spec, frame.f)
-        assert table.aggregates.network is not None
+        assert table.aggregates.network == table.cell(1, 1).tau0 == pytest.approx(2.0 - 0.25)
         direct, network, interaction = table.aggregates.skipped_units
-        assert (network, interaction) == (2, 5)
-        assert direct == 2 == sum(n for f, n in ((1, 3), (2, 2)) if table.cell(f, 1).delta0 is None)
+        assert (network, interaction) == (2, 6)
+        assert direct == 2 == sum(n for f, n in ((1, 4), (2, 2)) if table.cell(f, 1).delta0 is None)
         assert table.aggregates.interaction is None
-        assert json.loads(table.to_json())["aggregates"]["skipped_units"] == [direct, 2, 5]
+        assert json.loads(table.to_json())["aggregates"]["skipped_units"] == [direct, 2, 6]
         assert not caplog.records
+
+    def test_aggregate_skips_fields_whose_cells_are_empty(self):
+        # (0, 0, 1) is empty, so F=1 is dropped and the kept T=1:F=1 and
+        # D:F=1 are the levels of (0, 1, 1) and (1, 0, 1): the table shows
+        # them as tau0 and delta0 at f=1, and the aggregates skip them
+        frame = make_frame([1.0, 2.0, 1.5, 0.5, 2.5, 4.0],
+                           [0, 1, 0, 1, 0, 0],
+                           [0, 0, 1, 0, 1, 1],
+                           [2, 2, 1, 1, 1, 2])
+        spec = ModelSpec.crf1_long(f_max=2, t_max=2)
+        result = exact_fit(frame, spec, on_rank_deficiency="drop")
+        assert "F=1" in result.dropped_columns
+        table = recover_effect_table(result, spec, frame.f)
+        assert (table.cell(1, 1).delta0, table.cell(1, 1).tau0) == pytest.approx((0.5, 2.0))
+        assert table.aggregates.direct == table.cell(2, 1).delta0 == pytest.approx(1.0)
+        assert table.aggregates.network == table.cell(2, 1).tau0 == pytest.approx(3.0)
+        assert table.aggregates.skipped_units == (3, 3, 6)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_crf1long_aggregates_stay_near_the_true_effects(self, network_2000, seed):
+        # at N=2000 most large friend counts leave a cell empty; averaging a
+        # level reported in a contrast's place put the aggregates 0.8-1.5
+        # away from the truth on these frames
+        params = dgp_scenario("iv")
+        frame = simulate_frame(network_2000, params, seed)
+        spec = ModelSpec.crf1_long()
+        result = exact_fit(frame, spec, on_rank_deficiency="drop")
+        got = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
+        true = true_aggregate_effects(params, frame.f)
+        for name in ("direct", "network", "interaction"):
+            assert abs(getattr(got, name) - getattr(true, name)) < 0.5, name
 
     def test_crf1short_other_f_is_absent(self, noisy_small_f_frame, caplog):
         frame = noisy_small_f_frame
@@ -412,15 +444,16 @@ class TestMultiOutcomeAggregates:
 
     def test_absent_cells_are_skipped_in_every_column(self):
         # no unit has t=1 at f=2, so each column's network aggregate skips f=2
-        frame = make_frame([1.0, 2.0, 1.5, 0.5, 2.5, 1.0],
-                           [0, 1, 0, 1, 0, 1],
-                           [0, 2, 1, 0, 1, 1],
-                           [2, 2, 1, 1, 1, 1])
+        frame = make_frame([1.0, 2.0, 1.5, 0.5, 2.5, 1.0, 0.25],
+                           [0, 1, 0, 1, 0, 1, 0],
+                           [0, 2, 1, 0, 1, 1, 0],
+                           [2, 2, 1, 1, 1, 1, 1])
         spec = ModelSpec.crf1_long(f_max=2, t_max=2)
         y = np.column_stack([frame.y, frame.y * 3.0])
         table = recover_effect_table(fit(build_design(frame, spec), y, on_rank_deficiency="drop"),
                                      spec, frame.f, t_grid=())
         for j, agg in enumerate(table.aggregates):
+            assert agg.network is not None and agg.skipped_units[1] == 2
             one = fit(build_design(frame, spec), y[:, j].copy(), on_rank_deficiency="drop")
             assert agg == recover_effect_table(one, spec, frame.f, t_grid=()).aggregates
 

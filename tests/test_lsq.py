@@ -23,7 +23,7 @@ from netcrf import (
 from netcrf import _lapack
 from netcrf.design import _pivoted_qr
 from netcrf.lsq import DEFAULT_RANK_TOL, _solve_triangular
-from conftest import cell_means, identified_effects, make_frame
+from conftest import cell_means, identified_effects, make_frame, sparse_saturated_fits
 
 
 def normal_equations_oracle(x, y):
@@ -539,27 +539,6 @@ class TestCellFit:
                 assert same_bits(getattr(multi, name)[:, j], getattr(one, name)), (name, j)
 
 
-@st.composite
-def sparse_saturated_fits(draw):
-    """A frame of 2-60 units over friend counts up to 8, so most possible
-    (d, t, f) cells are empty, with a crf1long spec (with or without
-    ``f_max``/``t_max`` beyond the data) or a crf1short spec."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(2, 60))
-    f = rng.integers(1, draw(st.integers(1, 8)) + 1, size=n)
-    t = rng.integers(0, f + 1)
-    d = rng.integers(0, 2, size=n)
-    frame = make_frame(rng.standard_normal(n) + f - d * t, d, t, f)
-    kind = draw(st.sampled_from(["crf1long", "bounded", "crf1short"]))
-    if kind == "crf1short":
-        f_common = int(f[0])
-        return frame.restrict_to_f(f_common), ModelSpec.crf1_short(f_common)
-    if kind == "bounded":
-        return frame, ModelSpec.crf1_long(int(f.max()) + draw(st.integers(0, 2)),
-                                          max(1, int(t.max())) + draw(st.integers(0, 2)))
-    return frame, ModelSpec.crf1_long()
-
-
 def own_cell_of(label, f_frame):
     """The (d, t, f) a saturated column label owns, read from its atoms."""
     atoms = label.split(":")
@@ -581,7 +560,8 @@ def cell_mean_contrast(means, f, t, name):
 
 class TestSaturatedFit:
     """A saturated fit keeps the column of each occupied cell: on sparse
-    frames its numbers equal cell means, lstsq and the sandwich oracle."""
+    frames each occupied cell owns one column, and the fit's numbers equal
+    cell means, lstsq and the sandwich oracle."""
 
     @settings(deadline=None, max_examples=150)
     @given(sparse_saturated_fits())
@@ -591,6 +571,11 @@ class TestSaturatedFit:
         result = fit(x, frame.y, on_rank_deficiency="drop")
         means = cell_means(frame)
 
+        own = x.own_cell
+        assert sorted(own[own >= 0].tolist()) == list(range(x.n_cells))
+        for j in np.flatnonzero(own >= 0):
+            reached = np.flatnonzero(x.cell_values[:, j])
+            assert reached[0] == own[j] and x.cell_values[own[j], j] == 1.0
         f_frame = int(frame.f[0])
         empty = tuple(label for label in x.labels if own_cell_of(label, f_frame) not in means)
         assert result.dropped_columns == empty
@@ -615,6 +600,25 @@ class TestSaturatedFit:
             assert result.vcov_classical is None
         else:
             assert_close(result.vcov_classical, classical)
+
+    @settings(deadline=None, max_examples=100)
+    @given(sparse_saturated_fits())
+    def test_aggregates_average_only_identified_fields(self, case):
+        frame, spec = case
+        result = fit(build_design(frame, spec), frame.y, on_rank_deficiency="drop")
+        aggregates = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
+        means, counts = cell_means(frame), np.bincount(frame.f)
+        for target, name, skipped in zip(("direct", "network", "interaction"),
+                                         ("delta0", "tau0", "tau_pm"), aggregates.skipped_units):
+            kept = [f for f in np.flatnonzero(counts) if name in identified_effects(means, f, 1)]
+            assert skipped == frame.n_selected - counts[kept].sum()
+            got = getattr(aggregates, target)
+            if not kept:
+                assert got is None
+                continue
+            want = sum(counts[f] * cell_mean_contrast(means, f, 1, name)
+                       for f in kept) / counts[kept].sum()
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_linear_design_with_an_all_zero_column_names_it(self):
         # no unit has a treated friend, so the T column of the t model is zero
