@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _lapack
-from .dgp import SampleFrame
+from .dgp import CellDraw, SampleFrame
 from .errors import NumericalError, OutOfSupportError
 
 
@@ -355,8 +355,9 @@ def _cell_index(owners, cells) -> np.ndarray:
     return own
 
 
-def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
-    """Build the design matrix for ``spec`` on a frame.
+def build_design(frame: SampleFrame | CellDraw, spec: ModelSpec) -> DesignMatrix:
+    """Build the design matrix for ``spec`` on a frame, or on a frame drawn by
+    cell (:func:`netcrf.dgp.simulate_cells`), which has no unit-level outcome.
 
     Column orders (fixed):
       t          [1, D, T, F]

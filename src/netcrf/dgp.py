@@ -13,10 +13,18 @@ specified. Estimation frames keep only units with f >= 1.
 
 A seed fixes one uniform and one standard-normal draw per unit, shared by
 every parameter set: the streams are ``child_seeds(seed, 0, 2)``, uniforms
-first, and d = uniform < p_treat, u = noise_sd * z. So
-:func:`simulate_frames` draws once for scenarios that share ``p_treat``,
-counts treated friends once, and returns one frame whose outcome has one
-column per scenario; :func:`simulate_frame` is its one-scenario case.
+first, and d = uniform < p_treat, u = noise_sd * z. So scenarios that share
+``p_treat`` share d, t and z, and one draw serves them all.
+
+**Cells.** The mean outcome depends on (d, t, f) alone, so within an
+occupied cell ``c`` each scenario's outcome is ``y_is = mu_cs + sigma_s z_i``
+and its cell sum is ``n_c mu_cs + sigma_s Z_c``, where ``Z_c`` sums the
+standard-normal draws of the cell's units. :func:`simulate_cells` draws
+once and keeps the frame by cell (:class:`CellDraw`): the cells, the means
+``mu_cs`` and the shared sums ``Z_c``, which is all a fit of a design built
+on (d, t, f) needs. :func:`simulate_frames` is that draw with the outcomes
+gathered to units, one column per scenario, and :func:`simulate_frame` its
+one-scenario case.
 """
 
 from __future__ import annotations
@@ -134,13 +142,24 @@ class FrameCells:
 
 def frame_cells(d, t, f) -> FrameCells:
     """Group units by (d, t, f) through one integer key ``(f * width + t) * 2 + d``
-    with ``width = max t + 1``, whose ascending order is the (f, t, d) order."""
+    with ``width = max t + 1``, whose ascending order is the (f, t, d) order.
+
+    Keys below four per unit, as a simulated frame's are, are grouped by
+    counting them; sparser keys, such as those of a frame with a few units of
+    very many friends, by sorting."""
     d, t, f = (np.asarray(a, dtype=np.int64) for a in (d, t, f))
     if d.size == 0:
         raise ValueError("an empty frame has no cells")
     width = int(t.max()) + 1
-    keys, of_unit, counts = np.unique((f * width + t) * 2 + d, return_inverse=True,
-                                      return_counts=True)
+    keys = (f * width + t) * 2 + d
+    if keys.max() < 4 * keys.size:
+        counts = np.bincount(keys)
+        occupied = np.flatnonzero(counts)
+        index = np.empty(counts.size, dtype=np.int64)
+        index[occupied] = np.arange(occupied.size)
+        keys, of_unit, counts = occupied, index[keys], counts[occupied]
+    else:
+        keys, of_unit, counts = np.unique(keys, return_inverse=True, return_counts=True)
     return FrameCells(d=keys % 2, t=keys // 2 % width, f=keys // (2 * width), counts=counts,
                       of_unit=of_unit.reshape(-1))
 
@@ -203,9 +222,67 @@ def _outcome_mean(params: DgpParams, f, d, t):
     )
 
 
-def _simulate(network: Network, scenarios: Sequence[DgpParams], seed: int, stack: bool):
-    """The frame of ``scenarios`` drawn from ``seed``; ``stack`` makes ``y``
-    one column per scenario, otherwise ``y`` is the one scenario's outcome."""
+@dataclass(frozen=True)
+class CellDraw:
+    """One seed's frame for several scenarios, kept by (d, t, f) cell.
+
+    ``d``, ``t``, ``f`` and ``ids`` are the frame's unit columns (units with
+    f >= 1), ``z`` each unit's standard-normal draw and ``n_total`` the
+    population size. ``cells`` groups the units (None for a frame without
+    units); ``means`` holds each scenario's outcome mean per cell,
+    ``(n_cells, s)``, and ``noise_sd`` each scenario's noise scale. Like a
+    :class:`SampleFrame`, it has ``n_selected`` and ``cells``, so
+    :func:`netcrf.design.build_design` takes it.
+    """
+
+    d: np.ndarray
+    t: np.ndarray
+    f: np.ndarray
+    ids: np.ndarray
+    z: np.ndarray
+    n_total: int
+    cells: FrameCells | None
+    means: np.ndarray
+    noise_sd: np.ndarray
+
+    @property
+    def n_selected(self) -> int:
+        return int(self.f.shape[0])
+
+    def cell_sums(self) -> np.ndarray:
+        """Each scenario's sum of the outcome per cell, ``n_c mu_cs + sigma_s Z_c``:
+        ``(n_cells, s)``. A non-finite sum raises ValueError, naming the first
+        non-finite unit outcome ``y[i, s]`` where there is one."""
+        cells = self.cells
+        noise_sums = np.bincount(cells.of_unit, weights=self.z, minlength=cells.counts.size)
+        sums = cells.counts[:, None] * self.means + noise_sums[:, None] * self.noise_sd
+        if not np.isfinite(sums).all():
+            check_finite_y(self.outcomes())
+            raise ValueError("a cell sum of y is not finite, although every y is")
+        return sums
+
+    def outcomes(self) -> np.ndarray:
+        """The unit-level outcomes ``mu_cs + sigma_s z_i``, ``(n, s)``."""
+        if self.cells is None:
+            return np.zeros((0, self.means.shape[1]))
+        return self.means[self.cells.of_unit] + self.z[:, None] * self.noise_sd
+
+    def frame(self, stack: bool = True) -> SampleFrame:
+        """The frame with its outcomes gathered to units: one column per
+        scenario, or with ``stack=False`` the one scenario's outcome."""
+        y = self.outcomes()
+        frame = SampleFrame(y=y if stack else y[:, 0], d=self.d, t=self.t, f=self.f,
+                            ids=self.ids, n_total=self.n_total)
+        if self.cells is not None:
+            object.__setattr__(frame, "cells", self.cells)  # every design of the frame reuses them
+        return frame
+
+
+def simulate_cells(network: Network, scenarios: Sequence[DgpParams], seed: int) -> CellDraw:
+    """Draw the frame of ``scenarios`` from ``seed``, kept by cell.
+
+    The scenarios must share ``p_treat``, which fixes d and t.
+    """
     if network.n < 1:
         raise ValueError("network must contain at least one unit")
     p_treat = {params.p_treat for params in scenarios}
@@ -216,22 +293,16 @@ def _simulate(network: Network, scenarios: Sequence[DgpParams], seed: int, stack
     z = rng_from_seed(seed_u).standard_normal(network.n)
 
     retained = network.degree > 0
-    d_sel, f_sel, z_sel = d[retained], network.degree[retained], z[retained]
+    d_sel, f_sel = d[retained], network.degree[retained]
     t_sel = treated_neighbor_counts(network, d)[retained]
+    cells, means = None, np.zeros((0, len(scenarios)))
     if d_sel.size:
-        # the mean depends on (d, t, f) alone: evaluated once per occupied
-        # cell and gathered to the units, it has the bits of a per-unit one
         cells = frame_cells(d_sel, t_sel, f_sel)
-        means = [_outcome_mean(params, cells.f, cells.d, cells.t)[cells.of_unit]
-                 for params in scenarios]
-    else:
-        cells, means = None, [np.zeros(0)] * len(scenarios)
-    y = [mean + params.noise_sd * z_sel for params, mean in zip(scenarios, means)]
-    frame = SampleFrame(y=np.column_stack(y) if stack else y[0], d=d_sel, t=t_sel, f=f_sel,
-                        ids=np.flatnonzero(retained), n_total=network.n)
-    if cells is not None:
-        object.__setattr__(frame, "cells", cells)  # every design of the frame reuses them
-    return frame
+        means = np.column_stack([_outcome_mean(params, cells.f, cells.d, cells.t)
+                                 for params in scenarios])
+    return CellDraw(d=d_sel, t=t_sel, f=f_sel, ids=np.flatnonzero(retained), z=z[retained],
+                    n_total=network.n, cells=cells, means=means,
+                    noise_sd=np.array([params.noise_sd for params in scenarios], dtype=float))
 
 
 def simulate_frames(network: Network, scenarios: Sequence[DgpParams], seed: int) -> SampleFrame:
@@ -240,12 +311,12 @@ def simulate_frames(network: Network, scenarios: Sequence[DgpParams], seed: int)
     The scenarios must share ``p_treat``, which fixes d and t. Column ``j``
     of ``y`` equals ``simulate_frame(network, scenarios[j], seed).y``.
     """
-    return _simulate(network, scenarios, seed, stack=True)
+    return simulate_cells(network, scenarios, seed).frame()
 
 
 def simulate_frame(network: Network, params: DgpParams, seed: int) -> SampleFrame:
     """Simulate treatments and outcomes on a network; keep units with F > 0."""
-    return _simulate(network, (params,), seed, stack=False)
+    return simulate_cells(network, (params,), seed).frame(stack=False)
 
 
 def true_aggregate_effects(params: DgpParams, f_values) -> TrueEffects:
@@ -254,15 +325,25 @@ def true_aggregate_effects(params: DgpParams, f_values) -> TrueEffects:
     direct:       E[beta_d + beta_f2*ln F]
     network:      E[beta_tau + beta_r/F + beta_f2*ln F]
     interaction:  E[beta_dtau + beta_dr/F + beta_f2*ln F]
+
+    Each is evaluated once per distinct friend count and weighted by its
+    multiplicity in ``f_values``.
     """
-    f = np.asarray(f_values, dtype=float)
-    if f.size == 0:
+    f_values = np.asarray(f_values)
+    if f_values.size == 0:
         raise ValueError("f_values must be nonempty")
-    if (f < 1).any():
+    if (f_values < 1).any():
         raise ValueError("all f_values must be >= 1")
+    if f_values.dtype.kind not in "iu" and (f_values != np.floor(f_values)).any():
+        raise ValueError("f_values must be whole friend counts")
+    counts = np.bincount(f_values.astype(np.int64, copy=False).ravel())
+    f = np.flatnonzero(counts)
+    counts, n = counts[f], f_values.size
+    f = f.astype(float)
     log_f = np.log(f)
     return TrueEffects(
-        direct=float(np.mean(params.beta_d + params.beta_f2 * log_f)),
-        network=float(np.mean(params.beta_tau + params.beta_r / f + params.beta_f2 * log_f)),
-        interaction=float(np.mean(params.beta_dtau + params.beta_dr / f + params.beta_f2 * log_f)),
+        direct=float(counts @ (params.beta_d + params.beta_f2 * log_f) / n),
+        network=float(counts @ (params.beta_tau + params.beta_r / f + params.beta_f2 * log_f) / n),
+        interaction=float(counts @ (params.beta_dtau + params.beta_dr / f
+                                    + params.beta_f2 * log_f) / n),
     )

@@ -28,6 +28,12 @@ variance, the sum of squared residuals: its meat is
 directly from a matrix has one cell per row with count 1 and is fitted
 with the same arithmetic as a unit-level design.
 
+:func:`fit` takes the unit-level ``y``, whose cell sums it makes with
+:meth:`DesignMatrix.cell_sums`, or the caller's cell sums directly
+(:class:`CellSums`), as a Monte Carlo replication that draws its outcomes
+by cell passes them. Either way one core fits from the sums, so the same
+sums give the same coefficients bit for bit.
+
 **Saturated designs.** A ``crf1long`` or ``crf1short`` design has one
 column per possible (d, t, f) cell, and each column has an *own cell*, the
 lowest cell in (f, t, d) order that it reaches: ``F=f`` (or ``1``) owns
@@ -66,11 +72,14 @@ columns once and solves each column with exactly the one-outcome
 arithmetic (its own right-hand side and triangular solve), so a column's
 numbers never depend on the columns fitted alongside it.
 
-**On demand.** A fit stores its cell fits; the unit-level ``fitted`` and
-``residuals`` (an n x s gather and subtraction) and the variance matrices
-are computed on first read, so callers that read only the coefficients,
-such as a Monte Carlo replication, never pay for them. The variance
-matrices, ``coef`` and the JSON form need a one-outcome fit.
+**On demand.** A fit stores the per-cell sums of its outcomes. The cell
+fits, the unit-level ``fitted`` and ``residuals`` (an n x s gather and
+subtraction) and the variance matrices are computed on first read, so
+callers that read only the coefficients, such as a Monte Carlo
+replication, never pay for them. The variance matrices, ``coef`` and the
+JSON form need a one-outcome fit. A fit made from :class:`CellSums` has no
+unit-level outcome: reading its ``fitted``, ``residuals`` or a variance
+raises ValueError.
 
 **LAPACK directly.** The factorization (:attr:`DesignMatrix.qr`) and the
 triangular solves call LAPACK ``dgeqp3``/``dorgqr`` and ``dtrtrs``, and the
@@ -102,6 +111,15 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
+class CellSums:
+    """Per-cell sums of the outcome, ``(n_cells,)`` or ``(n_cells, s)`` in the
+    cell order of the design, which :func:`fit` takes in place of a
+    unit-level ``y``."""
+
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
 class FitResult:
     """OLS output: coefficients (NaN where a column was dropped), diagnostics,
     residuals, and both variance estimates over the retained columns.
@@ -112,9 +130,11 @@ class FitResult:
     largest (None at rank 0 and for a saturated design). ``factor`` is the
     triangular factor over the retained columns, lower for a saturated
     design and upper otherwise, and ``factor_columns`` the design columns in
-    its order. ``cell_fitted`` holds the fitted value of each design cell,
-    ``(n_cells, s)``; ``fitted`` and ``residuals`` repeat it for each unit
-    on first read.
+    its order. ``cell_sums`` holds the outcome's sum over each design cell,
+    ``(n_cells, s)``. ``cell_fitted``, the fitted value of each cell, is
+    computed on first read, and ``fitted`` and ``residuals`` repeat it for
+    each unit. ``y`` is None for a fit made from :class:`CellSums`, which
+    has no unit-level results.
     """
 
     coefficients: np.ndarray
@@ -126,17 +146,36 @@ class FitResult:
     factor: np.ndarray = field(repr=False, compare=False)
     factor_columns: np.ndarray = field(repr=False, compare=False)
     design: DesignMatrix = field(repr=False, compare=False)
-    y: np.ndarray = field(repr=False, compare=False)
-    cell_fitted: np.ndarray = field(repr=False, compare=False)
+    y: np.ndarray | None = field(repr=False, compare=False)
+    cell_sums: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def cell_fitted(self) -> np.ndarray:
+        x, kept = self.design, self.factor_columns
+        if self.rank == 0:
+            return np.zeros(self.cell_sums.shape)
+        if x.own_cell is not None:
+            return self.cell_sums / x.cell_counts[:, None]
+        retained = x.cell_values[:, kept]
+        coefficients = self.coefficients.reshape(len(self.labels), -1)
+        return np.column_stack([retained @ coefficients[kept, j]
+                                for j in range(coefficients.shape[1])])
 
     @cached_property
     def fitted(self) -> np.ndarray:
+        self._unit_level("fitted")
         fitted = self.design.to_units(self.cell_fitted)
         return fitted if self.y.ndim == 2 else fitted[:, 0]
 
     @cached_property
     def residuals(self) -> np.ndarray:
+        self._unit_level("residuals")
         return self.y - self.fitted
+
+    def _unit_level(self, what: str) -> None:
+        if self.y is None:
+            raise ValueError(f"{what} needs the unit-level outcome; this fit was made from "
+                             "cell sums")
 
     @property
     def n_outcomes(self) -> int | None:
@@ -162,6 +201,7 @@ class FitResult:
     def vcov_classical(self) -> np.ndarray | None:
         """s^2 (X'X)^-1, or None when n <= rank leaves no residual degrees of freedom."""
         self._one_outcome("vcov_classical")
+        self._unit_level("vcov_classical")
         if self.rank == 0:
             return np.zeros((0, 0))
         if self.n <= self.rank:
@@ -173,6 +213,7 @@ class FitResult:
     def vcov_robust(self) -> np.ndarray:
         """Heteroskedasticity-consistent sandwich with squared-residual weights."""
         self._one_outcome("vcov_robust")
+        self._unit_level("vcov_robust")
         if self.rank == 0:
             return np.zeros((0, 0))
         x = self.design
@@ -206,11 +247,15 @@ class FitResult:
 
 def fit(
     x: DesignMatrix,
-    y: np.ndarray,
+    y: np.ndarray | CellSums,
     on_rank_deficiency: str = "error",
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> FitResult:
     """Least-squares fit of ``y``, shape ``(n,)`` or ``(n, s)``, on the columns of ``x``.
+
+    ``y`` may instead be the outcome's sums per cell of ``x``
+    (:class:`CellSums`); the fit is then the same arithmetic on the given
+    sums, and its unit-level results and variances raise ValueError.
 
     A saturated design (``x.own_cell`` set) keeps the columns whose own cell
     is occupied. Any other design is factored by one pivoted QR
@@ -223,14 +268,31 @@ def fit(
     """
     if on_rank_deficiency not in ("error", "drop"):
         raise ValueError(f"unknown rank policy {on_rank_deficiency!r}")
-    y = np.array(y, dtype=float)  # a copy: residuals read it after the caller is done
-    n, k = x.n_rows, x.n_cols
-    if y.ndim not in (1, 2) or y.shape[0] != n:
-        raise ValueError(f"y must have shape ({n},) or ({n}, s), got {y.shape}")
+    n = x.n_rows
     if n < 1:
         raise ValueError("need at least one observation")
-    check_finite_y(y)
+    if isinstance(y, CellSums):
+        sums = np.asarray(y.values, dtype=float)
+        if sums.ndim not in (1, 2) or sums.shape[0] != x.n_cells:
+            raise ValueError(f"cell sums must have shape ({x.n_cells},) or ({x.n_cells}, s), "
+                             f"got {sums.shape}")
+        if not np.isfinite(sums).all():
+            raise ValueError("cell sums must be finite")
+        y, one_outcome = None, sums.ndim == 1
+        sums = np.array(sums[:, None] if one_outcome else sums, order="F")  # the fit's own copy
+    else:
+        y = np.array(y, dtype=float)  # a copy: residuals read it after the caller is done
+        if y.ndim not in (1, 2) or y.shape[0] != n:
+            raise ValueError(f"y must have shape ({n},) or ({n}, s), got {y.shape}")
+        check_finite_y(y)
+        one_outcome = y.ndim == 1
+        columns = np.asfortranarray(y[:, None] if one_outcome else y).T
+        sums = np.empty((x.n_cells, columns.shape[0]), order="F")
+        for j, column in enumerate(columns):
+            sums[:, j] = x.cell_sums(column)
 
+    # one core from here: the outcomes' per-cell sums are the columns of the F-ordered sums
+    k = x.n_cols
     saturated = x.own_cell is not None
     min_pivot_ratio = None
     if saturated:
@@ -256,20 +318,14 @@ def fit(
     if dropped and on_rank_deficiency == "error":
         raise RankDeficiencyError(dropped)
 
-    columns = [y] if y.ndim == 1 else list(np.asfortranarray(y).T)
-    coefficients = np.full((k, len(columns)), np.nan)
-    cell_fitted = np.zeros((x.n_cells, len(columns)))
-    retained = None if saturated else x.cell_values[:, kept]
-    for j, column in enumerate(columns if rank else ()):
-        sums = x.cell_sums(column)
+    coefficients = np.full((k, sums.shape[1]), np.nan)
+    for j, column in enumerate(sums.T if rank else ()):
         if saturated:
-            beta = _solve_triangular(factor, sums / x.cell_weights, lower=True)
-            cell_fitted[:, j] = sums / x.cell_counts
+            beta = _solve_triangular(factor, column / x.cell_weights, lower=True)
         else:
-            beta = _solve_triangular(factor, (q.T @ (sums / x.cell_weights))[:rank], lower=False)
-            cell_fitted[:, j] = retained @ beta
+            beta = _solve_triangular(factor, (q.T @ (column / x.cell_weights))[:rank], lower=False)
         coefficients[kept, j] = beta
-    if y.ndim == 1:
+    if one_outcome:
         coefficients = coefficients[:, 0]
 
     return FitResult(
@@ -283,7 +339,7 @@ def fit(
         factor_columns=kept,
         design=x,
         y=y,
-        cell_fitted=cell_fitted,
+        cell_sums=sums,
     )
 
 

@@ -9,13 +9,19 @@ from (master_seed, replication index), so results are bit-identical across
 runs and across worker counts.
 
 Scenarios share each replication's draws (the streams ignore the scenario),
-so only the outcome ``y`` differs between them. One replication loop serves
-every scenario of a grid: it builds the network and draws one frame whose
-``y`` holds one column per scenario (``simulate_frames``, which needs the
-scenarios to share ``p_treat``, since that fixes d and t); then, per
-estimator, one design, one ``lsq.fit`` of those columns and one
-``recover_effect_table`` call give every scenario's aggregates.
-``run_study`` is its one-scenario case.
+so only the outcome differs between them. One replication loop serves
+every scenario of a grid, and it works on the frame's ~100 occupied
+(d, t, f) cells, never on its units' outcomes: it builds the network and
+draws the frame by cell (``simulate_cells``, which needs the scenarios to
+share ``p_treat``, since that fixes d and t), whose per-cell sums of ``y``,
+one column per scenario, are ``n_c mu_cs + sigma_s Z_c``. Then, per
+estimator, one design, one ``lsq.fit`` of those sums and one
+``recover_effect_table`` call, which evaluates each aggregate as one
+contrast ``w`` applied to the coefficients, give every scenario's
+aggregates. ``run_study`` is its one-scenario case. A non-finite outcome
+fails the whole run before any fit; an estimator that raises
+:class:`NumericalError` or :class:`DataError` counts as failed in that
+replication, and any other exception fails the run.
 
 ``replicate_table`` reruns the benchmark study grids and compares the
 reproduced bias/SD values against reference values shipped with the package
@@ -39,10 +45,11 @@ import numpy as np
 
 from . import __version__
 from .design import ModelKind, ModelSpec, build_design, format_model_spec, parse_model_spec
-from .dgp import DgpParams, dgp_scenario, simulate_frames, true_aggregate_effects
+from .dgp import DgpParams, dgp_scenario, simulate_cells, true_aggregate_effects
 from .effects import recover_effect_table
 from .errors import DataError, NumericalError
 from .graph import DEFAULT_RADIUS, build_geometric_network, generate_positions
+from .lsq import CellSums
 from .lsq import fit as lsq_fit
 from .rng import GENERATOR_NAME, child_seeds
 
@@ -89,24 +96,25 @@ def _replicate(config: MCConfig, scenarios, rep_index: int):
     seed_positions, seed_frame = child_seeds(config.master_seed, rep_index, 2)
     positions = generate_positions(config.n_units, seed_positions)
     network = build_geometric_network(positions, config.radius)
-    frame = simulate_frames(network, scenarios, seed_frame)
-    if frame.n_selected == 0:
+    draw = simulate_cells(network, scenarios, seed_frame)
+    if draw.n_selected == 0:
         raise DataError(
             f"replication {rep_index}: no units with F > 0 "
             f"(n_units={config.n_units}, radius={config.radius})"
         )
+    sums = CellSums(draw.cell_sums())
     true = np.empty((len(scenarios), len(TARGETS)))
     for s, params in enumerate(scenarios):
-        effects = true_aggregate_effects(params, frame.f)
+        effects = true_aggregate_effects(params, draw.f)
         true[s] = effects.direct, effects.network, effects.interaction
     estimates = np.zeros((len(scenarios), len(config.estimators), len(TARGETS)))
     ok = np.zeros(estimates.shape[:2], dtype=bool)
     for e, spec in enumerate(config.estimators):
         policy = "drop" if spec.saturated else "error"
         try:
-            result = lsq_fit(build_design(frame, spec), frame.y, on_rank_deficiency=policy)
-            aggregates = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
-        except (NumericalError, DataError, ValueError):
+            result = lsq_fit(build_design(draw, spec), sums, on_rank_deficiency=policy)
+            aggregates = recover_effect_table(result, spec, draw.f, t_grid=()).aggregates
+        except (NumericalError, DataError):
             continue
         for s, agg in enumerate(aggregates):
             # an aggregate is None when every cell it needs is absent

@@ -338,11 +338,33 @@ class TestTrueAggregateEffects:
             assert effects.network == pytest.approx(np.mean(network), abs=1e-10)
             assert effects.interaction == pytest.approx(np.mean(interaction), abs=1e-10)
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(1, 15), min_size=1, max_size=400),
+           st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6))
+    def test_equals_the_unit_by_unit_mean(self, f_values, betas):
+        # evaluated per distinct friend count and weighted by its
+        # multiplicity: the unit-by-unit mean, summed in another order
+        beta_d, beta_f2, beta_tau, beta_r, beta_dtau, beta_dr = betas
+        params = DgpParams(beta_d=beta_d, beta_f2=beta_f2, beta_tau=beta_tau, beta_r=beta_r,
+                           beta_dtau=beta_dtau, beta_dr=beta_dr)
+        f = np.array(f_values, dtype=float)
+        log_f = np.log(f)
+        want = (np.mean(beta_d + beta_f2 * log_f),
+                np.mean(beta_tau + beta_r / f + beta_f2 * log_f),
+                np.mean(beta_dtau + beta_dr / f + beta_f2 * log_f))
+        effects = true_aggregate_effects(params, f_values)
+        got = (effects.direct, effects.network, effects.interaction)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        assert true_aggregate_effects(params, f) == effects
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             true_aggregate_effects(dgp_scenario("i"), [])
         with pytest.raises(ValueError):
             true_aggregate_effects(dgp_scenario("i"), [0, 2])
+        with pytest.raises(ValueError, match="whole"):
+            true_aggregate_effects(dgp_scenario("i"), [1.0, 2.5])
 
 
 class TestSampleFrameValidation:
@@ -390,7 +412,8 @@ class TestSampleFrameValidation:
 class TestFrameCells:
     @pytest.mark.parametrize("f_scale", [1, 10 ** 6])
     def test_cells_group_units_by_d_t_f_in_ascending_order(self, f_scale):
-        # friend counts far beyond the unit count keep the keys apart
+        # keys below four per unit are grouped by counting; friend counts far
+        # beyond the unit count keep the keys apart and go through sorting
         rng = np.random.default_rng(41)
         f = rng.integers(1, 6, size=300) * f_scale
         t = rng.integers(0, np.minimum(f, 5) + 1)

@@ -22,7 +22,7 @@ from netcrf import (
 )
 from netcrf import _lapack
 from netcrf.design import _pivoted_qr
-from netcrf.lsq import DEFAULT_RANK_TOL, _solve_triangular
+from netcrf.lsq import DEFAULT_RANK_TOL, CellSums, _solve_triangular
 from conftest import cell_means, identified_effects, make_frame, sparse_saturated_fits
 
 
@@ -733,3 +733,52 @@ class TestResultsOnDemand:
         assert same_bits(first.vcov_robust, robust)
         assert same_bits(first.vcov_classical, classical)
         assert same_bits(first.residuals, second.residuals)
+
+
+class TestFitFromCellSums:
+    """A fit given the outcome's sums per design cell is the fit of the
+    unit-level outcome, without its unit-level results."""
+
+    @pytest.mark.parametrize("text", ["t", "r", "tr", "crf2:J=2", "crf2:J=1,t_order=2",
+                                      "crf1long", "crf1long:f_max=7,t_max=7", "crf1short:f=4"])
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_equals_the_unit_level_fit(self, text, seed):
+        frame = saturated_frame(seed)
+        spec = parse_model_spec(text)
+        if spec.f is not None:
+            frame = frame.restrict_to_f(spec.f)
+        x = build_design(frame, spec)
+        second = 0.5 - frame.y * frame.t
+        sums = x.cell_sums(frame.y)
+        for outcome, outcome_sums in ((frame.y, sums),
+                                      (np.column_stack([frame.y, second]),
+                                       np.column_stack([sums, x.cell_sums(second)]))):
+            from_units = fit(x, outcome, on_rank_deficiency="drop")
+            from_sums = fit(x, CellSums(outcome_sums), on_rank_deficiency="drop")
+            assert same_bits(from_sums.coefficients, from_units.coefficients)
+            assert from_sums.rank == from_units.rank
+            assert from_sums.dropped_columns == from_units.dropped_columns
+            assert from_sums.min_pivot_ratio == from_units.min_pivot_ratio
+            assert same_bits(from_sums.cell_fitted, from_units.cell_fitted)
+
+    @pytest.mark.parametrize("read", [
+        lambda r: r.fitted, lambda r: r.residuals, lambda r: r.vcov_classical,
+        lambda r: r.vcov_robust, lambda r: r.to_json_dict(),
+    ])
+    @pytest.mark.parametrize("text", ["tr", "crf1long"])
+    def test_unit_level_results_raise(self, read, text):
+        frame = saturated_frame(33)
+        x = build_design(frame, parse_model_spec(text))
+        result = fit(x, CellSums(x.cell_sums(frame.y)), on_rank_deficiency="drop")
+        with pytest.raises(ValueError, match="cell sums"):
+            read(result)
+
+    def test_bad_sums_rejected(self):
+        frame = saturated_frame(34)
+        x = build_design(frame, ModelSpec.t_model())
+        sums = x.cell_sums(frame.y)
+        with pytest.raises(ValueError, match="shape"):
+            fit(x, CellSums(sums[1:]))
+        sums[3] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            fit(x, CellSums(sums))

@@ -8,6 +8,7 @@ import pytest
 from netcrf import (
     MCConfig,
     ModelSpec,
+    RankDeficiencyError,
     dgp_scenario,
     format_model_spec,
     load_reference_tables,
@@ -15,6 +16,7 @@ from netcrf import (
     replicate_table,
     run_study,
 )
+from netcrf import dgp, montecarlo
 from netcrf.montecarlo import TARGETS, _replicate, _run_scenarios
 
 ALL_FOUR = (ModelSpec.t_model(), ModelSpec.r_model(), ModelSpec.tr_model(), ModelSpec.crf2(2))
@@ -173,6 +175,58 @@ class TestRunStudy:
             assert abs(values.mean()) <= 2.0 * mc_se, label
 
 
+class TestCellPath:
+    def test_builds_no_unit_level_outcome(self, monkeypatch):
+        def unit_level(*args, **kwargs):
+            raise AssertionError("the Monte Carlo built a unit-level outcome")
+
+        for name in ("simulate_frames", "simulate_frame"):
+            monkeypatch.setattr(dgp, name, unit_level)
+        monkeypatch.setattr(dgp.CellDraw, "outcomes", unit_level)
+        monkeypatch.setattr(dgp.SampleFrame, "__post_init__", unit_level)
+        comparison = replicate_table("table1", 3)
+        assert len(comparison.cells) == 48
+        report = run_study(small_config(repetitions=3))
+        assert report.row("t", "direct").n_ok == 3
+
+    def test_value_error_in_a_fit_fails_the_run(self, monkeypatch):
+        # a ValueError is a fault of the program, never a failed estimator
+        def broken(*args, **kwargs):
+            raise ValueError("broken cell arithmetic")
+
+        monkeypatch.setattr(montecarlo, "lsq_fit", broken)
+        with pytest.raises(ValueError, match="broken cell arithmetic"):
+            run_study(small_config(repetitions=2))
+
+    def test_rank_deficiency_counts_as_failed(self, monkeypatch):
+        real_fit = montecarlo.lsq_fit
+
+        def deficient_t(x, y, **kwargs):
+            if x.labels == ("1", "D", "T", "F"):
+                raise RankDeficiencyError(("T",))
+            return real_fit(x, y, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "lsq_fit", deficient_t)
+        report = run_study(small_config(repetitions=3))
+        for target in TARGETS:
+            assert (report.row("t", target).n_ok, report.row("t", target).n_failed) == (0, 3)
+            assert (report.row("tr", target).n_ok, report.row("tr", target).n_failed) == (3, 0)
+
+    @pytest.mark.parametrize("params, message", [
+        # f >= 2 overflows the mean of the outcome
+        (dgp_scenario("i", beta_f=1e308), r"y\[\d+, 0\] is not finite \(inf\)"),
+        # every outcome is finite, but a cell of two units sums beyond the range
+        (dgp_scenario("i", beta_f=0.0, beta_d=0.0, beta0=1e308),
+         "a cell sum of y is not finite"),
+    ])
+    def test_non_finite_outcome_fails_the_run_before_any_fit(self, monkeypatch, params, message):
+        fits = []
+        monkeypatch.setattr(montecarlo, "lsq_fit", lambda *args, **kwargs: fits.append(args))
+        with pytest.raises(ValueError, match=message):
+            run_study(small_config(scenario=params, repetitions=2))
+        assert not fits
+
+
 class TestConfigValidation:
     def test_bad_config_values(self):
         with pytest.raises(ValueError):
@@ -253,8 +307,10 @@ class TestSharedReplications:
             _run_scenarios(small_config(repetitions=3), scenarios)
 
     def test_grid_replication_equals_one_scenario_pipeline(self):
-        # the public one-scenario functions, composed per scenario, give
-        # bit for bit what one shared grid replication gives
+        # the public one-scenario functions, composed per scenario on
+        # unit-level outcomes, give what one shared grid replication gives
+        # from its cell sums n_c mu_c + sigma Z_c: the same sums added in
+        # another order, so equal within 1e-12 (relative, absolute below 1)
         from netcrf import (
             build_design,
             build_geometric_network,
@@ -284,7 +340,9 @@ class TestSharedReplications:
                     one = fit(build_design(frame, spec), frame.y)
                     agg = recover_effect_table(one, spec, frame.f, t_grid=()).aggregates
                     assert ok[s, e]
-                    assert tuple(estimates[s, e]) == (agg.direct, agg.network, agg.interaction)
+                    want = np.array([agg.direct, agg.network, agg.interaction])
+                    assert (np.abs(estimates[s, e] - want)
+                            <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
 
 
 def same_bits(a, b) -> bool:
