@@ -144,7 +144,7 @@ def frame_cells(d, t, f) -> FrameCells:
     """Group units by (d, t, f) through one integer key ``(f * width + t) * 2 + d``
     with ``width = max t + 1``, whose ascending order is the (f, t, d) order.
 
-    Keys below four per unit, as a simulated frame's are, are grouped by
+    Keys below four per unit, as a geometric study frame's are, are grouped by
     counting them; sparser keys, such as those of a frame with a few units of
     very many friends, by sorting."""
     d, t, f = (np.asarray(a, dtype=np.int64) for a in (d, t, f))
