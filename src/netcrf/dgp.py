@@ -142,26 +142,31 @@ class FrameCells:
 
 def frame_cells(d, t, f) -> FrameCells:
     """Group units by (d, t, f) through one integer key ``(f * width + t) * 2 + d``
-    with ``width = max t + 1``, whose ascending order is the (f, t, d) order.
-
-    Keys below four per unit, as a geometric study frame's are, are grouped by
-    counting them; sparser keys, such as those of a frame with a few units of
-    very many friends, by sorting."""
+    with ``width = max t + 1``, whose ascending order is the (f, t, d) order."""
     d, t, f = (np.asarray(a, dtype=np.int64) for a in (d, t, f))
     if d.size == 0:
         raise ValueError("an empty frame has no cells")
     width = int(t.max()) + 1
-    keys = (f * width + t) * 2 + d
-    if keys.max() < 4 * keys.size:
-        counts = np.bincount(keys)
-        occupied = np.flatnonzero(counts)
-        index = np.empty(counts.size, dtype=np.int64)
-        index[occupied] = np.arange(occupied.size)
-        keys, of_unit, counts = occupied, index[keys], counts[occupied]
-    else:
-        keys, of_unit, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    keys, of_unit, counts = np.unique((f * width + t) * 2 + d, return_inverse=True,
+                                      return_counts=True)
     return FrameCells(d=keys % 2, t=keys // 2 % width, f=keys // (2 * width), counts=counts,
                       of_unit=of_unit.reshape(-1))
+
+
+def friend_count_multiplicities(f_values) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct friend counts of ``f_values``, ascending, and how many
+    units have each. Friend counts must be whole numbers >= 1, and there
+    must be at least one."""
+    f_values = np.asarray(f_values)
+    if f_values.size == 0:
+        raise ValueError("f_values must be nonempty")
+    if (f_values < 1).any():
+        raise ValueError("all f_values must be >= 1")
+    if f_values.dtype.kind not in "iu" and (f_values != np.floor(f_values)).any():
+        raise ValueError("f_values must be whole friend counts")
+    counts = np.bincount(f_values.astype(np.int64, copy=False).ravel())
+    unique_f = np.flatnonzero(counts)
+    return unique_f, counts[unique_f]
 
 
 @dataclass(frozen=True)
@@ -329,17 +334,8 @@ def true_aggregate_effects(params: DgpParams, f_values) -> TrueEffects:
     Each is evaluated once per distinct friend count and weighted by its
     multiplicity in ``f_values``.
     """
-    f_values = np.asarray(f_values)
-    if f_values.size == 0:
-        raise ValueError("f_values must be nonempty")
-    if (f_values < 1).any():
-        raise ValueError("all f_values must be >= 1")
-    if f_values.dtype.kind not in "iu" and (f_values != np.floor(f_values)).any():
-        raise ValueError("f_values must be whole friend counts")
-    counts = np.bincount(f_values.astype(np.int64, copy=False).ravel())
-    f = np.flatnonzero(counts)
-    counts, n = counts[f], f_values.size
-    f = f.astype(float)
+    f, counts = friend_count_multiplicities(f_values)
+    f, n = f.astype(float), int(counts.sum())
     log_f = np.log(f)
     return TrueEffects(
         direct=float(counts @ (params.beta_d + params.beta_f2 * log_f) / n),

@@ -26,21 +26,11 @@ still shows it as the value of the kept columns. With (0, 0, f) empty, for
 example, ``T=t:F=f`` is kept and its coefficient, the table's tau0, is the
 level of (0, t, f), not a contrast. Such a field is absent itself or builds
 on an absent one: delta0 and tau0 build on the baseline, tau_pm on all
-three.
-
-Each aggregate is a count-weighted mean over the friend counts where its
-field at one treated friend is present, so it is one contrast of the
-coefficients, ``w @ beta``, where row ``a`` of ``w`` (3 x k) averages
-target ``a``'s contrast rows (:func:`aggregate_weights`). A call without a
-table (``t_grid=()``), such as a Monte Carlo replication's, evaluates the
-aggregates that way; a call with a table averages the table's per-f fields
-at one treated friend, the same sums added in another order, so the
-values agree to roundoff. Contrasts, the absent rules and so ``w`` depend
-on the design alone, so a multi-outcome fit evaluates them once and
-applies ``w`` to each column separately. The aggregates' contrasts at one
-treated friend are kept in a small per-process cache keyed by the column
-labels and the distinct friend counts, since a Monte Carlo study asks for
-the same few in every replication.
+three. Contrasts and the absent rules depend on the design alone, so a
+multi-outcome fit evaluates them once and aggregates each column
+separately. The aggregates' contrasts at one treated friend are kept in a
+small per-process cache keyed by the column labels and the distinct friend
+counts, since a Monte Carlo study asks for the same few in every replication.
 """
 
 from __future__ import annotations
@@ -53,6 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .design import ModelKind, ModelSpec, design_values, format_model_spec
+from .dgp import friend_count_multiplicities
 from .lsq import FitResult
 
 def complete_effects(delta0: float, tau0: float, tau_pm: float) -> tuple[float, float]:
@@ -199,8 +190,8 @@ def recover_effect_table(
     """Build the effect table implied by a fit.
 
     ``f_values`` is the realized friend-count column of the analyzed frame
-    (with multiplicity); unique values define the table rows and the
-    multiplicities weight the aggregates. ``t_grid`` restricts the treated
+    (with multiplicity), whole numbers >= 1; unique values define the table
+    rows and the multiplicities weight the aggregates. ``t_grid`` restricts the treated
     friend counts tabulated per f (default 1..f; an empty grid yields the
     aggregates alone). Aggregates average the per-unit effect functions
     evaluated at one treated friend over the empirical f distribution,
@@ -209,26 +200,19 @@ def recover_effect_table(
     out). A multi-outcome fit needs
     ``t_grid=()`` and yields a tuple of aggregates, one per outcome column.
     """
-    f_values = np.asarray(f_values, dtype=np.int64)
-    if f_values.size == 0:
-        raise ValueError("f_values must be nonempty")
-    if (f_values < 1).any():
-        raise ValueError("all f_values must be >= 1")
-    counts = np.bincount(f_values)
-    unique_f = np.flatnonzero(counts)
-    counts = counts[unique_f]
+    unique_f, counts = friend_count_multiplicities(f_values)
 
     pairs = [(int(f), int(t)) for f in unique_f
              for t in (t_grid if t_grid is not None else range(1, int(f) + 1)) if 1 <= t <= f]
-    if pairs and fit.n_outcomes is not None:
-        raise ValueError("per-cell effect tables need a one-outcome fit; pass t_grid=()")
-    coefficients = _outcome_coefficients(fit)
     rows = []
     if pairs:
+        if fit.n_outcomes is not None:
+            raise ValueError("per-cell effect tables need a one-outcome fit; pass t_grid=()")
         f_cells, t_cells = np.array(pairs, dtype=float).T
         weights = _contrasts(fit.labels, f_cells, t_cells)
+        [coefficients] = _outcome_coefficients(fit)
         baseline, delta0, tau0, tau_pm = np.where(_absent(fit, spec, weights, f_cells), np.nan,
-                                                  weights @ coefficients[0])
+                                                  weights @ coefficients)
         tau1, delta_t = complete_effects(delta0, tau0, tau_pm)
         rows = np.column_stack([delta0, tau0, tau_pm, tau1, delta_t, baseline]).tolist()
     cells = [EffectCell(f, t, *(None if math.isnan(v) else v for v in row))
@@ -236,42 +220,25 @@ def recover_effect_table(
 
     # the t = 1 contrasts, their absent cells and so each target's weight
     # depend on the design alone
-    contrasts = _aggregate_contrasts(fit.labels, tuple(unique_f.tolist()))
-    absent = _absent(fit, spec, contrasts, unique_f)
+    weights = _aggregate_contrasts(fit.labels, tuple(unique_f.tolist()))
+    absent = _absent(fit, spec, weights, unique_f)
     if spec.saturated:
         absent = _unidentified(absent)
-    present = ~absent[1:]
-    totals = (present @ counts).tolist()  # the units each aggregate averages over
-    skipped = tuple(f_values.size - total for total in totals)
-    if pairs:
-        # the table's fields at t = 1, averaged over their present friend counts
-        per_f = (contrasts @ coefficients[0])[1:]
-        aggregates = EffectAggregates(
-            *(float(values[mask] @ counts[mask] / total) if total else None
-              for values, mask, total in zip(per_f, present, totals)),
-            skipped_units=skipped)
-    else:
-        w = aggregate_weights(contrasts[1:], present, counts)
-        aggregates = tuple(
-            EffectAggregates(*(v if total else None for v, total in zip((w @ c).tolist(), totals)),
-                             skipped_units=skipped)
-            for c in coefficients)
-        if fit.n_outcomes is None:
-            (aggregates,) = aggregates
+    targets = [(present, counts[present], int(counts[present].sum()), int(counts[~present].sum()))
+               for present in ~absent[1:]]
+    aggregates = tuple(_aggregates((weights @ coefficients)[1:], targets)
+                       for coefficients in _outcome_coefficients(fit))
+    if fit.n_outcomes is None:
+        (aggregates,) = aggregates
     return EffectTable(cells=tuple(cells), aggregates=aggregates, model=format_model_spec(spec))
 
 
-def aggregate_weights(contrasts: np.ndarray, present: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The aggregates as one contrast ``w`` over the coefficients.
+def _aggregates(per_f, targets) -> EffectAggregates:
+    """Count-weighted means of the per-f (delta0, tau0, tau_pm) at t = 1 over
+    their present values, with the units each skips; a mean is None when
+    every value is absent. ``targets`` holds per aggregate the present mask,
+    the present counts, their sum and the skipped units."""
+    means = [float(values[present] @ present_counts / weight) if weight else None
+             for values, (present, present_counts, weight, _) in zip(per_f, targets)]
+    return EffectAggregates(*means, skipped_units=tuple(target[3] for target in targets))
 
-    ``contrasts`` holds the (delta0, tau0, tau_pm) contrast rows at one
-    treated friend per distinct friend count, ``(3, F, k)``, ``present``
-    where each is present, ``(3, F)``, and ``counts`` the units per friend
-    count. Row ``a`` of ``w`` (3 x k) is the count-weighted mean of target
-    ``a``'s rows over its present friend counts, so ``w @ beta`` gives the
-    three aggregates of the coefficients ``beta``; it is zero for a target
-    present at no friend count.
-    """
-    weights = present * counts
-    shares = weights / np.maximum(weights.sum(axis=1, keepdims=True), 1)
-    return (shares[:, None, :] @ contrasts)[:, 0]

@@ -16,8 +16,7 @@ draws the frame by cell (``simulate_cells``, which needs the scenarios to
 share ``p_treat``, since that fixes d and t), whose per-cell sums of ``y``,
 one column per scenario, are ``n_c mu_cs + sigma_s Z_c``. Then, per
 estimator, one design, one ``lsq.fit`` of those sums and one
-``recover_effect_table`` call, which evaluates each aggregate as one
-contrast ``w`` applied to the coefficients, give every scenario's
+``recover_effect_table`` call without a table give every scenario's
 aggregates. ``run_study`` is its one-scenario case. A non-finite outcome
 fails the whole run before any fit; an estimator that raises
 :class:`NumericalError` or :class:`DataError` counts as failed in that

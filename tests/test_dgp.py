@@ -412,8 +412,7 @@ class TestSampleFrameValidation:
 class TestFrameCells:
     @pytest.mark.parametrize("f_scale", [1, 10 ** 6])
     def test_cells_group_units_by_d_t_f_in_ascending_order(self, f_scale):
-        # keys below four per unit are grouped by counting; friend counts far
-        # beyond the unit count keep the keys apart and go through sorting
+        # friend counts far beyond the unit count keep the keys apart
         rng = np.random.default_rng(41)
         f = rng.integers(1, 6, size=300) * f_scale
         t = rng.integers(0, np.minimum(f, 5) + 1)

@@ -388,24 +388,32 @@ class TestAbsentCells:
         ModelSpec.crf2(1, t_order=2), ModelSpec.crf1_long(f_max=6, t_max=6),
     ])
     def test_empty_t_grid_gives_full_table_aggregates(self, noisy_small_f_frame, spec):
-        # without a table the aggregates are w @ beta, the per-f averages of
-        # the table summed in another order: equal to roundoff
         frame = noisy_small_f_frame
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
-        full = recover_effect_table(result, spec, frame.f).aggregates
+        full = recover_effect_table(result, spec, frame.f)
         aggregates_only = recover_effect_table(result, spec, frame.f, t_grid=())
         assert aggregates_only.cells == ()
-        got = aggregates_only.aggregates
-        assert got.skipped_units == full.skipped_units
-        for name in ("direct", "network", "interaction"):
-            a, b = getattr(got, name), getattr(full, name)
-            assert (a is None) == (b is None)
-            assert a is None or abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        assert aggregates_only.aggregates == full.aggregates
 
     def test_requires_nonempty_f_values(self, noiseless_iii_frame):
         result = exact_fit(noiseless_iii_frame, ModelSpec.t_model())
         with pytest.raises(ValueError):
             recover_effect_table(result, ModelSpec.t_model(), [])
+
+    def test_friend_counts_follow_the_rule_of_the_true_effects(self, noiseless_iii_frame):
+        # one rule for both: whole numbers >= 1, as integers or floats
+        spec = ModelSpec.t_model()
+        result = exact_fit(noiseless_iii_frame, spec)
+        params = dgp_scenario("iii")
+        for bad in ([0, 2], [1.0, 2.5], [np.nan]):
+            with pytest.raises(ValueError):
+                recover_effect_table(result, spec, bad)
+            with pytest.raises(ValueError):
+                true_aggregate_effects(params, bad)
+        whole = [1.0, 3.0, 3.0]
+        assert recover_effect_table(result, spec, whole) == recover_effect_table(result, spec,
+                                                                                 [1, 3, 3])
+        assert true_aggregate_effects(params, whole) == true_aggregate_effects(params, [1, 3, 3])
 
 
 class TestEffectTableOutput:
