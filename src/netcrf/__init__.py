@@ -15,7 +15,6 @@ from .dgp import (
     assign_treatment,
     dgp_scenario,
     simulate_frame,
-    simulate_frames,
     true_aggregate_effects,
 )
 from .design import (
@@ -67,7 +66,7 @@ __all__ = [
     "__version__",
     "DgpParams", "SampleFrame", "TrueEffects",
     "assign_treatment", "dgp_scenario",
-    "simulate_frame", "simulate_frames", "true_aggregate_effects",
+    "simulate_frame", "true_aggregate_effects",
     "DesignMatrix", "ModelKind", "ModelSpec", "build_design",
     "format_model_spec", "parse_model_spec",
     "EffectAggregates", "EffectCell", "EffectTable",

@@ -221,17 +221,9 @@ class DesignMatrix:
 
     @cached_property
     def values(self) -> np.ndarray:
-        values = self.to_units(self.cell_values)
+        values = self.cell_values[self.cell_of_unit]
         values.setflags(write=False)
         return values
-
-    def cell_sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-cell sums of a unit-level vector."""
-        return np.bincount(self.cell_of_unit, weights=v, minlength=self.n_cells)
-
-    def to_units(self, a: np.ndarray) -> np.ndarray:
-        """Per-cell rows of ``a`` repeated for each unit."""
-        return a[self.cell_of_unit]
 
     @cached_property
     def qr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,19 +17,21 @@ first, and d = uniform < p_treat, u = noise_sd * z. So scenarios that share
 ``p_treat`` share d, t and z, and one draw serves them all.
 
 **Cells.** The mean outcome depends on (d, t, f) alone, so within an
-occupied cell ``c`` each scenario's outcome is ``y_is = mu_cs + sigma_s z_i``
-and its cell sum is ``n_c mu_cs + sigma_s Z_c``, where ``Z_c`` sums the
-standard-normal draws of the cell's units. :func:`simulate_cells` draws
-once and keeps the frame by cell (:class:`CellDraw`): the cells, the means
-``mu_cs`` and the shared sums ``Z_c``, which is all a fit of a design built
-on (d, t, f) needs. :func:`simulate_frames` is that draw with the outcomes
-gathered to units, one column per scenario, and :func:`simulate_frame` its
-one-scenario case.
+occupied cell ``c`` each scenario's outcome is ``y_is = mu_cs + sigma_s z_i``.
+Its cell sum is ``n_c mu_cs + sigma_s Z_c`` and its sum of squares about the
+cell mean ``sigma_s^2 W_c``, where ``Z_c`` sums the standard-normal draws of
+the cell's units and ``W_c`` is their sum of squares about their cell mean.
+:func:`simulate_cells` draws once and keeps the frame by cell
+(:class:`CellDraw`): the cells, the means ``mu_cs`` and the shared draws,
+whose :class:`CellSums` are all a fit of a design built on (d, t, f) needs.
+:func:`simulate_frame` is the one-scenario draw with its outcome gathered to
+units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -57,6 +59,10 @@ class DgpParams:
     p_treat: float = 0.5
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.noise_sd < 0:
             raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
         if not 0.0 < self.p_treat < 1.0:
@@ -65,13 +71,11 @@ class DgpParams:
 
 @dataclass(frozen=True)
 class SampleFrame:
-    """Per-unit rows (y, d, t, f) restricted to f >= 1.
+    """Per-unit rows (y, d, t, f) restricted to f >= 1, each of shape ``(n,)``.
 
-    ``y`` has shape ``(n,)``, or ``(n, s)`` for ``s`` outcomes of the same
-    units, one column each, as :func:`netcrf.lsq.fit` takes it. ``ids``
-    keeps the original unit indices so emitted files can be traced back to
-    the simulated population; ``n_total`` is the population size before the
-    f > 0 selection.
+    ``ids`` keeps the original unit indices so emitted files can be traced
+    back to the simulated population; ``n_total`` is the population size
+    before the f > 0 selection.
     """
 
     y: np.ndarray
@@ -87,8 +91,8 @@ class SampleFrame:
         t = np.asarray(self.t, dtype=np.int64)
         f = np.asarray(self.f, dtype=np.int64)
         ids = np.asarray(self.ids, dtype=np.int64)
-        if y.ndim not in (1, 2):
-            raise ValueError(f"y must have shape (n,) or (n, s), got {y.shape}")
+        if y.ndim != 1:
+            raise ValueError(f"y must have shape (n,), got {y.shape}")
         n = y.shape[0]
         for name, arr in (("d", d), ("t", t), ("f", f), ("ids", ids)):
             if arr.shape != (n,):
@@ -151,6 +155,38 @@ def frame_cells(d, t, f) -> FrameCells:
                                       return_counts=True)
     return FrameCells(d=keys % 2, t=keys // 2 % width, f=keys // (2 * width), counts=counts,
                       of_unit=of_unit.reshape(-1))
+
+
+@dataclass(frozen=True)
+class CellSums:
+    """An outcome's statistics per cell of a design, in the design's cell
+    order: ``values``, its sum over the cell's units, and ``within``, its sum
+    of squares about the cell mean. Both have shape ``(n_cells,)``, or
+    ``(n_cells, s)`` for ``s`` outcomes of the same units; they are all
+    :func:`netcrf.lsq.fit` needs of the outcome."""
+
+    values: np.ndarray
+    within: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        within = np.asarray(self.within, dtype=float)
+        if values.shape != within.shape:
+            raise ValueError(f"within-cell squares have shape {within.shape}, "
+                             f"the sums {values.shape}")
+        if not (within >= 0).all():
+            raise ValueError("within-cell sums of squares must be >= 0")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "within", within)
+
+    @classmethod
+    def of_units(cls, y: np.ndarray, of_unit: np.ndarray, counts: np.ndarray) -> "CellSums":
+        """The statistics of a unit-level ``y``, shape ``(n,)``, over the cells
+        ``of_unit`` of its units, with ``counts`` units per cell."""
+        sums = np.bincount(of_unit, weights=y, minlength=counts.size)
+        deviations = y - (sums / counts)[of_unit]
+        return cls(sums, np.bincount(of_unit, weights=deviations * deviations,
+                                     minlength=counts.size))
 
 
 def friend_count_multiplicities(f_values) -> tuple[np.ndarray, np.ndarray]:
@@ -254,17 +290,19 @@ class CellDraw:
     def n_selected(self) -> int:
         return int(self.f.shape[0])
 
-    def cell_sums(self) -> np.ndarray:
-        """Each scenario's sum of the outcome per cell, ``n_c mu_cs + sigma_s Z_c``:
-        ``(n_cells, s)``. A non-finite sum raises ValueError, naming the first
+    def cell_sums(self) -> CellSums:
+        """Each scenario's :class:`CellSums`, ``(n_cells, s)``: the sums
+        ``n_c mu_cs + sigma_s Z_c`` and the within-cell squares
+        ``sigma_s^2 W_c``. A non-finite sum raises ValueError, naming the first
         non-finite unit outcome ``y[i, s]`` where there is one."""
         cells = self.cells
-        noise_sums = np.bincount(cells.of_unit, weights=self.z, minlength=cells.counts.size)
-        sums = cells.counts[:, None] * self.means + noise_sums[:, None] * self.noise_sd
+        noise = CellSums.of_units(self.z, cells.of_unit, cells.counts)
+        sums = cells.counts[:, None] * self.means + noise.values[:, None] * self.noise_sd
         if not np.isfinite(sums).all():
             check_finite_y(self.outcomes())
             raise ValueError("a cell sum of y is not finite, although every y is")
-        return sums
+        # (W sigma) sigma is never NaN, where W sigma^2 would be 0 * inf at a huge sigma
+        return CellSums(sums, noise.within[:, None] * self.noise_sd * self.noise_sd)
 
     def outcomes(self) -> np.ndarray:
         """The unit-level outcomes ``mu_cs + sigma_s z_i``, ``(n, s)``."""
@@ -272,11 +310,12 @@ class CellDraw:
             return np.zeros((0, self.means.shape[1]))
         return self.means[self.cells.of_unit] + self.z[:, None] * self.noise_sd
 
-    def frame(self, stack: bool = True) -> SampleFrame:
-        """The frame with its outcomes gathered to units: one column per
-        scenario, or with ``stack=False`` the one scenario's outcome."""
-        y = self.outcomes()
-        frame = SampleFrame(y=y if stack else y[:, 0], d=self.d, t=self.t, f=self.f,
+    def frame(self) -> SampleFrame:
+        """The frame of a one-scenario draw, with its outcome gathered to units."""
+        if self.means.shape[1] != 1:
+            raise ValueError(f"a frame holds one scenario's outcome; this draw has "
+                             f"{self.means.shape[1]} scenarios")
+        frame = SampleFrame(y=self.outcomes()[:, 0], d=self.d, t=self.t, f=self.f,
                             ids=self.ids, n_total=self.n_total)
         if self.cells is not None:
             object.__setattr__(frame, "cells", self.cells)  # every design of the frame reuses them
@@ -310,18 +349,9 @@ def simulate_cells(network: Network, scenarios: Sequence[DgpParams], seed: int) 
                     noise_sd=np.array([params.noise_sd for params in scenarios], dtype=float))
 
 
-def simulate_frames(network: Network, scenarios: Sequence[DgpParams], seed: int) -> SampleFrame:
-    """One frame for every parameter set, all from the same draws of ``seed``.
-
-    The scenarios must share ``p_treat``, which fixes d and t. Column ``j``
-    of ``y`` equals ``simulate_frame(network, scenarios[j], seed).y``.
-    """
-    return simulate_cells(network, scenarios, seed).frame()
-
-
 def simulate_frame(network: Network, params: DgpParams, seed: int) -> SampleFrame:
     """Simulate treatments and outcomes on a network; keep units with F > 0."""
-    return simulate_cells(network, (params,), seed).frame(stack=False)
+    return simulate_cells(network, (params,), seed).frame()
 
 
 def true_aggregate_effects(params: DgpParams, f_values) -> TrueEffects:

@@ -19,20 +19,20 @@ cells. Writing ``ybar_c`` for the cell mean of ``y``,
 and the last sum does not depend on ``b``. Least squares on the units is
 therefore least squares on the rows ``sqrt(n_c) x_c`` with outcome
 ``sum_{i in c} y_i / sqrt(n_c)``: the same ``R``, pivots, rank and
-coefficients, from a QR whose size is the number of cells. Fitted values
-and residuals are the cell fits repeated for each unit. The sufficient
-statistics are, per cell, the count, the sum of ``y`` and, for the robust
-variance, the sum of squared residuals: its meat is
-``sum_c (sum_{i in c} e_i^2) x_c x_c'``. The classical variance keeps
-``n - rank`` residual degrees of freedom over units. A design built
-directly from a matrix has one cell per row with count 1 and is fitted
-with the same arithmetic as a unit-level design.
+coefficients, from a QR whose size is the number of cells. So all a fit
+needs of its outcome, and all it keeps, are per cell the sum and the sum of
+squares about the cell mean, ``W_c`` (:class:`CellSums`). A cell's sum of
+squared residuals is ``SSR_c = W_c + n_c (ybar_c - x_c'b)^2``; the classical
+variance divides ``sum_c SSR_c`` by ``n - rank`` residual degrees of freedom
+over units, and the robust (HC0) meat is ``sum_c SSR_c x_c x_c'``. A design
+built directly from a matrix has one cell per row with count 1 and is
+fitted with the same arithmetic as a unit-level design.
 
-:func:`fit` takes the unit-level ``y``, whose cell sums it makes with
-:meth:`DesignMatrix.cell_sums`, or the caller's cell sums directly
-(:class:`CellSums`), as a Monte Carlo replication that draws its outcomes
-by cell passes them. Either way one core fits from the sums, so the same
-sums give the same coefficients bit for bit.
+:func:`fit` takes the unit-level ``y`` and reduces it to its
+:class:`CellSums` on entry, or the caller's :class:`CellSums` directly, as a
+Monte Carlo replication that draws its outcomes by cell passes them. Either
+way one core fits from the statistics, so the same sums give the same
+coefficients bit for bit.
 
 **Saturated designs.** A ``crf1long`` or ``crf1short`` design has one
 column per possible (d, t, f) cell, and each column has an *own cell*, the
@@ -66,20 +66,18 @@ threads) those wake-ups took ~28 ms of a ~62 ms run; the median call took
 19 us, the slowest 16 ms. ``dpotri`` is no way around it, because OpenBLAS
 threads its ``lauum``.
 
-``y`` may also hold several outcomes as columns, shape ``(n, s)`` as in
-``numpy.linalg.lstsq``; one call then computes the rank and the dropped
-columns once and solves each column with exactly the one-outcome
-arithmetic (its own right-hand side and triangular solve), so a column's
-numbers never depend on the columns fitted alongside it.
+:class:`CellSums` may hold several outcomes as columns, shape
+``(n_cells, s)``; one call then computes the rank and the dropped columns
+once and solves each column with exactly the one-outcome arithmetic (its
+own right-hand side and triangular solve), so a column's numbers never
+depend on the columns fitted alongside it.
 
-**On demand.** A fit stores the per-cell sums of its outcomes. The cell
-fits, the unit-level ``fitted`` and ``residuals`` (an n x s gather and
-subtraction) and the variance matrices are computed on first read, so
-callers that read only the coefficients, such as a Monte Carlo
-replication, never pay for them. The variance matrices, ``coef`` and the
-JSON form need a one-outcome fit. A fit made from :class:`CellSums` has no
-unit-level outcome: reading its ``fitted``, ``residuals`` or a variance
-raises ValueError.
+**On demand.** The cell fits and the variance matrices are computed on
+first read, so callers that read only the coefficients, such as a Monte
+Carlo replication, never pay for them. The variance matrices, ``coef`` and
+the JSON form need a one-outcome fit. The robust variance is the Gram matrix
+``B'B`` of ``B = (sqrt(SSR_c) x_c) (X'X)^-1`` over the cell rows, so its
+diagonal is a sum of squares and never negative.
 
 **LAPACK directly.** The factorization (:attr:`DesignMatrix.qr`) and the
 triangular solves call LAPACK ``dgeqp3``/``dorgqr`` and ``dtrtrs``, and the
@@ -104,37 +102,27 @@ import numpy as np
 
 from . import _lapack
 from .design import DesignMatrix
-from .dgp import check_finite_y
+from .dgp import CellSums, check_finite_y
 from .errors import NumericalError, RankDeficiencyError
 
 DEFAULT_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class CellSums:
-    """Per-cell sums of the outcome, ``(n_cells,)`` or ``(n_cells, s)`` in the
-    cell order of the design, which :func:`fit` takes in place of a
-    unit-level ``y``."""
-
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class FitResult:
     """OLS output: coefficients (NaN where a column was dropped), diagnostics,
-    residuals, and both variance estimates over the retained columns.
+    and both variance estimates over the retained columns.
 
-    For an ``(n, s)`` outcome, ``coefficients`` is ``(k, s)`` and
-    ``residuals``/``fitted`` are ``(n, s)``, one column per outcome.
+    For a fit of ``s`` outcomes (:class:`CellSums` of shape ``(n_cells, s)``),
+    ``coefficients`` is ``(k, s)``, one column per outcome.
     ``min_pivot_ratio`` is the smallest retained pivot of the QR over its
     largest (None at rank 0 and for a saturated design). ``factor`` is the
     triangular factor over the retained columns, lower for a saturated
     design and upper otherwise, and ``factor_columns`` the design columns in
-    its order. ``cell_sums`` holds the outcome's sum over each design cell,
-    ``(n_cells, s)``. ``cell_fitted``, the fitted value of each cell, is
-    computed on first read, and ``fitted`` and ``residuals`` repeat it for
-    each unit. ``y`` is None for a fit made from :class:`CellSums`, which
-    has no unit-level results.
+    its order. ``cell_sums`` and ``cell_within`` hold the outcomes' sums and
+    sums of squares about the mean over each design cell, ``(n_cells, s)``;
+    they are all the fit keeps of its outcomes. ``cell_fitted``, the fitted
+    value of each cell, is computed on first read.
     """
 
     coefficients: np.ndarray
@@ -146,8 +134,8 @@ class FitResult:
     factor: np.ndarray = field(repr=False, compare=False)
     factor_columns: np.ndarray = field(repr=False, compare=False)
     design: DesignMatrix = field(repr=False, compare=False)
-    y: np.ndarray | None = field(repr=False, compare=False)
     cell_sums: np.ndarray = field(repr=False, compare=False)
+    cell_within: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def cell_fitted(self) -> np.ndarray:
@@ -160,22 +148,6 @@ class FitResult:
         coefficients = self.coefficients.reshape(len(self.labels), -1)
         return np.column_stack([retained @ coefficients[kept, j]
                                 for j in range(coefficients.shape[1])])
-
-    @cached_property
-    def fitted(self) -> np.ndarray:
-        self._unit_level("fitted")
-        fitted = self.design.to_units(self.cell_fitted)
-        return fitted if self.y.ndim == 2 else fitted[:, 0]
-
-    @cached_property
-    def residuals(self) -> np.ndarray:
-        self._unit_level("residuals")
-        return self.y - self.fitted
-
-    def _unit_level(self, what: str) -> None:
-        if self.y is None:
-            raise ValueError(f"{what} needs the unit-level outcome; this fit was made from "
-                             "cell sums")
 
     @property
     def n_outcomes(self) -> int | None:
@@ -198,29 +170,32 @@ class FitResult:
         return (t_inv @ t_inv.T)[np.ix_(order, order)]
 
     @cached_property
+    def _cell_ssr(self) -> np.ndarray:
+        """Each cell's sum of squared residuals, ``W_c + n_c (ybar_c - fit_c)^2``."""
+        counts = self.design.cell_counts
+        gap = self.cell_sums[:, 0] / counts - self.cell_fitted[:, 0]
+        return self.cell_within[:, 0] + counts * gap * gap
+
+    @cached_property
     def vcov_classical(self) -> np.ndarray | None:
         """s^2 (X'X)^-1, or None when n <= rank leaves no residual degrees of freedom."""
         self._one_outcome("vcov_classical")
-        self._unit_level("vcov_classical")
         if self.rank == 0:
             return np.zeros((0, 0))
         if self.n <= self.rank:
             return None
-        s2 = float(self.residuals @ self.residuals) / (self.n - self.rank)
+        s2 = float(self._cell_ssr.sum()) / (self.n - self.rank)
         return _symmetrize(s2 * self._xtx_inv)
 
     @cached_property
     def vcov_robust(self) -> np.ndarray:
-        """Heteroskedasticity-consistent sandwich with squared-residual weights."""
+        """Heteroskedasticity-consistent (HC0) sandwich, as the Gram matrix ``B'B``."""
         self._one_outcome("vcov_robust")
-        self._unit_level("vcov_robust")
         if self.rank == 0:
             return np.zeros((0, 0))
-        x = self.design
-        residual_scale = np.sqrt(x.cell_sums(np.square(self.residuals)))
-        weighted = x.cell_values[:, np.sort(self.factor_columns)] * residual_scale[:, None]
-        inv = self._xtx_inv
-        return _symmetrize(inv @ (weighted.T @ weighted) @ inv)
+        kept = np.sort(self.factor_columns)
+        b = (self.design.cell_values[:, kept] * np.sqrt(self._cell_ssr)[:, None]) @ self._xtx_inv
+        return _symmetrize(b.T @ b)
 
     def coef(self, label: str) -> float | None:
         """Coefficient by column label; None when the column was dropped."""
@@ -251,11 +226,11 @@ def fit(
     on_rank_deficiency: str = "error",
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> FitResult:
-    """Least-squares fit of ``y``, shape ``(n,)`` or ``(n, s)``, on the columns of ``x``.
+    """Least-squares fit of the unit-level ``y``, shape ``(n,)``, on the columns of ``x``.
 
-    ``y`` may instead be the outcome's sums per cell of ``x``
-    (:class:`CellSums`); the fit is then the same arithmetic on the given
-    sums, and its unit-level results and variances raise ValueError.
+    ``y`` may instead be the outcome's statistics per cell of ``x``
+    (:class:`CellSums`), of one outcome or of several as columns; the fit is
+    then the same arithmetic on the given statistics.
 
     A saturated design (``x.own_cell`` set) keeps the columns whose own cell
     is occupied. Any other design is factored by one pivoted QR
@@ -271,25 +246,22 @@ def fit(
     n = x.n_rows
     if n < 1:
         raise ValueError("need at least one observation")
-    if isinstance(y, CellSums):
-        sums = np.asarray(y.values, dtype=float)
-        if sums.ndim not in (1, 2) or sums.shape[0] != x.n_cells:
-            raise ValueError(f"cell sums must have shape ({x.n_cells},) or ({x.n_cells}, s), "
-                             f"got {sums.shape}")
-        if not np.isfinite(sums).all():
-            raise ValueError("cell sums must be finite")
-        y, one_outcome = None, sums.ndim == 1
-        sums = np.array(sums[:, None] if one_outcome else sums, order="F")  # the fit's own copy
-    else:
-        y = np.array(y, dtype=float)  # a copy: residuals read it after the caller is done
-        if y.ndim not in (1, 2) or y.shape[0] != n:
-            raise ValueError(f"y must have shape ({n},) or ({n}, s), got {y.shape}")
+    if not isinstance(y, CellSums):
+        y = np.asarray(y, dtype=float)
+        if y.shape != (n,):
+            raise ValueError(f"y must have shape ({n},), got {y.shape}")
         check_finite_y(y)
-        one_outcome = y.ndim == 1
-        columns = np.asfortranarray(y[:, None] if one_outcome else y).T
-        sums = np.empty((x.n_cells, columns.shape[0]), order="F")
-        for j, column in enumerate(columns):
-            sums[:, j] = x.cell_sums(column)
+        y = CellSums.of_units(y, x.cell_of_unit, x.cell_counts)
+    sums = y.values
+    if sums.ndim not in (1, 2) or sums.shape[0] != x.n_cells:
+        raise ValueError(f"cell sums must have shape ({x.n_cells},) or ({x.n_cells}, s), "
+                         f"got {sums.shape}")
+    if not np.isfinite(sums).all():
+        raise ValueError("cell sums must be finite")
+    one_outcome = sums.ndim == 1
+    # the fit's own F-ordered copies, one column per outcome
+    sums, within = (np.array(a[:, None] if one_outcome else a, order="F")
+                    for a in (sums, y.within))
 
     # one core from here: the outcomes' per-cell sums are the columns of the F-ordered sums
     k = x.n_cols
@@ -338,8 +310,8 @@ def fit(
         factor=factor,
         factor_columns=kept,
         design=x,
-        y=y,
         cell_sums=sums,
+        cell_within=within,
     )
 
 

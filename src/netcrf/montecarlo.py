@@ -48,7 +48,6 @@ from .dgp import DgpParams, dgp_scenario, simulate_cells, true_aggregate_effects
 from .effects import recover_effect_table
 from .errors import DataError, NumericalError
 from .graph import DEFAULT_RADIUS, build_geometric_network, generate_positions
-from .lsq import CellSums
 from .lsq import fit as lsq_fit
 from .rng import GENERATOR_NAME, child_seeds
 
@@ -101,7 +100,7 @@ def _replicate(config: MCConfig, scenarios, rep_index: int):
             f"replication {rep_index}: no units with F > 0 "
             f"(n_units={config.n_units}, radius={config.radius})"
         )
-    sums = CellSums(draw.cell_sums())
+    sums = draw.cell_sums()
     true = np.empty((len(scenarios), len(TARGETS)))
     for s, params in enumerate(scenarios):
         effects = true_aggregate_effects(params, draw.f)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from netcrf import ModelSpec, SampleFrame, build_geometric_network, generate_positions
+from netcrf.lsq import CellSums
 from netcrf.rng import child_seeds, rng_from_seed
 
 
@@ -15,6 +16,30 @@ def make_frame(y, d, t, f, n_total=None):
         y=y, d=np.asarray(d), t=np.asarray(t), f=np.asarray(f),
         ids=np.arange(n), n_total=n_total if n_total is not None else n,
     )
+
+
+def cell_statistics(x, y):
+    """The :class:`CellSums` of a unit-level outcome over the cells of design
+    ``x``: per cell, the sum and the sum of squares about the cell mean of
+    ``y``, shape ``(n,)``, or of each column of ``y``, shape ``(n, s)``."""
+    y = np.asarray(y, dtype=float)
+    sums, within = [], []
+    for column in y.reshape(y.shape[0], -1).T:
+        total = np.bincount(x.cell_of_unit, weights=column, minlength=x.n_cells)
+        deviations = column - (total / x.cell_counts)[x.cell_of_unit]
+        sums.append(total)
+        within.append(np.bincount(x.cell_of_unit, weights=deviations * deviations,
+                                  minlength=x.n_cells))
+    if y.ndim == 1:
+        return CellSums(sums[0], within[0])
+    return CellSums(np.column_stack(sums), np.column_stack(within))
+
+
+def unit_fitted(result):
+    """A one-outcome fit's fitted value of every unit, from the unit-level
+    design matrix and the coefficients of the columns it kept."""
+    kept = ~np.isnan(result.coefficients)
+    return result.design.values[:, kept] @ result.coefficients[kept]
 
 
 def potential_outcome(params, f, d, t, u=0.0):

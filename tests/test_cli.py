@@ -89,6 +89,22 @@ class TestSimulate:
         assert code == 2
         assert "beta_zz" in err
 
+    @pytest.mark.parametrize("source, message", [
+        (["--param", "noise_sd=nan"], "noise_sd must be finite, got nan"),
+        (["--param", "beta_d=inf"], "beta_d must be finite, got inf"),
+        ({"params": {"beta_tau": 1e400}}, "beta_tau must be finite, got inf"),
+    ])
+    def test_non_finite_param_is_named(self, tmp_path, capsys, source, message):
+        # a parameter, not an outcome, is at fault
+        argv = ["simulate", "--n-units", "300", "--scenario", "i", "--out", str(tmp_path)]
+        if isinstance(source, dict):
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(source).replace("Infinity", "1e400"))
+            source = ["--config", str(config)]
+        code, out, err = run_cli(capsys, *argv, *source)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "frame.csv").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_options(self, tmp_path, capsys):

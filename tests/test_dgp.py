@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,10 +12,9 @@ from netcrf import (
     assign_treatment,
     dgp_scenario,
     simulate_frame,
-    simulate_frames,
     true_aggregate_effects,
 )
-from netcrf.dgp import _outcome_mean, frame_cells
+from netcrf.dgp import _outcome_mean, frame_cells, simulate_cells
 from netcrf.graph import treated_neighbor_counts
 from conftest import make_frame, potential_outcome, potential_outcome_grid, unit_noise
 
@@ -189,33 +188,49 @@ class TestSimulateFrame:
 
 
 class TestSimulateFrames:
+    """Frames of several scenarios drawn at once, kept by cell (simulate_cells)."""
+
     GRIDS = (
         (dgp_scenario("i"), dgp_scenario("iv"), dgp_scenario("ii", noise_sd=2.5)),
         (dgp_scenario("iii", p_treat=0.3), dgp_scenario("iv", p_treat=0.3, noise_sd=0.0)),
     )
 
     def test_each_frame_equals_simulate_frame_bitwise(self, network_1000):
+        # each scenario's outcomes are simulate_frame's bit for bit, and its
+        # cell sums and within-cell squares are bincounts of them to roundoff
         for scenarios in self.GRIDS:
-            frame = simulate_frames(network_1000, scenarios, 31)
-            assert frame.y.shape == (frame.n_selected, len(scenarios))
+            draw = simulate_cells(network_1000, scenarios, 31)
+            outcomes, stats = draw.outcomes(), draw.cell_sums()
+            of_unit, n_cells = draw.cells.of_unit, draw.cells.counts.size
+            assert outcomes.shape == (draw.n_selected, len(scenarios))
+            assert stats.values.shape == stats.within.shape == (n_cells, len(scenarios))
             for column, params in enumerate(scenarios):
                 alone = simulate_frame(network_1000, params, 31)
-                y = np.ascontiguousarray(frame.y[:, column])
+                y = np.ascontiguousarray(outcomes[:, column])
                 assert y.dtype == alone.y.dtype and y.tobytes() == alone.y.tobytes()
                 for name in ("d", "t", "f", "ids"):
-                    got, want = getattr(frame, name), getattr(alone, name)
+                    got, want = getattr(draw, name), getattr(alone, name)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-                assert frame.n_total == alone.n_total
+                assert draw.n_total == alone.n_total
+                sums = np.bincount(of_unit, weights=alone.y, minlength=n_cells)
+                deviations = alone.y - (sums / draw.cells.counts)[of_unit]
+                squares = np.bincount(of_unit, weights=deviations ** 2, minlength=n_cells)
+                for got, want in ((stats.values[:, column], sums),
+                                  (stats.within[:, column], squares)):
+                    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
     def test_frames_with_equal_p_treat_share_units(self, network_1000):
         # p_treat fixes d and t, so scenarios with another p_treat need their own frame
-        low, high = (simulate_frames(network_1000, grid, 31) for grid in self.GRIDS)
+        low, high = (simulate_cells(network_1000, grid, 31) for grid in self.GRIDS)
         assert not np.array_equal(low.d, high.d)
         assert np.array_equal(low.f, high.f)
         with pytest.raises(ValueError, match="p_treat"):
-            simulate_frames(network_1000, self.GRIDS[0] + self.GRIDS[1], 31)
+            simulate_cells(network_1000, self.GRIDS[0] + self.GRIDS[1], 31)
         with pytest.raises(ValueError, match="p_treat"):
-            simulate_frames(network_1000, (), 31)
+            simulate_cells(network_1000, (), 31)
+        # a frame holds one scenario's outcome
+        with pytest.raises(ValueError, match="one scenario"):
+            low.frame()
 
     def test_grid_noise_matches_frame(self, network_1000):
         params = self.GRIDS[0][2]
@@ -250,15 +265,14 @@ class TestOutcomeMeanPerCell:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_frame_outcome_equals_unit_mean_plus_noise_bitwise(self, network_2000, seed):
-        scenarios = tuple(dgp_scenario(s) for s in ("i", "ii", "iii", "iv"))
-        frame = simulate_frames(network_2000, scenarios, seed)
-        for column, params in enumerate(scenarios):
+        for params in (dgp_scenario(s) for s in ("i", "ii", "iii", "iv")):
+            frame = simulate_frame(network_2000, params, seed)
             u = unit_noise(network_2000, params, seed)[frame.ids]
             want = _outcome_mean(params, frame.f, frame.d, frame.t) + u
-            assert np.ascontiguousarray(frame.y[:, column]).tobytes() == want.tobytes()
+            assert frame.y.tobytes() == want.tobytes()
 
     def test_frame_cells_are_the_cells_of_its_units(self, network_2000):
-        frame = simulate_frames(network_2000, (dgp_scenario("iv"),), 9)
+        frame = simulate_frame(network_2000, dgp_scenario("iv"), 9)
         want = frame_cells(frame.d, frame.t, frame.f)
         for name in ("d", "t", "f", "counts", "of_unit"):
             assert np.array_equal(getattr(frame.cells, name), getattr(want, name)), name
@@ -393,20 +407,24 @@ class TestSampleFrameValidation:
         with pytest.raises(ValueError):
             DgpParams(p_treat=0.0)
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(DgpParams)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_are_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            DgpParams(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dgp_scenario("iv", **{name: value})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_y_names_row(self, value):
         with pytest.raises(ValueError, match=r"y\[2\] is not finite"):
             make_frame([1.0, 2.0, value, math.nan], [0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 2, 2])
 
     def test_outcome_columns(self):
-        # y may hold one column per outcome of the same units
-        frame = make_frame([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0]], [0, 1, 0], [1, 0, 2], [1, 1, 3])
-        assert frame.n_selected == 3
-        assert frame.restrict_to_f(1).y.tolist() == [[1.0, 5.0], [2.0, 6.0]]
-        with pytest.raises(ValueError, match=r"y\[1, 0\] is not finite"):
-            make_frame([[1.0, 5.0], [math.inf, 6.0]], [0, 1], [0, 1], [1, 1])
-        with pytest.raises(ValueError, match="shape"):
-            make_frame(np.zeros((2, 1, 1)), [0, 1], [0, 1], [1, 1])
+        # a frame holds one outcome per unit; several outcomes are cell statistics
+        for y in ([[1.0, 5.0], [2.0, 6.0]], np.zeros((2, 1)), np.zeros((2, 1, 1))):
+            with pytest.raises(ValueError, match=r"shape \(n,\)"):
+                make_frame(y, [0, 1], [0, 1], [1, 1])
 
 
 class TestFrameCells:

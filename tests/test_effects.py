@@ -23,7 +23,7 @@ from netcrf import (
 )
 from netcrf.dgp import true_aggregate_effects
 from netcrf.effects import _aggregate_contrasts, _contrasts
-from conftest import cell_means, make_frame, potential_outcome_grid
+from conftest import cell_means, cell_statistics, make_frame, potential_outcome_grid, unit_fitted
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ class TestCellMeans:
         frame = make_frame([1.0, 4.0], [0, 1], [0, 1], [1, 1])
         assert frame.cells.counts.tolist() == [1, 1]
         result = exact_fit(frame, ModelSpec.crf1_long(), on_rank_deficiency="drop")
-        assert result.fitted == pytest.approx([1.0, 4.0])
+        assert result.cell_fitted[:, 0] == pytest.approx([1.0, 4.0])
 
     def test_count_weighted_mean_equals_grand_mean(self, noisy_small_f_frame):
         frame = noisy_small_f_frame
@@ -202,9 +202,10 @@ class TestSaturatedOracle:
         spec = ModelSpec.crf1_long(f_max=6, t_max=6)
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
         means = cell_means(frame)
+        fitted = unit_fitted(result)
         for i in range(frame.n_selected):
             expected = means[int(frame.d[i]), int(frame.t[i]), int(frame.f[i])][0]
-            assert result.fitted[i] == pytest.approx(expected, abs=1e-8)
+            assert fitted[i] == pytest.approx(expected, abs=1e-8)
 
     def test_long_short_equivalence(self, noisy_small_f_frame):
         # effects identified by occupied cells agree between the pooled and
@@ -447,8 +448,8 @@ class TestMultiOutcomeAggregates:
         y = np.column_stack([frame.y, frame.y + rng.standard_normal(frame.n_selected),
                              2.0 * frame.y - 1.0])
         design = build_design(frame, spec)
-        multi = recover_effect_table(fit(design, y, on_rank_deficiency="drop"), spec, frame.f,
-                                     t_grid=())
+        multi = fit(design, cell_statistics(design, y), on_rank_deficiency="drop")
+        multi = recover_effect_table(multi, spec, frame.f, t_grid=())
         assert multi.cells == () and len(multi.aggregates) == 3
         for j, got in enumerate(multi.aggregates):
             one = fit(build_design(frame, spec), y[:, j].copy(), on_rank_deficiency="drop")
@@ -465,8 +466,9 @@ class TestMultiOutcomeAggregates:
                            [2, 2, 1, 1, 1, 1, 1])
         spec = ModelSpec.crf1_long(f_max=2, t_max=2)
         y = np.column_stack([frame.y, frame.y * 3.0])
-        table = recover_effect_table(fit(build_design(frame, spec), y, on_rank_deficiency="drop"),
-                                     spec, frame.f, t_grid=())
+        design = build_design(frame, spec)
+        both = fit(design, cell_statistics(design, y), on_rank_deficiency="drop")
+        table = recover_effect_table(both, spec, frame.f, t_grid=())
         for j, agg in enumerate(table.aggregates):
             assert agg.network is not None and agg.skipped_units[1] == 2
             one = fit(build_design(frame, spec), y[:, j].copy(), on_rank_deficiency="drop")
@@ -475,7 +477,8 @@ class TestMultiOutcomeAggregates:
     def test_per_cell_table_needs_one_outcome_fit(self, noisy_small_f_frame):
         frame = noisy_small_f_frame
         spec = ModelSpec.tr_model()
-        result = fit(build_design(frame, spec), np.column_stack([frame.y, frame.y]))
+        design = build_design(frame, spec)
+        result = fit(design, cell_statistics(design, np.column_stack([frame.y, frame.y])))
         with pytest.raises(ValueError, match="one-outcome"):
             recover_effect_table(result, spec, frame.f)
         with pytest.raises(ValueError, match="one-outcome"):

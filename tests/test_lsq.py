@@ -23,7 +23,9 @@ from netcrf import (
 from netcrf import _lapack
 from netcrf.design import _pivoted_qr
 from netcrf.lsq import DEFAULT_RANK_TOL, CellSums, _solve_triangular
-from conftest import cell_means, identified_effects, make_frame, sparse_saturated_fits
+from netcrf.dgp import check_finite_y, simulate_cells
+from conftest import (cell_means, cell_statistics, identified_effects, make_frame,
+                      sparse_saturated_fits, unit_fitted)
 
 
 def normal_equations_oracle(x, y):
@@ -79,12 +81,12 @@ class TestFit:
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(1)
         x, y = random_system(rng, n=200, k=6)
-        result = fit(x, y)
-        res_norm = np.linalg.norm(result.residuals)
+        residuals = y - unit_fitted(fit(x, y))
+        res_norm = np.linalg.norm(residuals)
         for col in range(x.n_cols):
             column = x.values[:, col]
             bound = 1e-8 * np.linalg.norm(column) * max(res_norm, 1.0)
-            assert abs(column @ result.residuals) < bound
+            assert abs(column @ residuals) < bound
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(2)
@@ -99,9 +101,10 @@ class TestFit:
         rng = np.random.default_rng(3)
         x, y = random_system(rng)
         first = fit(x, y)
-        second = fit(x, first.fitted)
+        fitted = unit_fitted(first)
+        second = fit(x, fitted)
         assert np.max(np.abs(second.coefficients - first.coefficients)) < 1e-10
-        assert np.max(np.abs(second.residuals)) < 1e-10
+        assert np.max(np.abs(fitted - unit_fitted(second))) < 1e-10
 
     def test_dimension_mismatch(self):
         x = DesignMatrix(values=np.ones((4, 1)), labels=("1",))
@@ -127,7 +130,7 @@ class TestFit:
         shared = [fit(x, y1), fit(x, y2)]
         fresh = [fit(DesignMatrix(values=x.values.copy(), labels=x.labels), y) for y in (y1, y2)]
         for a, b in zip(shared, fresh):
-            for name in ("coefficients", "residuals", "fitted", "vcov_classical", "vcov_robust"):
+            for name in ("coefficients", "cell_fitted", "vcov_classical", "vcov_robust"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert not np.array_equal(shared[0].coefficients, shared[1].coefficients)
 
@@ -214,18 +217,17 @@ class TestMultiOutcome:
         x = multi_outcome_designs()[name]
         rng = np.random.default_rng(12)
         y = rng.standard_normal((x.n_rows, 4)) + np.arange(4.0)
-        multi = fit(x, y, on_rank_deficiency="drop")
+        multi = fit(x, cell_statistics(x, y), on_rank_deficiency="drop")
         assert multi.n_outcomes == 4
         assert multi.coefficients.shape == (x.n_cols, 4)
-        assert multi.residuals.shape == multi.fitted.shape == (x.n_rows, 4)
+        assert multi.cell_fitted.shape == (x.n_cells, 4)
         for j in range(4):
             fresh = DesignMatrix(values=x.values.copy(), labels=x.labels)
             one = fit(fresh, y[:, j].copy(), on_rank_deficiency="drop")
             assert one.n_outcomes is None
             assert (one.rank, one.dropped_columns) == (multi.rank, multi.dropped_columns)
-            for field_name in ("coefficients", "residuals", "fitted"):
-                assert same_bits(getattr(multi, field_name)[:, j], getattr(one, field_name)), \
-                    (field_name, j)
+            assert same_bits(multi.coefficients[:, j], one.coefficients), j
+            assert same_bits(multi.cell_fitted[:, j], one.cell_fitted[:, 0]), j
         expected_rank = {"full": 5, "deficient": 4, "rank_zero": 0}[name]
         assert multi.rank == expected_rank
 
@@ -233,22 +235,22 @@ class TestMultiOutcome:
         x = multi_outcome_designs()["full"]
         rng = np.random.default_rng(13)
         y = rng.standard_normal((x.n_rows, 3))
-        wide = fit(x, y)
-        narrow = fit(x, y[:, [2, 0]])
+        wide = fit(x, cell_statistics(x, y))
+        narrow = fit(x, cell_statistics(x, y[:, [2, 0]]))
         assert same_bits(wide.coefficients[:, 2], narrow.coefficients[:, 0])
         assert same_bits(wide.coefficients[:, 0], narrow.coefficients[:, 1])
 
     def test_single_column_matrix_stays_multi_outcome(self):
         x = multi_outcome_designs()["full"]
         y = np.random.default_rng(14).standard_normal(x.n_rows)
-        multi = fit(x, y[:, None])
+        multi = fit(x, cell_statistics(x, y[:, None]))
         assert multi.n_outcomes == 1
         assert same_bits(multi.coefficients[:, 0], fit(x, y).coefficients)
 
     def test_error_policy_rejects_deficient_multi_outcome_fit(self):
         x = multi_outcome_designs()["deficient"]
         with pytest.raises(RankDeficiencyError):
-            fit(x, np.zeros((x.n_rows, 3)))
+            fit(x, cell_statistics(x, np.zeros((x.n_rows, 3))))
 
     @pytest.mark.parametrize("read", [
         lambda r: r.vcov_classical, lambda r: r.vcov_robust, lambda r: r.to_json(),
@@ -256,16 +258,16 @@ class TestMultiOutcome:
     ])
     def test_one_outcome_outputs_reject_multi_outcome_fits(self, read):
         x = multi_outcome_designs()["full"]
-        result = fit(x, np.ones((x.n_rows, 2)))
+        result = fit(x, cell_statistics(x, np.ones((x.n_rows, 2))))
         with pytest.raises(ValueError, match="one-outcome"):
             read(result)
 
     def test_bad_shapes_rejected(self):
+        # several outcomes come as cell statistics, never as unit-level columns
         x = multi_outcome_designs()["full"]
-        with pytest.raises(ValueError):
-            fit(x, np.ones((x.n_rows, 2, 2)))
-        with pytest.raises(ValueError):
-            fit(x, np.ones((x.n_rows + 1, 2)))
+        for shape in ((x.n_rows, 2), (x.n_rows, 2, 2), (x.n_rows + 1,)):
+            with pytest.raises(ValueError, match="shape"):
+                fit(x, np.ones(shape))
 
 
 class TestNonFiniteOutcome:
@@ -279,12 +281,12 @@ class TestNonFiniteOutcome:
             fit(x, y)
 
     def test_multi_outcome_names_row_and_column(self):
-        x = multi_outcome_designs()["full"]
-        y = np.ones((x.n_rows, 3))
+        # the check a draw of several scenarios runs on its unit-level outcomes
+        y = np.ones((120, 3))
         y[5, 2] = np.nan
         y[6, 0] = np.inf
         with pytest.raises(ValueError, match=r"y\[5, 2\] is not finite"):
-            fit(x, y)
+            check_finite_y(y)
 
 
 def saturated_frame(seed):
@@ -361,7 +363,7 @@ class TestBlockFit:
         result = fit(x, frame.y, on_rank_deficiency="drop")
         dense = dense_fit(x, frame.y)
         assert len(dense["dropped_columns"]) == len(result.dropped_columns)
-        assert_close(result.residuals, dense["residuals"])
+        assert_close(frame.y - unit_fitted(result), dense["residuals"])
 
         as_dense = dataclasses.replace(result, coefficients=dense["coefficients"],
                                        dropped_columns=dense["dropped_columns"])
@@ -378,24 +380,26 @@ class TestBlockFit:
         assert checked > 10
 
         retained = [i for i, label in enumerate(x.labels) if label not in result.dropped_columns]
-        classical, robust = sandwich(x, retained, result.residuals)
+        classical, robust = sandwich(x, retained, dense["residuals"])
         assert_close(result.vcov_classical, classical)
         assert_close(result.vcov_robust, robust)
 
     @pytest.mark.parametrize("text", ["t", "r", "tr", "crf2:J=2", "crf2:J=2,t_order=2"])
     def test_linear_designs_equal_a_direct_dense_factorization_bitwise(self, network_1000, text):
-        # a design built directly from values has one cell per row
+        # a design built directly from values has one cell per row; its
+        # coefficients are the dense QR's bit for bit, and its variances,
+        # formed from per-cell residual sums, agree to roundoff
         frame = simulate_frame(network_1000, dgp_scenario("iv"), 31)
         cells = build_design(frame, parse_model_spec(text))
         x = DesignMatrix(values=cells.values, labels=cells.labels)
         result = fit(x, frame.y)
         assert x.n_cells == x.n_rows
-        for name, want in dense_fit(x, frame.y).items():
-            got = getattr(result, name)
-            if isinstance(want, tuple):
-                assert got == want
-            else:
-                assert same_bits(got, want), name
+        dense = dense_fit(x, frame.y)
+        assert result.dropped_columns == dense["dropped_columns"]
+        assert same_bits(result.coefficients, dense["coefficients"])
+        assert_close(result.vcov_classical, dense["vcov_classical"])
+        robust = dense["vcov_robust"]
+        assert np.abs(result.vcov_robust - robust).max() <= 1e-10 * np.abs(robust).max()
 
     @pytest.mark.parametrize("text", ["t", "r", "tr", "crf2:J=2", "crf2:J=2,t_order=2"])
     def test_cell_designs_equal_a_direct_dense_factorization(self, network_1000, text):
@@ -405,7 +409,8 @@ class TestBlockFit:
         result = fit(x, frame.y)
         dense = dense_fit(x, frame.y)
         assert result.dropped_columns == dense["dropped_columns"] == ()
-        for name in ("coefficients", "residuals", "vcov_classical"):
+        assert_close(frame.y - unit_fitted(result), dense["residuals"])
+        for name in ("coefficients", "vcov_classical"):
             assert_close(getattr(result, name), dense[name])
         # the sandwich's rounding grows with the square of the condition
         # number (~7e3 for crf2 with t_order=2, whose entries agree to ~5e-12)
@@ -420,7 +425,7 @@ class TestBlockFit:
         y = np.arange(6.0)
         result = fit(x, y, on_rank_deficiency="drop")
         assert result.dropped_columns == ("empty",)
-        assert np.array_equal(result.residuals[4:], y[4:])
+        assert np.array_equal(result.cell_fitted[4:, 0], np.zeros(2))
         assert result.coef("a") == pytest.approx(0.5)
         assert result.coef("c") == pytest.approx(2.0)
 
@@ -459,13 +464,14 @@ class TestMinPivotRatio:
         cond, eps = np.linalg.cond(r), np.finfo(float).eps
         # the sandwich oracle factors the columns afresh: a perturbation of X
         # of relative size eps moves (X'X)^-1 by up to cond(R)^2 eps relative
-        classical, robust = sandwich(x, [0, 1, 2], result.residuals)
+        residuals = y - unit_fitted(result)
+        classical, robust = sandwich(x, [0, 1, 2], residuals)
         assert_close(result.vcov_classical, classical, tol=cond ** 2 * eps)
         assert_close(result.vcov_robust, robust, tol=cond ** 2 * eps)
         # two backward-stable inverses of the same R agree to cond(R) eps
         r_inv = scipy.linalg.solve_triangular(r, np.eye(3))
         order = np.argsort(pivots)
-        s2 = float(result.residuals @ result.residuals) / (x.n_rows - 3)
+        s2 = float(residuals @ residuals) / (x.n_rows - 3)
         assert_close(result.vcov_classical, s2 * (r_inv @ r_inv.T)[np.ix_(order, order)],
                      tol=cond * eps)
 
@@ -516,8 +522,7 @@ class TestCellFit:
         assert rank == len(retained) == result.rank
         residuals = frame.y - x.values[:, retained] @ beta
         assert_close(result.coefficients[retained], beta)
-        assert_close(result.residuals, residuals)
-        assert_close(result.fitted, frame.y - residuals)
+        assert_close(result.cell_fitted[x.cell_of_unit, 0], frame.y - residuals)
         if not retained:
             return
         classical, robust = sandwich(x, retained, residuals)
@@ -531,12 +536,12 @@ class TestCellFit:
         frame = saturated_frame(26)
         x = build_design(frame, ModelSpec.crf1_long())
         y = np.column_stack([frame.y, -2.0 * frame.y + 1.0, frame.f * 0.5])
-        multi = fit(x, y, on_rank_deficiency="drop")
+        multi = fit(x, cell_statistics(x, y), on_rank_deficiency="drop")
         for j in range(y.shape[1]):
             one = fit(build_design(frame, ModelSpec.crf1_long()), y[:, j].copy(),
                       on_rank_deficiency="drop")
-            for name in ("coefficients", "residuals", "fitted"):
-                assert same_bits(getattr(multi, name)[:, j], getattr(one, name)), (name, j)
+            assert same_bits(multi.coefficients[:, j], one.coefficients), j
+            assert same_bits(multi.cell_fitted[:, j], one.cell_fitted[:, 0]), j
 
 
 def own_cell_of(label, f_frame):
@@ -583,7 +588,7 @@ class TestSaturatedFit:
         assert result.to_json_dict()["min_pivot_ratio"] is None
         unit_means = np.array([means[key][0] for key in zip(frame.d.tolist(), frame.t.tolist(),
                                                              frame.f.tolist())])
-        assert_close(result.fitted, unit_means)
+        assert_close(result.cell_fitted[x.cell_of_unit, 0], unit_means)
 
         table = recover_effect_table(result, spec, frame.f)
         for cell in table.cells:
@@ -594,7 +599,7 @@ class TestSaturatedFit:
         retained = [i for i, label in enumerate(x.labels) if label not in empty]
         beta = np.linalg.lstsq(x.values[:, retained], frame.y, rcond=None)[0]
         assert_close(result.coefficients[retained], beta)
-        classical, robust = sandwich(x, retained, result.residuals)
+        classical, robust = sandwich(x, retained, frame.y - x.values[:, retained] @ beta)
         assert_close(result.vcov_robust, robust)
         if classical is None:
             assert result.vcov_classical is None
@@ -713,31 +718,34 @@ class TestResultsOnDemand:
         frame = saturated_frame(27)
         x = build_design(frame, ModelSpec.crf1_long())
         y = np.column_stack([frame.y, 3.0 - frame.y, frame.f * 0.25])
-        result = fit(x, y, on_rank_deficiency="drop")
+        result = fit(x, cell_statistics(x, y), on_rank_deficiency="drop")
         recover_effect_table(result, ModelSpec.crf1_long(), frame.f, t_grid=())
-        assert "fitted" not in result.__dict__ and "residuals" not in result.__dict__
-        fitted = x.to_units(result.cell_fitted)
-        assert same_bits(result.fitted, fitted)
-        assert same_bits(result.residuals, y - fitted)
+        # a fit keeps its cell statistics and nothing of unit length
+        assert "cell_fitted" not in result.__dict__ and "values" not in x.__dict__
+        assert not any(hasattr(result, name) for name in ("y", "fitted", "residuals"))
+        assert [name for name, value in vars(result).items()
+                if isinstance(value, np.ndarray) and x.n_rows in value.shape] == []
 
     def test_variances_do_not_depend_on_when_residuals_are_read(self):
+        # the per-cell residual sums are the same whether the cell fits are
+        # read before the variances or not, and the fit keeps its own copies
         frame = saturated_frame(28)
-        y = frame.y.copy()
-        first = fit(build_design(frame, ModelSpec.crf1_long()), y, on_rank_deficiency="drop")
-        residuals = first.residuals
-        assert same_bits(residuals, y - first.design.to_units(first.cell_fitted)[:, 0])
-        y[:] = 0.0  # the fit keeps its own copy of the outcome
-        second = fit(build_design(frame, ModelSpec.crf1_long()), frame.y, on_rank_deficiency="drop")
+        stats = cell_statistics(build_design(frame, ModelSpec.tr_model()), frame.y)
+        first = fit(build_design(frame, ModelSpec.tr_model()), stats)
+        cell_fitted = first.cell_fitted
+        stats.values[:] = 0.0
+        stats.within[:] = 0.0
+        second = fit(build_design(frame, ModelSpec.tr_model()), frame.y)
         robust, classical = second.vcov_robust, second.vcov_classical
-        assert "residuals" in second.__dict__
+        assert "cell_fitted" in second.__dict__
         assert same_bits(first.vcov_robust, robust)
         assert same_bits(first.vcov_classical, classical)
-        assert same_bits(first.residuals, second.residuals)
+        assert same_bits(cell_fitted, second.cell_fitted)
 
 
 class TestFitFromCellSums:
-    """A fit given the outcome's sums per design cell is the fit of the
-    unit-level outcome, without its unit-level results."""
+    """A fit given the outcome's statistics per design cell is the fit of the
+    unit-level outcome, variances included."""
 
     @pytest.mark.parametrize("text", ["t", "r", "tr", "crf2:J=2", "crf2:J=1,t_order=2",
                                       "crf1long", "crf1long:f_max=7,t_max=7", "crf1short:f=4"])
@@ -749,36 +757,103 @@ class TestFitFromCellSums:
             frame = frame.restrict_to_f(spec.f)
         x = build_design(frame, spec)
         second = 0.5 - frame.y * frame.t
-        sums = x.cell_sums(frame.y)
-        for outcome, outcome_sums in ((frame.y, sums),
-                                      (np.column_stack([frame.y, second]),
-                                       np.column_stack([sums, x.cell_sums(second)]))):
-            from_units = fit(x, outcome, on_rank_deficiency="drop")
-            from_sums = fit(x, CellSums(outcome_sums), on_rank_deficiency="drop")
-            assert same_bits(from_sums.coefficients, from_units.coefficients)
-            assert from_sums.rank == from_units.rank
-            assert from_sums.dropped_columns == from_units.dropped_columns
-            assert from_sums.min_pivot_ratio == from_units.min_pivot_ratio
-            assert same_bits(from_sums.cell_fitted, from_units.cell_fitted)
+        from_units = [fit(x, y, on_rank_deficiency="drop") for y in (frame.y, second)]
+        from_sums = fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")
+        for name in ("coefficients", "cell_fitted", "vcov_classical", "vcov_robust"):
+            assert same_bits(getattr(from_sums, name), getattr(from_units[0], name)), name
+        both = fit(x, cell_statistics(x, np.column_stack([frame.y, second])),
+                   on_rank_deficiency="drop")
+        for j, one in enumerate(from_units):
+            assert same_bits(both.coefficients[:, j], one.coefficients)
+            assert same_bits(both.cell_fitted[:, j], one.cell_fitted[:, 0])
+            for result in (from_sums, both):
+                assert result.rank == one.rank
+                assert result.dropped_columns == one.dropped_columns
+                assert result.min_pivot_ratio == one.min_pivot_ratio
 
     @pytest.mark.parametrize("read", [
-        lambda r: r.fitted, lambda r: r.residuals, lambda r: r.vcov_classical,
-        lambda r: r.vcov_robust, lambda r: r.to_json_dict(),
+        lambda r: r.y, lambda r: r.fitted, lambda r: r.residuals,
+        lambda r: r.design.to_units, lambda r: r.design.cell_sums,
     ])
     @pytest.mark.parametrize("text", ["tr", "crf1long"])
     def test_unit_level_results_raise(self, read, text):
+        # a fit keeps its cell statistics only: no unit-level outcome,
+        # fitted values or residuals, and no way to gather them
         frame = saturated_frame(33)
         x = build_design(frame, parse_model_spec(text))
-        result = fit(x, CellSums(x.cell_sums(frame.y)), on_rank_deficiency="drop")
-        with pytest.raises(ValueError, match="cell sums"):
-            read(result)
+        for result in (fit(x, frame.y, on_rank_deficiency="drop"),
+                       fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")):
+            with pytest.raises(AttributeError):
+                read(result)
+
+    @pytest.mark.parametrize("text", ["t", "tr", "crf2:J=2", "crf1long"])
+    def test_one_scenario_draw_equals_the_unit_level_fit(self, network_1000, text):
+        # the draw's statistics n_c mu_c + sigma Z_c and sigma^2 W_c are its
+        # gathered outcome's to roundoff, and so are the fit and both variances
+        draw = simulate_cells(network_1000, (dgp_scenario("iv", noise_sd=1.5),), 17)
+        stats = draw.cell_sums()
+        spec = parse_model_spec(text)
+        policy = "drop" if spec.saturated else "error"
+        from_draw = fit(build_design(draw, spec), CellSums(stats.values[:, 0], stats.within[:, 0]),
+                        on_rank_deficiency=policy)
+        frame = draw.frame()
+        from_units = fit(build_design(frame, spec), frame.y, on_rank_deficiency=policy)
+        assert from_draw.dropped_columns == from_units.dropped_columns
+        kept = ~np.isnan(from_units.coefficients)
+        for name in ("vcov_classical", "vcov_robust"):
+            want = getattr(from_units, name)
+            assert np.abs(getattr(from_draw, name) - want).max() <= 1e-12 * np.abs(want).max()
+        want = from_units.coefficients[kept]
+        assert np.abs(from_draw.coefficients[kept] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_bad_sums_rejected(self):
         frame = saturated_frame(34)
         x = build_design(frame, ModelSpec.t_model())
-        sums = x.cell_sums(frame.y)
+        stats = cell_statistics(x, frame.y)
         with pytest.raises(ValueError, match="shape"):
-            fit(x, CellSums(sums[1:]))
-        sums[3] = np.inf
+            fit(x, CellSums(stats.values[1:], stats.within[1:]))
+        with pytest.raises(ValueError, match="shape"):
+            CellSums(stats.values, stats.within[1:])
+        with pytest.raises(ValueError, match=">= 0"):
+            CellSums(stats.values, np.where(np.arange(x.n_cells) == 2, -1e-300, stats.within))
+        with pytest.raises(ValueError, match=">= 0"):
+            CellSums(stats.values, np.full(x.n_cells, np.nan))
+        stats.values[3] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            fit(x, CellSums(sums))
+            fit(x, stats)
+
+
+def assert_unit_level_hc0(result, x, y):
+    """The robust variance has a nonnegative diagonal and is the unit-level
+    HC0 sandwich (X'X)^-1 X' diag(e^2) X (X'X)^-1 on the retained columns,
+    with residuals e from lstsq, to 1e-10 of its largest entry."""
+    robust = result.vcov_robust
+    assert (np.diag(robust) >= 0).all()
+    if result.vcov_classical is not None:
+        assert (np.diag(result.vcov_classical) >= 0).all()
+    retained = np.flatnonzero(~np.isnan(result.coefficients))
+    cols = x.values[:, retained]
+    residuals = y - cols @ np.linalg.lstsq(cols, y, rcond=None)[0]
+    want = sandwich(x, retained, residuals)[1]
+    # where every residual is 0 the oracle's lstsq leaves ~1e-16 of roundoff
+    assert np.abs(robust - want).max() <= max(1e-10 * np.abs(want).max(), 1e-20)
+
+
+class TestRobustVariance:
+    """The robust variance is a Gram matrix of the cell rows: never a negative
+    diagonal entry, and equal to the unit-level HC0 oracle."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(sparse_saturated_fits())
+    def test_saturated_fits_equal_the_unit_level_oracle(self, case):
+        frame, spec = case
+        x = build_design(frame, spec)
+        assert_unit_level_hc0(fit(x, frame.y, on_rank_deficiency="drop"), x, frame.y)
+
+    @settings(deadline=None, max_examples=150)
+    @given(duplicated_frames(), st.sampled_from(["t", "r", "tr", "crf2:J=1"]))
+    def test_linear_designs_equal_the_unit_level_oracle(self, frame, text):
+        x = build_design(frame, parse_model_spec(text))
+        result = fit(x, frame.y, on_rank_deficiency="drop")
+        if result.rank and np.linalg.cond(x.values[:, ~np.isnan(result.coefficients)]) < 1e4:
+            assert_unit_level_hc0(result, x, frame.y)

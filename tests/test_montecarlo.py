@@ -180,9 +180,9 @@ class TestCellPath:
         def unit_level(*args, **kwargs):
             raise AssertionError("the Monte Carlo built a unit-level outcome")
 
-        for name in ("simulate_frames", "simulate_frame"):
-            monkeypatch.setattr(dgp, name, unit_level)
+        monkeypatch.setattr(dgp, "simulate_frame", unit_level)
         monkeypatch.setattr(dgp.CellDraw, "outcomes", unit_level)
+        monkeypatch.setattr(dgp.CellDraw, "frame", unit_level)
         monkeypatch.setattr(dgp.SampleFrame, "__post_init__", unit_level)
         comparison = replicate_table("table1", 3)
         assert len(comparison.cells) == 48

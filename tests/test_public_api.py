@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "__version__",
     "DgpParams", "SampleFrame", "TrueEffects",
     "assign_treatment", "dgp_scenario",
-    "simulate_frame", "simulate_frames", "true_aggregate_effects",
+    "simulate_frame", "true_aggregate_effects",
     "DesignMatrix", "ModelKind", "ModelSpec", "build_design",
     "format_model_spec", "parse_model_spec",
     "EffectAggregates", "EffectCell", "EffectTable",
