@@ -135,7 +135,12 @@ def _resolve_params(scenario: str | None, overrides: dict) -> DgpParams:
     bad = set(overrides) - set(_PARAM_KEYS)
     if bad:
         raise UsageError(f"unknown parameter keys: {sorted(bad)}; allowed: {list(_PARAM_KEYS)}")
-    clean = {k: float(v) for k, v in overrides.items()}
+    clean = {}
+    for key, value in overrides.items():
+        try:
+            clean[key] = float(value)
+        except ValueError:
+            raise UsageError(f"--param {key} expects a number, got {value!r}") from None
     if scenario is not None:
         if scenario not in SCENARIO_IDS:
             raise UsageError(f"unknown scenario {scenario!r}; expected one of {SCENARIO_IDS}")
@@ -328,7 +333,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             if work.n_selected == 0:
                 raise DataError(f"no rows with F={spec.f} for {text}")
         result = lsq_fit(build_design(work, spec), work.y, on_rank_deficiency=policy)
-        fits.append((text, policy, result, recover_effect_table(result, spec, work.f)))
+        fits.append((text, policy, result, recover_effect_table(result)))
 
     for text, policy, result, table in fits:
         metadata = {
@@ -391,6 +396,9 @@ def cmd_degree_stats(args: argparse.Namespace) -> int:
     config = _load_config(args.config, allowed)
     nodes_path = _merged(args, config, "nodes")
     edges_path = _merged(args, config, "edges")
+    if (nodes_path is None) != (edges_path is None):
+        raise UsageError("an ingested network needs both --nodes and --edges; "
+                         f"{'--edges' if edges_path is None else '--nodes'} is missing")
     seed = int(_merged(args, config, "seed", 0))
 
     target = _merged(args, config, "calibrate_mean_degree")

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _lapack
-from .dgp import CellDraw, SampleFrame
+from .dgp import CellDraw, FrameCells, SampleFrame
 from .errors import NumericalError, OutOfSupportError
 
 
@@ -165,9 +165,12 @@ class DesignMatrix:
     the units in each cell, ``cell_weights`` their square roots, and
     ``cell_of_unit`` the cell of each unit. :func:`build_design` makes one
     cell per occupied (d, t, f) combination, since every design row is a
-    function of (d, t, f) alone. A design built directly from ``values`` has
-    one cell per row with count 1. ``values`` is the read-only n x k
-    unit-level matrix, gathered from the cells on first use.
+    function of (d, t, f) alone, and keeps the frame's :class:`FrameCells`
+    as ``cells`` (whose ``counts`` and ``of_unit`` the two arrays are), from
+    which a fit's effect table reads the friend counts. A design built
+    directly from ``values`` has one cell per row with count 1 and no
+    ``cells``. ``values`` is the read-only n x k unit-level matrix, gathered
+    from the cells on first use.
 
     ``own_cell`` is None except for the saturated designs of
     :func:`build_design`, where it holds per column the index of its own
@@ -187,22 +190,21 @@ class DesignMatrix:
         bad = _non_finite(values, labels, np.arange(n))
         if bad:
             raise ValueError(bad)
-        self._set(values, labels, np.ones(n, dtype=np.int64), np.arange(n), None)
+        self._set(values, labels, np.ones(n, dtype=np.int64), np.arange(n), None, None)
 
     @classmethod
-    def from_cells(cls, cell_values, labels, cell_counts, cell_of_unit,
-                   own_cell=None) -> "DesignMatrix":
-        """The design whose unit ``i`` has row ``cell_values[cell_of_unit[i]]``;
+    def from_cells(cls, cell_values, labels, cells: FrameCells, own_cell) -> "DesignMatrix":
+        """The design whose unit ``i`` has row ``cell_values[cells.of_unit[i]]``;
         the caller guarantees finite values, unique labels and, with
         ``own_cell``, that every cell owns exactly one column."""
         design = cls.__new__(cls)
-        design._set(np.asarray(cell_values, dtype=float), tuple(labels),
-                    np.asarray(cell_counts), np.asarray(cell_of_unit), own_cell)
+        design._set(np.asarray(cell_values, dtype=float), tuple(labels), cells.counts,
+                    cells.of_unit, own_cell, cells)
         return design
 
-    def _set(self, cell_values, labels, cell_counts, cell_of_unit, own_cell) -> None:
+    def _set(self, cell_values, labels, cell_counts, cell_of_unit, own_cell, cells) -> None:
         cell_values.setflags(write=False)
-        self.cell_values, self.labels = cell_values, labels
+        self.cell_values, self.labels, self.cells = cell_values, labels, cells
         self.cell_counts, self.cell_of_unit = cell_counts, cell_of_unit
         self.cell_weights = np.sqrt(cell_counts)
         self.own_cell = own_cell
@@ -362,9 +364,10 @@ def build_design(frame: SampleFrame | CellDraw, spec: ModelSpec) -> DesignMatrix
       crf1short  [1, D, T=1..T=f, D:T=1..D:T=f]; frame must satisfy F == f
 
     The labels are evaluated once per occupied (d, t, f) cell of the frame
-    (:attr:`SampleFrame.cells`). The two saturated designs record the own
-    cell of each column (:attr:`DesignMatrix.own_cell`); since rows beyond
-    their support are rejected, every occupied cell owns exactly one column.
+    (:attr:`SampleFrame.cells`), which the design keeps. The two saturated
+    designs record the own cell of each column (:attr:`DesignMatrix.own_cell`);
+    since rows beyond their support are rejected, every occupied cell owns
+    exactly one column.
     An entry that is not finite, such as an ``F^j`` beyond the float64
     range, raises :class:`NumericalError` naming the first unit row it
     reaches and the column label.
@@ -409,5 +412,5 @@ def build_design(frame: SampleFrame | CellDraw, spec: ModelSpec) -> DesignMatrix
     if bad:
         raise NumericalError(bad)
     own_cell = None if owners is None else _cell_index(owners, cells)
-    return DesignMatrix.from_cells(values, labels, cells.counts, cells.of_unit, own_cell)
+    return DesignMatrix.from_cells(values, labels, cells, own_cell)
 

@@ -189,22 +189,6 @@ class CellSums:
                                      minlength=counts.size))
 
 
-def friend_count_multiplicities(f_values) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct friend counts of ``f_values``, ascending, and how many
-    units have each. Friend counts must be whole numbers >= 1, and there
-    must be at least one."""
-    f_values = np.asarray(f_values)
-    if f_values.size == 0:
-        raise ValueError("f_values must be nonempty")
-    if (f_values < 1).any():
-        raise ValueError("all f_values must be >= 1")
-    if f_values.dtype.kind not in "iu" and (f_values != np.floor(f_values)).any():
-        raise ValueError("f_values must be whole friend counts")
-    counts = np.bincount(f_values.astype(np.int64, copy=False).ravel())
-    unique_f = np.flatnonzero(counts)
-    return unique_f, counts[unique_f]
-
-
 @dataclass(frozen=True)
 class TrueEffects:
     """Aggregate direct, network, and interaction effects implied by a design."""
@@ -362,10 +346,19 @@ def true_aggregate_effects(params: DgpParams, f_values) -> TrueEffects:
     interaction:  E[beta_dtau + beta_dr/F + beta_f2*ln F]
 
     Each is evaluated once per distinct friend count and weighted by its
-    multiplicity in ``f_values``.
+    multiplicity in ``f_values``. Friend counts must be whole numbers >= 1,
+    and there must be at least one.
     """
-    f, counts = friend_count_multiplicities(f_values)
-    f, n = f.astype(float), int(counts.sum())
+    f_values = np.asarray(f_values)
+    if f_values.size == 0:
+        raise ValueError("f_values must be nonempty")
+    if (f_values < 1).any():
+        raise ValueError("all f_values must be >= 1")
+    if f_values.dtype.kind not in "iu" and (f_values != np.floor(f_values)).any():
+        raise ValueError("f_values must be whole friend counts")
+    counts = np.bincount(f_values.astype(np.int64, copy=False).ravel())
+    f = np.flatnonzero(counts)
+    counts, n = counts[f], int(f_values.size)
     log_f = np.log(f)
     return TrueEffects(
         direct=float(counts @ (params.beta_d + params.beta_f2 * log_f) / n),

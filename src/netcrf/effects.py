@@ -16,21 +16,27 @@ column labels and applied to the coefficients,
     baseline = x(0,0,f),            delta0 = x(1,0,f) - x(0,0,f),
     tau0 = x(0,t,f) - x(0,0,f),     tau_pm = x(1,t,f) - x(1,0,f) - x(0,t,f) + x(0,0,f).
 
-An entry is absent (never zero) when its contrast weights a dropped column,
-when a saturated design has no column carrying it (its contrast is all zero,
-as for ``crf1long`` beyond ``f_max`` or ``t_max``), or for ``crf1short`` at a
-friend count other than its own. Aggregates skip absent cells and count the
-units they leave out. For a saturated design they also skip a field that
-is not identified, because its contrast reaches an empty cell; the table
-still shows it as the value of the kept columns. With (0, 0, f) empty, for
-example, ``T=t:F=f`` is kept and its coefficient, the table's tau0, is the
-level of (0, t, f), not a contrast. Such a field is absent itself or builds
-on an absent one: delta0 and tau0 build on the baseline, tau_pm on all
-three. Contrasts and the absent rules depend on the design alone, so a
-multi-outcome fit evaluates them once and aggregates each column
-separately. The aggregates' contrasts at one treated friend are kept in a
-small per-process cache keyed by the column labels and the distinct friend
-counts, since a Monte Carlo study asks for the same few in every replication.
+The rows of a table are the friend counts of the fit's units, read from
+the cells its design was built on. An entry is absent (never zero) when its
+contrast weights a dropped column, or when a saturated design (``own_cell``
+set, as :func:`netcrf.lsq.fit` reads it) has no column carrying it, as for
+``crf1long`` beyond ``t_max``. A saturated design's aggregates also skip a
+field that is not identified, because its contrast reaches an empty cell;
+the table still shows it as the value of the kept columns. With (0, 0, f)
+empty, for example, ``T=t:F=f`` is kept and its coefficient, the table's
+tau0, is the level of (0, t, f), not a contrast. Such a field is absent
+itself or builds on an absent one: delta0 and tau0 build on the baseline,
+tau_pm on all three.
+
+The direct, network and interaction aggregates average delta0, tau0 and
+tau_pm at one treated friend over the units whose friend count has the
+field, and count the units they skip: they are ``w @ beta`` for one 3 x k
+map ``w`` (:func:`_aggregate_map`) of the design and its dropped columns.
+A multi-outcome fit builds it once and evaluates each outcome by its own
+matrix-vector product, bit for bit as a one-outcome fit would. Its t = 1
+contrasts are cached per process by column labels and distinct friend
+counts, since a Monte Carlo study asks for the same few in every
+replication.
 """
 
 from __future__ import annotations
@@ -42,8 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import ModelKind, ModelSpec, design_values, format_model_spec
-from .dgp import friend_count_multiplicities
+from .design import design_values
 from .lsq import FitResult
 
 def complete_effects(delta0: float, tau0: float, tau_pm: float) -> tuple[float, float]:
@@ -96,7 +101,6 @@ class EffectAggregates:
 class EffectTable:
     cells: tuple[EffectCell, ...]
     aggregates: EffectAggregates | tuple[EffectAggregates, ...]
-    model: str
 
     CSV_COLUMNS = ("f", "t", "delta0", "tau0", "tau_pm", "tau1", "delta_t", "baseline")
 
@@ -117,11 +121,7 @@ class EffectTable:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "aggregates": asdict(self.aggregates),
-            "cells": [asdict(c) for c in self.cells],
-        }
+        return {"aggregates": asdict(self.aggregates), "cells": [asdict(c) for c in self.cells]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -138,25 +138,19 @@ def _contrasts(labels, f, t) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _aggregate_contrasts(labels: tuple[str, ...], f_values: tuple[int, ...]) -> np.ndarray:
-    """Read-only :func:`_contrasts` at one treated friend for each of ``f_values``.
-
-    A Monte Carlo study asks for the same few (labels, friend counts) keys
-    in every replication, so they are computed once per process.
-    """
+    """Read-only :func:`_contrasts` at one treated friend for each of ``f_values``,
+    cached per process (see the module docstring)."""
     f = np.array(f_values, dtype=float)
     weights = _contrasts(labels, f, np.ones_like(f))
     weights.setflags(write=False)
     return weights
 
 
-def _absent(fit: FitResult, spec: ModelSpec, weights: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Where the contrasts ``weights`` (4, pairs, columns) at friend counts
-    ``f`` are absent from ``fit``: (4, pairs)."""
+def _absent(fit: FitResult, weights: np.ndarray) -> np.ndarray:
+    """Where the contrasts ``weights`` (4, pairs, columns) are absent from ``fit``: (4, pairs)."""
     absent = (weights[..., _dropped(fit)] != 0).any(axis=-1)
-    if spec.saturated:
+    if fit.design.own_cell is not None:
         absent |= ~weights.any(axis=-1)
-    if spec.kind == ModelKind.CRF1_SHORT:
-        absent |= f != spec.f
     return absent
 
 
@@ -181,26 +175,41 @@ def _outcome_coefficients(fit: FitResult) -> np.ndarray:
     return np.ascontiguousarray(np.where(_dropped(fit)[:, None], 0.0, coefficients).T)
 
 
-def recover_effect_table(
-    fit: FitResult,
-    spec: ModelSpec,
-    f_values,
-    t_grid=None,
-) -> EffectTable:
-    """Build the effect table implied by a fit.
+def _aggregate_map(fit: FitResult, unique_f: np.ndarray,
+                   counts: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """The map ``w`` (3 x k) from the coefficients, zero where dropped, to the
+    (direct, network, interaction) aggregates, and the units each skips. Row
+    ``a`` is the ``counts``-weighted mean of the t = 1 contrast of delta0,
+    tau0 or tau_pm over the ``unique_f`` where it is present and, for a
+    saturated design, identified; NaN (aggregate None) where none is."""
+    weights = _aggregate_contrasts(fit.labels, tuple(unique_f.tolist()))
+    absent = _absent(fit, weights)
+    if fit.design.own_cell is not None:
+        absent = _unidentified(absent)
+    present_counts = np.where(absent[1:], 0, counts)
+    total = present_counts.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        w = np.einsum("af,afk->ak", present_counts, weights[1:]) / total[:, None]
+    return w, tuple(int(n) for n in counts.sum() - total)
 
-    ``f_values`` is the realized friend-count column of the analyzed frame
-    (with multiplicity), whole numbers >= 1; unique values define the table
-    rows and the multiplicities weight the aggregates. ``t_grid`` restricts the treated
+
+def recover_effect_table(fit: FitResult, t_grid=None) -> EffectTable:
+    """Build the effect table implied by a fit whose design comes from
+    :func:`netcrf.design.build_design` (ValueError otherwise).
+
+    The rows are the distinct friend counts of the fit's units, from its
+    design's cells (in ascending f order). ``t_grid`` restricts the treated
     friend counts tabulated per f (default 1..f; an empty grid yields the
-    aggregates alone). Aggregates average the per-unit effect functions
-    evaluated at one treated friend over the empirical f distribution,
-    skipping absent cells and, for a saturated design, fields that are not
-    identified (``EffectAggregates.skipped_units`` counts the units left
-    out). A multi-outcome fit needs
-    ``t_grid=()`` and yields a tuple of aggregates, one per outcome column.
+    aggregates alone). The aggregates are :func:`_aggregate_map` applied to
+    the coefficients. A multi-outcome fit needs ``t_grid=()`` and yields a
+    tuple of aggregates, one per outcome column.
     """
-    unique_f, counts = friend_count_multiplicities(f_values)
+    design_cells = fit.design.cells
+    if design_cells is None:
+        raise ValueError("an effect table reads the friend counts from the cells of a design "
+                         "made by build_design; this fit's design was built from a matrix")
+    unique_f, starts = np.unique(design_cells.f, return_index=True)
+    counts = np.add.reduceat(design_cells.counts, starts)
 
     pairs = [(int(f), int(t)) for f in unique_f
              for t in (t_grid if t_grid is not None else range(1, int(f) + 1)) if 1 <= t <= f]
@@ -211,34 +220,18 @@ def recover_effect_table(
         f_cells, t_cells = np.array(pairs, dtype=float).T
         weights = _contrasts(fit.labels, f_cells, t_cells)
         [coefficients] = _outcome_coefficients(fit)
-        baseline, delta0, tau0, tau_pm = np.where(_absent(fit, spec, weights, f_cells), np.nan,
+        baseline, delta0, tau0, tau_pm = np.where(_absent(fit, weights), np.nan,
                                                   weights @ coefficients)
         tau1, delta_t = complete_effects(delta0, tau0, tau_pm)
         rows = np.column_stack([delta0, tau0, tau_pm, tau1, delta_t, baseline]).tolist()
     cells = [EffectCell(f, t, *(None if math.isnan(v) else v for v in row))
              for (f, t), row in zip(pairs, rows)]
 
-    # the t = 1 contrasts, their absent cells and so each target's weight
-    # depend on the design alone
-    weights = _aggregate_contrasts(fit.labels, tuple(unique_f.tolist()))
-    absent = _absent(fit, spec, weights, unique_f)
-    if spec.saturated:
-        absent = _unidentified(absent)
-    targets = [(present, counts[present], int(counts[present].sum()), int(counts[~present].sum()))
-               for present in ~absent[1:]]
-    aggregates = tuple(_aggregates((weights @ coefficients)[1:], targets)
-                       for coefficients in _outcome_coefficients(fit))
+    w, skipped_units = _aggregate_map(fit, unique_f, counts)
+    aggregates = tuple(
+        EffectAggregates(*(None if math.isnan(v) else v for v in (w @ coefficients).tolist()),
+                         skipped_units=skipped_units)
+        for coefficients in _outcome_coefficients(fit))
     if fit.n_outcomes is None:
         (aggregates,) = aggregates
-    return EffectTable(cells=tuple(cells), aggregates=aggregates, model=format_model_spec(spec))
-
-
-def _aggregates(per_f, targets) -> EffectAggregates:
-    """Count-weighted means of the per-f (delta0, tau0, tau_pm) at t = 1 over
-    their present values, with the units each skips; a mean is None when
-    every value is absent. ``targets`` holds per aggregate the present mask,
-    the present counts, their sum and the skipped units."""
-    means = [float(values[present] @ present_counts / weight) if weight else None
-             for values, (present, present_counts, weight, _) in zip(per_f, targets)]
-    return EffectAggregates(*means, skipped_units=tuple(target[3] for target in targets))
-
+    return EffectTable(cells=tuple(cells), aggregates=aggregates)

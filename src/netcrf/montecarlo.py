@@ -111,7 +111,7 @@ def _replicate(config: MCConfig, scenarios, rep_index: int):
         policy = "drop" if spec.saturated else "error"
         try:
             result = lsq_fit(build_design(draw, spec), sums, on_rank_deficiency=policy)
-            aggregates = recover_effect_table(result, spec, draw.f, t_grid=()).aggregates
+            aggregates = recover_effect_table(result, t_grid=()).aggregates
         except (NumericalError, DataError):
             continue
         for s, agg in enumerate(aggregates):

@@ -98,6 +98,19 @@ def identified_effects(means, f, t):
 
 
 @st.composite
+def duplicated_frames(draw):
+    """Frames of 40-300 units over friend counts 1..5: a few dozen (d, t, f)
+    cells at most, so most units share their design row with others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(40, 300))
+    f = rng.integers(1, draw(st.integers(1, 5)) + 1, size=n)
+    t = rng.integers(0, f + 1)
+    d = rng.integers(0, 2, size=n)
+    y = draw(st.floats(0.1, 10.0)) * rng.standard_normal(n) + f - d * t
+    return make_frame(y, d, t, f)
+
+
+@st.composite
 def sparse_saturated_fits(draw):
     """A frame of 2-60 units over friend counts up to 8, so most possible
     (d, t, f) cells are empty, with a crf1long spec (with or without

@@ -123,14 +123,14 @@ def test_criterion_3_saturated_oracle():
     # cell is empty, a field present in both fits is another contrast
     from conftest import identified_effects
 
-    long_table = recover_effect_table(long_fit, long_spec, frame.f)
+    long_table = recover_effect_table(long_fit)
     worst_eq = 0.0
     compared = 0
     for f_value in np.unique(frame.f).tolist():
         subframe = frame.restrict_to_f(f_value)
         short_spec = ModelSpec.crf1_short(f_value)
         short_fit = fit(build_design(subframe, short_spec), subframe.y, on_rank_deficiency="drop")
-        short_table = recover_effect_table(short_fit, short_spec, subframe.f)
+        short_table = recover_effect_table(short_fit)
         for t in range(1, f_value + 1):
             long_cell = long_table.cell(f_value, t)
             short_cell = short_table.cell(f_value, t)

@@ -105,6 +105,16 @@ class TestSimulate:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "frame.csv").exists()
 
+    @pytest.mark.parametrize("item, value", [
+        ("beta_d=abc", "'abc'"), ("beta_d=", "''"), ("noise_sd=1,5", "'1,5'"),
+    ])
+    def test_non_numeric_param_names_its_key(self, tmp_path, capsys, item, value):
+        code, out, err = run_cli(capsys, "simulate", "--n-units", "300", "--scenario", "i",
+                                 "--out", str(tmp_path), "--param", item)
+        key = item.split("=")[0]
+        assert (code, out, err) == (2, "", f"error: --param {key} expects a number, got {value}\n")
+        assert not (tmp_path / "frame.csv").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_options(self, tmp_path, capsys):
@@ -485,6 +495,23 @@ class TestDegreeStats:
         assert code == 0
         payload = json.loads(out)
         assert payload["summary"]["retained_fraction"] == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("given, missing", [("nodes", "--edges"), ("edges", "--nodes")])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_one_of_nodes_and_edges_is_usage_error(self, tmp_path, capsys, given, missing,
+                                                   from_config):
+        # one file alone must not fall back to a simulated network
+        path = tmp_path / f"{given}.csv"
+        path.write_text("id\n1\n2\n" if given == "nodes" else "src,dst\n1,2\n")
+        argv = [f"--{given}", str(path)]
+        if from_config:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({given: str(path)}))
+            argv = ["--config", str(config)]
+        code, out, err = run_cli(capsys, "degree-stats", *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: an ingested network needs both --nodes and --edges; "
+                       f"{missing} is missing\n")
 
     def test_self_loop_is_data_error(self, tmp_path, capsys):
         (tmp_path / "nodes.csv").write_text("id\n1\n2\n")

@@ -1,12 +1,13 @@
-import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcrf import (
-    EffectTable,
+    DesignMatrix,
     MCConfig,
     ModelSpec,
     build_design,
@@ -23,7 +24,8 @@ from netcrf import (
 )
 from netcrf.dgp import true_aggregate_effects
 from netcrf.effects import _aggregate_contrasts, _contrasts
-from conftest import cell_means, cell_statistics, make_frame, potential_outcome_grid, unit_fitted
+from conftest import (cell_means, cell_statistics, duplicated_frames, identified_effects,
+                      make_frame, potential_outcome_grid, sparse_saturated_fits, unit_fitted)
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +137,7 @@ class TestRecoverLinearModels:
         d = rng.integers(0, 2, size=60)
         y = 1.0 - f + 2.0 * d + 0.3 * t
         frame = make_frame(y, d, t, f)
-        table = recover_effect_table(exact_fit(frame, ModelSpec.t_model()),
-                                     ModelSpec.t_model(), frame.f)
+        table = recover_effect_table(exact_fit(frame, ModelSpec.t_model()))
         cell = table.cell(4, 2)
         assert cell.delta0 == pytest.approx(2.0, abs=1e-9)
         assert cell.tau0 == pytest.approx(0.6, abs=1e-9)
@@ -154,16 +155,14 @@ class TestRecoverLinearModels:
         d = rng.integers(0, 2, size=300)
         y = (0.5 - 2.0 * f + 1.5 * d + (0.1 + 0.8 / f) * t + (0.2 + 2.0 / f) * d * t)
         frame = make_frame(y, d, t, f)
-        table = recover_effect_table(exact_fit(frame, ModelSpec.tr_model()),
-                                     ModelSpec.tr_model(), frame.f)
+        table = recover_effect_table(exact_fit(frame, ModelSpec.tr_model()))
         cell = table.cell(2, 1)
         assert cell.tau_pm == pytest.approx(1.2, abs=1e-9)
         assert cell.delta_t == pytest.approx(cell.delta0 + 1.2, abs=1e-9)
 
     def test_zero_noise_scenario_iii_tr_recovery(self, noiseless_iii_frame):
         frame = noiseless_iii_frame
-        table = recover_effect_table(exact_fit(frame, ModelSpec.tr_model()),
-                                     ModelSpec.tr_model(), frame.f)
+        table = recover_effect_table(exact_fit(frame, ModelSpec.tr_model()))
         for cell in table.cells:
             expected = (0.2 + 2.0 / cell.f) * cell.t
             assert cell.tau0 == pytest.approx(expected, abs=1e-8)
@@ -174,8 +173,7 @@ class TestRecoverLinearModels:
     def test_zero_noise_scenario_iii_crf1short_f2(self, noiseless_iii_frame):
         frame = noiseless_iii_frame.restrict_to_f(2)
         spec = ModelSpec.crf1_short(2)
-        table = recover_effect_table(exact_fit(frame, spec, on_rank_deficiency="drop"),
-                                     spec, frame.f)
+        table = recover_effect_table(exact_fit(frame, spec, on_rank_deficiency="drop"))
         for t in (1, 2):
             assert table.cell(2, t).tau0 == pytest.approx(1.2 * t, abs=1e-8)
 
@@ -188,7 +186,7 @@ class TestRecoverLinearModels:
         y = (2.0 + f) + (1.0 + f - 0.5 * f**2) * d + 0.3 * t + 0.1 * d * t
         frame = make_frame(y, d, t, f)
         spec = ModelSpec.crf2(2)
-        table = recover_effect_table(exact_fit(frame, spec), spec, frame.f)
+        table = recover_effect_table(exact_fit(frame, spec))
         for cell in table.cells:
             assert cell.delta0 == pytest.approx(1.0 + cell.f - 0.5 * cell.f**2, abs=1e-7)
             assert cell.tau0 == pytest.approx(0.3 * cell.t, abs=1e-7)
@@ -216,15 +214,13 @@ class TestSaturatedOracle:
         frame = noisy_small_f_frame
         means = cell_means(frame)
         long_spec = ModelSpec.crf1_long(f_max=6, t_max=6)
-        long_table = recover_effect_table(
-            exact_fit(frame, long_spec, on_rank_deficiency="drop"), long_spec, frame.f)
+        long_table = recover_effect_table(exact_fit(frame, long_spec, on_rank_deficiency="drop"))
         compared = 0
         for f_value in np.unique(frame.f).tolist():
             subframe = frame.restrict_to_f(f_value)
             short_spec = ModelSpec.crf1_short(f_value)
             short_table = recover_effect_table(
-                exact_fit(subframe, short_spec, on_rank_deficiency="drop"),
-                short_spec, subframe.f)
+                exact_fit(subframe, short_spec, on_rank_deficiency="drop"))
             for t in range(1, f_value + 1):
                 long_cell = long_table.cell(f_value, t)
                 short_cell = short_table.cell(f_value, t)
@@ -244,8 +240,7 @@ class TestSaturatedOracle:
         keep = frame.f <= 5
         sub = make_frame(frame.y[keep], frame.d[keep], frame.t[keep], frame.f[keep])
         spec = ModelSpec.crf1_long(f_max=5, t_max=5)
-        table = recover_effect_table(exact_fit(sub, spec, on_rank_deficiency="drop"),
-                                     spec, sub.f)
+        table = recover_effect_table(exact_fit(sub, spec, on_rank_deficiency="drop"))
         kept_units = np.flatnonzero(keep)
         for cell in table.cells:
             if cell.tau1 is None:
@@ -264,7 +259,7 @@ class TestAbsentCells:
                            [3, 3, 3, 3, 3, 3])
         spec = ModelSpec.crf1_long(f_max=3, t_max=3)
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
-        table = recover_effect_table(result, spec, frame.f)
+        table = recover_effect_table(result)
         absent = table.cell(3, 2)
         assert absent.tau0 is None
         assert absent.tau1 is None
@@ -283,7 +278,7 @@ class TestAbsentCells:
         spec = ModelSpec.crf1_long(f_max=2, t_max=2)
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
         with caplog.at_level("DEBUG"):
-            table = recover_effect_table(result, spec, frame.f)
+            table = recover_effect_table(result)
         assert table.aggregates.network == table.cell(1, 1).tau0 == pytest.approx(2.0 - 0.25)
         direct, network, interaction = table.aggregates.skipped_units
         assert (network, interaction) == (2, 6)
@@ -303,7 +298,7 @@ class TestAbsentCells:
         spec = ModelSpec.crf1_long(f_max=2, t_max=2)
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
         assert "F=1" in result.dropped_columns
-        table = recover_effect_table(result, spec, frame.f)
+        table = recover_effect_table(result)
         assert (table.cell(1, 1).delta0, table.cell(1, 1).tau0) == pytest.approx((0.5, 2.0))
         assert table.aggregates.direct == table.cell(2, 1).delta0 == pytest.approx(1.0)
         assert table.aggregates.network == table.cell(2, 1).tau0 == pytest.approx(3.0)
@@ -318,29 +313,10 @@ class TestAbsentCells:
         frame = simulate_frame(network_2000, params, seed)
         spec = ModelSpec.crf1_long()
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
-        got = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
+        got = recover_effect_table(result, t_grid=()).aggregates
         true = true_aggregate_effects(params, frame.f)
         for name in ("direct", "network", "interaction"):
             assert abs(getattr(got, name) - getattr(true, name)) < 0.5, name
-
-    def test_crf1short_other_f_is_absent(self, noisy_small_f_frame, caplog):
-        frame = noisy_small_f_frame
-        sub = frame.restrict_to_f(3)
-        spec = ModelSpec.crf1_short(3)
-        result = exact_fit(sub, spec, on_rank_deficiency="drop")
-        f_values = np.concatenate([sub.f, [2, 2, 4]])
-        with caplog.at_level("DEBUG"):
-            table = recover_effect_table(result, spec, f_values)
-        for cell in table.cells:
-            values = [getattr(cell, name) for name in EffectTable.CSV_COLUMNS[2:]]
-            if cell.f == 3:
-                assert cell.baseline is not None and cell.delta0 is not None
-            else:
-                assert values == [None] * 6, cell
-        own = recover_effect_table(result, spec, sub.f).aggregates
-        assert table.aggregates == dataclasses.replace(
-            own, skipped_units=tuple(s + 3 for s in own.skipped_units))
-        assert not caplog.records
 
     def test_crf1long_beyond_f_max_and_t_max_is_absent(self, noisy_small_f_frame):
         frame = noisy_small_f_frame
@@ -348,15 +324,12 @@ class TestAbsentCells:
         sub = make_frame(frame.y[keep], frame.d[keep], frame.t[keep], frame.f[keep])
         spec = ModelSpec.crf1_long(f_max=6, t_max=2)
         result = exact_fit(sub, spec, on_rank_deficiency="drop")
-        table = recover_effect_table(result, spec, np.concatenate([sub.f, [7]]))
+        table = recover_effect_table(result)
         beyond_t = table.cell(5, 3)
         assert beyond_t.baseline is not None and beyond_t.delta0 is not None
         for name in ("tau0", "tau_pm", "tau1", "delta_t"):
             assert getattr(beyond_t, name) is None, name
         assert table.cell(5, 2).tau0 is not None
-        for t in range(1, 8):
-            cell = table.cell(7, t)
-            assert [getattr(cell, name) for name in EffectTable.CSV_COLUMNS[2:]] == [None] * 6
 
     def test_dropped_column_makes_its_cells_absent(self):
         # F is constant, so one of the collinear columns 1 and F is dropped:
@@ -370,7 +343,7 @@ class TestAbsentCells:
         spec = ModelSpec.t_model()
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
         assert len(result.dropped_columns) == 1
-        table = recover_effect_table(result, spec, frame.f)
+        table = recover_effect_table(result)
         for cell in table.cells:
             assert cell.baseline is None
             assert None not in (cell.delta0, cell.tau0, cell.tau_pm, cell.tau1, cell.delta_t)
@@ -379,7 +352,7 @@ class TestAbsentCells:
     def test_count_and_ratio_designs_give_exact_zero_interaction(self, noisy_small_f_frame,
                                                                  spec):
         frame = noisy_small_f_frame
-        table = recover_effect_table(exact_fit(frame, spec), spec, frame.f)
+        table = recover_effect_table(exact_fit(frame, spec))
         values = [cell.tau_pm for cell in table.cells] + [table.aggregates.interaction]
         # +0.0 exactly: a negative zero would print as "-0" in the CSV
         assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
@@ -391,37 +364,87 @@ class TestAbsentCells:
     def test_empty_t_grid_gives_full_table_aggregates(self, noisy_small_f_frame, spec):
         frame = noisy_small_f_frame
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
-        full = recover_effect_table(result, spec, frame.f)
-        aggregates_only = recover_effect_table(result, spec, frame.f, t_grid=())
+        full = recover_effect_table(result)
+        aggregates_only = recover_effect_table(result, t_grid=())
         assert aggregates_only.cells == ()
         assert aggregates_only.aggregates == full.aggregates
 
-    def test_requires_nonempty_f_values(self, noiseless_iii_frame):
-        result = exact_fit(noiseless_iii_frame, ModelSpec.t_model())
-        with pytest.raises(ValueError):
-            recover_effect_table(result, ModelSpec.t_model(), [])
-
-    def test_friend_counts_follow_the_rule_of_the_true_effects(self, noiseless_iii_frame):
-        # one rule for both: whole numbers >= 1, as integers or floats
-        spec = ModelSpec.t_model()
-        result = exact_fit(noiseless_iii_frame, spec)
+    def test_friend_counts_follow_the_rule_of_the_true_effects(self):
+        # whole numbers >= 1, as integers or floats
         params = dgp_scenario("iii")
         for bad in ([0, 2], [1.0, 2.5], [np.nan]):
             with pytest.raises(ValueError):
-                recover_effect_table(result, spec, bad)
-            with pytest.raises(ValueError):
                 true_aggregate_effects(params, bad)
         whole = [1.0, 3.0, 3.0]
-        assert recover_effect_table(result, spec, whole) == recover_effect_table(result, spec,
-                                                                                 [1, 3, 3])
         assert true_aggregate_effects(params, whole) == true_aggregate_effects(params, [1, 3, 3])
+
+
+def assert_aggregates_weight_the_t1_fields(frame, result):
+    """Each aggregate is the unit-count-weighted mean of the table's t = 1
+    field (delta0, tau0, tau_pm) over the friend counts of ``frame`` where the
+    field is present and, for a saturated design, identified; it skips the
+    units at the other friend counts. The mean is summed here, term by term,
+    not through the fit's aggregate map."""
+    table = recover_effect_table(result)
+    counts = np.bincount(frame.f)
+    saturated = result.design.own_cell is not None
+    means = cell_means(frame) if saturated else None
+    for target, name, skipped in zip(("direct", "network", "interaction"),
+                                     ("delta0", "tau0", "tau_pm"),
+                                     table.aggregates.skipped_units):
+        values = {f: getattr(table.cell(f, 1), name) for f in np.unique(frame.f).tolist()}
+        if saturated:
+            identified = [f for f in values if name in identified_effects(means, f, 1)]
+            assert all(values[f] is not None for f in identified), name
+        else:
+            identified = [f for f in values if values[f] is not None]
+        units = int(sum(counts[f] for f in identified))
+        assert skipped == frame.n_selected - units, name
+        got = getattr(table.aggregates, target)
+        if not identified:
+            assert got is None, name
+            continue
+        terms = [counts[f] * values[f] / units for f in identified]
+        want = math.fsum(terms)
+        assert abs(got - want) <= 1e-12 * max(abs(term) for term in terms), (name, got, want)
+
+
+class TestAggregateOracle:
+    @settings(deadline=None, max_examples=60)
+    @given(duplicated_frames(), st.sampled_from(["t", "r", "tr", "crf2:J=1", "crf2:J=2,t_order=2",
+                                                 "crf1long", "crf1short"]))
+    def test_every_spec_on_duplicated_frames(self, frame, text):
+        if text == "crf1short":
+            f_common = int(np.bincount(frame.f).argmax())
+            frame, text = frame.restrict_to_f(f_common), f"crf1short:f={f_common}"
+        result = exact_fit(frame, parse_model_spec(text), on_rank_deficiency="drop")
+        assert_aggregates_weight_the_t1_fields(frame, result)
+
+    @settings(deadline=None, max_examples=100)
+    @given(sparse_saturated_fits())
+    def test_saturated_specs_on_sparse_frames(self, case):
+        frame, spec = case
+        assert_aggregates_weight_the_t1_fields(
+            frame, exact_fit(frame, spec, on_rank_deficiency="drop"))
+
+    def test_design_from_a_matrix_has_no_effect_table(self, noiseless_iii_frame):
+        # the friend counts come from the cells of a build_design design
+        frame = noiseless_iii_frame
+        x = build_design(frame, ModelSpec.tr_model())
+        assert x.cells is frame.cells
+        raw = DesignMatrix(x.values, x.labels)
+        assert raw.cells is None
+        result = fit(raw, frame.y)
+        for t_grid in (None, ()):
+            with pytest.raises(ValueError, match="build_design"):
+                recover_effect_table(result, t_grid=t_grid)
 
 
 class TestEffectTableOutput:
     def test_csv_layout(self, noiseless_iii_frame):
         frame = noiseless_iii_frame
         spec = ModelSpec.tr_model()
-        table = recover_effect_table(exact_fit(frame, spec), spec, frame.f)
+        table = recover_effect_table(exact_fit(frame, spec))
         text = table.to_csv_text()
         header, first = text.splitlines()[:2]
         assert header == "f,t,delta0,tau0,tau_pm,tau1,delta_t,baseline"
@@ -430,9 +453,8 @@ class TestEffectTableOutput:
     def test_json_round_trip_values(self, noiseless_iii_frame):
         frame = noiseless_iii_frame
         spec = ModelSpec.tr_model()
-        table = recover_effect_table(exact_fit(frame, spec), spec, frame.f)
+        table = recover_effect_table(exact_fit(frame, spec))
         payload = table.to_json_dict()
-        assert payload["model"] == "tr"
         assert payload["aggregates"]["direct"] == pytest.approx(2.0, abs=1e-8)
         assert len(payload["cells"]) == len(table.cells)
 
@@ -449,11 +471,11 @@ class TestMultiOutcomeAggregates:
                              2.0 * frame.y - 1.0])
         design = build_design(frame, spec)
         multi = fit(design, cell_statistics(design, y), on_rank_deficiency="drop")
-        multi = recover_effect_table(multi, spec, frame.f, t_grid=())
+        multi = recover_effect_table(multi, t_grid=())
         assert multi.cells == () and len(multi.aggregates) == 3
         for j, got in enumerate(multi.aggregates):
             one = fit(build_design(frame, spec), y[:, j].copy(), on_rank_deficiency="drop")
-            want = recover_effect_table(one, spec, frame.f, t_grid=()).aggregates
+            want = recover_effect_table(one, t_grid=()).aggregates
             for name in ("direct", "network", "interaction"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a == b and (a is None or math.copysign(1.0, a) == math.copysign(1.0, b))
@@ -468,11 +490,11 @@ class TestMultiOutcomeAggregates:
         y = np.column_stack([frame.y, frame.y * 3.0])
         design = build_design(frame, spec)
         both = fit(design, cell_statistics(design, y), on_rank_deficiency="drop")
-        table = recover_effect_table(both, spec, frame.f, t_grid=())
+        table = recover_effect_table(both, t_grid=())
         for j, agg in enumerate(table.aggregates):
             assert agg.network is not None and agg.skipped_units[1] == 2
             one = fit(build_design(frame, spec), y[:, j].copy(), on_rank_deficiency="drop")
-            assert agg == recover_effect_table(one, spec, frame.f, t_grid=()).aggregates
+            assert agg == recover_effect_table(one, t_grid=()).aggregates
 
     def test_per_cell_table_needs_one_outcome_fit(self, noisy_small_f_frame):
         frame = noisy_small_f_frame
@@ -480,9 +502,9 @@ class TestMultiOutcomeAggregates:
         design = build_design(frame, spec)
         result = fit(design, cell_statistics(design, np.column_stack([frame.y, frame.y])))
         with pytest.raises(ValueError, match="one-outcome"):
-            recover_effect_table(result, spec, frame.f)
+            recover_effect_table(result)
         with pytest.raises(ValueError, match="one-outcome"):
-            recover_effect_table(result, spec, frame.f, t_grid=(1,))
+            recover_effect_table(result, t_grid=(1,))
 
 
 class TestAggregateContrastCache:

@@ -24,8 +24,8 @@ from netcrf import _lapack
 from netcrf.design import _pivoted_qr
 from netcrf.lsq import DEFAULT_RANK_TOL, CellSums, _solve_triangular
 from netcrf.dgp import check_finite_y, simulate_cells
-from conftest import (cell_means, cell_statistics, identified_effects, make_frame,
-                      sparse_saturated_fits, unit_fitted)
+from conftest import (cell_means, cell_statistics, duplicated_frames, identified_effects,
+                      make_frame, sparse_saturated_fits, unit_fitted)
 
 
 def normal_equations_oracle(x, y):
@@ -367,8 +367,8 @@ class TestBlockFit:
 
         as_dense = dataclasses.replace(result, coefficients=dense["coefficients"],
                                        dropped_columns=dense["dropped_columns"])
-        cell_table = recover_effect_table(result, spec, frame.f)
-        dense_table = recover_effect_table(as_dense, spec, frame.f)
+        cell_table = recover_effect_table(result)
+        dense_table = recover_effect_table(as_dense)
         means = cell_means(frame)
         checked = 0
         for cell in cell_table.cells:
@@ -489,19 +489,6 @@ class TestMinPivotRatio:
         assert payload["rank"] == 0 and payload["min_pivot_ratio"] is None
 
 
-@st.composite
-def duplicated_frames(draw):
-    """Frames of 40-300 units over friend counts 1..5: a few dozen (d, t, f)
-    cells at most, so most units share their design row with others."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(40, 300))
-    f = rng.integers(1, draw(st.integers(1, 5)) + 1, size=n)
-    t = rng.integers(0, f + 1)
-    d = rng.integers(0, 2, size=n)
-    y = draw(st.floats(0.1, 10.0)) * rng.standard_normal(n) + f - d * t
-    return make_frame(y, d, t, f)
-
-
 class TestCellFit:
     """A fit on the sqrt(count)-weighted cell rows equals the unit-level
     least-squares fit and sandwich on the same retained columns."""
@@ -590,7 +577,7 @@ class TestSaturatedFit:
                                                              frame.f.tolist())])
         assert_close(result.cell_fitted[x.cell_of_unit, 0], unit_means)
 
-        table = recover_effect_table(result, spec, frame.f)
+        table = recover_effect_table(result)
         for cell in table.cells:
             for name in identified_effects(means, cell.f, cell.t):
                 got, want = getattr(cell, name), cell_mean_contrast(means, cell.f, cell.t, name)
@@ -611,7 +598,7 @@ class TestSaturatedFit:
     def test_aggregates_average_only_identified_fields(self, case):
         frame, spec = case
         result = fit(build_design(frame, spec), frame.y, on_rank_deficiency="drop")
-        aggregates = recover_effect_table(result, spec, frame.f, t_grid=()).aggregates
+        aggregates = recover_effect_table(result, t_grid=()).aggregates
         means, counts = cell_means(frame), np.bincount(frame.f)
         for target, name, skipped in zip(("direct", "network", "interaction"),
                                          ("delta0", "tau0", "tau_pm"), aggregates.skipped_units):
@@ -719,7 +706,7 @@ class TestResultsOnDemand:
         x = build_design(frame, ModelSpec.crf1_long())
         y = np.column_stack([frame.y, 3.0 - frame.y, frame.f * 0.25])
         result = fit(x, cell_statistics(x, y), on_rank_deficiency="drop")
-        recover_effect_table(result, ModelSpec.crf1_long(), frame.f, t_grid=())
+        recover_effect_table(result, t_grid=())
         # a fit keeps its cell statistics and nothing of unit length
         assert "cell_fitted" not in result.__dict__ and "values" not in x.__dict__
         assert not any(hasattr(result, name) for name in ("y", "fitted", "residuals"))

@@ -338,7 +338,7 @@ class TestSharedReplications:
                 assert not ok[s, -1]  # crf1long:f_max=1,t_max=1
                 for e, spec in enumerate(ALL_FOUR):
                     one = fit(build_design(frame, spec), frame.y)
-                    agg = recover_effect_table(one, spec, frame.f, t_grid=()).aggregates
+                    agg = recover_effect_table(one, t_grid=()).aggregates
                     assert ok[s, e]
                     want = np.array([agg.direct, agg.network, agg.interaction])
                     assert (np.abs(estimates[s, e] - want)
