@@ -332,7 +332,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             work = frame.restrict_to_f(spec.f)
             if work.n_selected == 0:
                 raise DataError(f"no rows with F={spec.f} for {text}")
-        result = lsq_fit(build_design(work, spec), work.y, on_rank_deficiency=policy)
+        result = lsq_fit(build_design(work, spec), work.cell_sums(), on_rank_deficiency=policy)
         fits.append((text, policy, result, recover_effect_table(result)))
 
     for text, policy, result, table in fits:

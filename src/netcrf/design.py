@@ -159,59 +159,32 @@ def format_model_spec(spec: ModelSpec) -> str:
 
 
 class DesignMatrix:
-    """Design matrix plus per-column labels, stored by cell.
+    """Design matrix plus per-column labels, stored by the cells of a frame.
 
-    ``cell_values`` holds one finite, read-only row per cell, ``cell_counts``
-    the units in each cell, ``cell_weights`` their square roots, and
-    ``cell_of_unit`` the cell of each unit. :func:`build_design` makes one
-    cell per occupied (d, t, f) combination, since every design row is a
-    function of (d, t, f) alone, and keeps the frame's :class:`FrameCells`
-    as ``cells`` (whose ``counts`` and ``of_unit`` the two arrays are), from
-    which a fit's effect table reads the friend counts. A design built
-    directly from ``values`` has one cell per row with count 1 and no
-    ``cells``. ``values`` is the read-only n x k unit-level matrix, gathered
-    from the cells on first use.
+    ``cells`` is the frame's :class:`FrameCells`: the occupied (d, t, f)
+    cells, their unit ``counts`` and the cell ``of_unit`` of each unit.
+    ``cell_values`` holds one finite, read-only row per cell, since every
+    design row is a function of (d, t, f) alone, and ``cell_weights`` the
+    square roots of the counts. A fit's effect table reads the friend counts
+    from ``cells``. ``values`` is the read-only n x k unit-level matrix,
+    gathered from the cells on first use. :func:`build_design` makes every
+    design of the program and guarantees finite values and unique labels.
 
     ``own_cell`` is None except for the saturated designs of
     :func:`build_design`, where it holds per column the index of its own
     cell, the lowest cell the column reaches, or -1 when no unit is in it.
     """
 
-    def __init__(self, values, labels):
-        values = np.array(values, dtype=float)
-        labels = tuple(labels)
-        if values.ndim != 2:
-            raise ValueError("values must be a 2-d matrix")
-        if values.shape[1] != len(labels):
-            raise ValueError("one label per column required")
-        if len(set(labels)) != len(labels):
-            raise ValueError("column labels must be unique")
-        n = values.shape[0]
-        bad = _non_finite(values, labels, np.arange(n))
-        if bad:
-            raise ValueError(bad)
-        self._set(values, labels, np.ones(n, dtype=np.int64), np.arange(n), None, None)
-
-    @classmethod
-    def from_cells(cls, cell_values, labels, cells: FrameCells, own_cell) -> "DesignMatrix":
-        """The design whose unit ``i`` has row ``cell_values[cells.of_unit[i]]``;
-        the caller guarantees finite values, unique labels and, with
-        ``own_cell``, that every cell owns exactly one column."""
-        design = cls.__new__(cls)
-        design._set(np.asarray(cell_values, dtype=float), tuple(labels), cells.counts,
-                    cells.of_unit, own_cell, cells)
-        return design
-
-    def _set(self, cell_values, labels, cell_counts, cell_of_unit, own_cell, cells) -> None:
+    def __init__(self, cell_values, labels, cells: FrameCells, own_cell=None):
+        cell_values = np.asarray(cell_values, dtype=float)
         cell_values.setflags(write=False)
-        self.cell_values, self.labels, self.cells = cell_values, labels, cells
-        self.cell_counts, self.cell_of_unit = cell_counts, cell_of_unit
-        self.cell_weights = np.sqrt(cell_counts)
+        self.cell_values, self.labels, self.cells = cell_values, tuple(labels), cells
+        self.cell_weights = np.sqrt(cells.counts)
         self.own_cell = own_cell
 
     @property
     def n_rows(self) -> int:
-        return int(self.cell_of_unit.shape[0])
+        return int(self.cells.of_unit.shape[0])
 
     @property
     def n_cols(self) -> int:
@@ -223,7 +196,7 @@ class DesignMatrix:
 
     @cached_property
     def values(self) -> np.ndarray:
-        values = self.cell_values[self.cell_of_unit]
+        values = self.cell_values[self.cells.of_unit]
         values.setflags(write=False)
         return values
 
@@ -412,5 +385,5 @@ def build_design(frame: SampleFrame | CellDraw, spec: ModelSpec) -> DesignMatrix
     if bad:
         raise NumericalError(bad)
     own_cell = None if owners is None else _cell_index(owners, cells)
-    return DesignMatrix.from_cells(values, labels, cells, own_cell)
+    return DesignMatrix(values, labels, cells, own_cell)
 

@@ -120,6 +120,12 @@ class SampleFrame:
         every design built on this frame."""
         return frame_cells(self.d, self.t, self.f)
 
+    def cell_sums(self) -> "CellSums":
+        """The outcome's :class:`CellSums` over :attr:`cells`, which
+        :func:`netcrf.lsq.fit` takes with any design built on this frame."""
+        cells = self.cells
+        return CellSums.of_units(self.y, cells.of_unit, cells.counts)
+
     def restrict_to_f(self, value: int) -> "SampleFrame":
         """Subframe of rows with f equal to ``value``."""
         mask = self.f == value
@@ -294,17 +300,6 @@ class CellDraw:
             return np.zeros((0, self.means.shape[1]))
         return self.means[self.cells.of_unit] + self.z[:, None] * self.noise_sd
 
-    def frame(self) -> SampleFrame:
-        """The frame of a one-scenario draw, with its outcome gathered to units."""
-        if self.means.shape[1] != 1:
-            raise ValueError(f"a frame holds one scenario's outcome; this draw has "
-                             f"{self.means.shape[1]} scenarios")
-        frame = SampleFrame(y=self.outcomes()[:, 0], d=self.d, t=self.t, f=self.f,
-                            ids=self.ids, n_total=self.n_total)
-        if self.cells is not None:
-            object.__setattr__(frame, "cells", self.cells)  # every design of the frame reuses them
-        return frame
-
 
 def simulate_cells(network: Network, scenarios: Sequence[DgpParams], seed: int) -> CellDraw:
     """Draw the frame of ``scenarios`` from ``seed``, kept by cell.
@@ -334,8 +329,17 @@ def simulate_cells(network: Network, scenarios: Sequence[DgpParams], seed: int) 
 
 
 def simulate_frame(network: Network, params: DgpParams, seed: int) -> SampleFrame:
-    """Simulate treatments and outcomes on a network; keep units with F > 0."""
-    return simulate_cells(network, (params,), seed).frame()
+    """Simulate treatments and outcomes on a network; keep units with F > 0.
+
+    The frame is the one-scenario draw of :func:`simulate_cells` with its
+    outcome gathered to units, and it shares the draw's cells.
+    """
+    draw = simulate_cells(network, (params,), seed)
+    frame = SampleFrame(y=draw.outcomes()[:, 0], d=draw.d, t=draw.t, f=draw.f, ids=draw.ids,
+                        n_total=draw.n_total)
+    if draw.cells is not None:
+        object.__setattr__(frame, "cells", draw.cells)  # every design of the frame reuses them
+    return frame
 
 
 def true_aggregate_effects(params: DgpParams, f_values) -> TrueEffects:

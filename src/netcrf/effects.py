@@ -121,6 +121,9 @@ class EffectTable:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
+        if isinstance(self.aggregates, tuple):
+            raise ValueError(f"to_json_dict needs a one-outcome table, got "
+                             f"{len(self.aggregates)} outcomes")
         return {"aggregates": asdict(self.aggregates), "cells": [asdict(c) for c in self.cells]}
 
     def to_json(self) -> str:
@@ -194,8 +197,7 @@ def _aggregate_map(fit: FitResult, unique_f: np.ndarray,
 
 
 def recover_effect_table(fit: FitResult, t_grid=None) -> EffectTable:
-    """Build the effect table implied by a fit whose design comes from
-    :func:`netcrf.design.build_design` (ValueError otherwise).
+    """Build the effect table implied by a fit.
 
     The rows are the distinct friend counts of the fit's units, from its
     design's cells (in ascending f order). ``t_grid`` restricts the treated
@@ -205,9 +207,6 @@ def recover_effect_table(fit: FitResult, t_grid=None) -> EffectTable:
     tuple of aggregates, one per outcome column.
     """
     design_cells = fit.design.cells
-    if design_cells is None:
-        raise ValueError("an effect table reads the friend counts from the cells of a design "
-                         "made by build_design; this fit's design was built from a matrix")
     unique_f, starts = np.unique(design_cells.f, return_index=True)
     counts = np.add.reduceat(design_cells.counts, starts)
 

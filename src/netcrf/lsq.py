@@ -24,14 +24,12 @@ needs of its outcome, and all it keeps, are per cell the sum and the sum of
 squares about the cell mean, ``W_c`` (:class:`CellSums`). A cell's sum of
 squared residuals is ``SSR_c = W_c + n_c (ybar_c - x_c'b)^2``; the classical
 variance divides ``sum_c SSR_c`` by ``n - rank`` residual degrees of freedom
-over units, and the robust (HC0) meat is ``sum_c SSR_c x_c x_c'``. A design
-built directly from a matrix has one cell per row with count 1 and is
-fitted with the same arithmetic as a unit-level design.
+over units, and the robust (HC0) meat is ``sum_c SSR_c x_c x_c'``.
 
-:func:`fit` takes the unit-level ``y`` and reduces it to its
-:class:`CellSums` on entry, or the caller's :class:`CellSums` directly, as a
-Monte Carlo replication that draws its outcomes by cell passes them. Either
-way one core fits from the statistics, so the same sums give the same
+:func:`fit` takes the outcome as :class:`CellSums` only: a frame read from
+a file makes them with :meth:`SampleFrame.cell_sums`, and a Monte Carlo
+replication that draws its outcomes by cell with :meth:`CellDraw.cell_sums`.
+One core fits from the statistics, so the same sums give the same
 coefficients bit for bit.
 
 **Saturated designs.** A ``crf1long`` or ``crf1short`` design has one
@@ -102,7 +100,7 @@ import numpy as np
 
 from . import _lapack
 from .design import DesignMatrix
-from .dgp import CellSums, check_finite_y
+from .dgp import CellSums
 from .errors import NumericalError, RankDeficiencyError
 
 DEFAULT_RANK_TOL = 1e-10
@@ -143,7 +141,7 @@ class FitResult:
         if self.rank == 0:
             return np.zeros(self.cell_sums.shape)
         if x.own_cell is not None:
-            return self.cell_sums / x.cell_counts[:, None]
+            return self.cell_sums / x.cells.counts[:, None]
         retained = x.cell_values[:, kept]
         coefficients = self.coefficients.reshape(len(self.labels), -1)
         return np.column_stack([retained @ coefficients[kept, j]
@@ -172,7 +170,7 @@ class FitResult:
     @cached_property
     def _cell_ssr(self) -> np.ndarray:
         """Each cell's sum of squared residuals, ``W_c + n_c (ybar_c - fit_c)^2``."""
-        counts = self.design.cell_counts
+        counts = self.design.cells.counts
         gap = self.cell_sums[:, 0] / counts - self.cell_fitted[:, 0]
         return self.cell_within[:, 0] + counts * gap * gap
 
@@ -222,15 +220,13 @@ class FitResult:
 
 def fit(
     x: DesignMatrix,
-    y: np.ndarray | CellSums,
+    sums: CellSums,
     on_rank_deficiency: str = "error",
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> FitResult:
-    """Least-squares fit of the unit-level ``y``, shape ``(n,)``, on the columns of ``x``.
-
-    ``y`` may instead be the outcome's statistics per cell of ``x``
-    (:class:`CellSums`), of one outcome or of several as columns; the fit is
-    then the same arithmetic on the given statistics.
+    """Least-squares fit on the columns of ``x`` of the outcome whose
+    statistics per cell of ``x`` are ``sums`` (:class:`CellSums`), of one
+    outcome or of several as columns.
 
     A saturated design (``x.own_cell`` set) keeps the columns whose own cell
     is occupied. Any other design is factored by one pivoted QR
@@ -238,30 +234,24 @@ def fit(
     whose magnitude exceeds ``rank_tol`` times the largest. With
     ``on_rank_deficiency="drop"`` the other columns are reported in
     ``dropped_columns`` and their coefficients are NaN; with ``"error"`` a
-    deficient design raises :class:`RankDeficiencyError` listing them. A
-    non-finite ``y`` raises ValueError naming its first bad entry.
+    deficient design raises :class:`RankDeficiencyError` listing them.
+    Non-finite sums raise ValueError, and any other outcome TypeError.
     """
+    if not isinstance(sums, CellSums):
+        raise TypeError(f"fit takes the outcome as CellSums, got {type(sums).__name__}; "
+                        "make them with SampleFrame.cell_sums()")
     if on_rank_deficiency not in ("error", "drop"):
         raise ValueError(f"unknown rank policy {on_rank_deficiency!r}")
-    n = x.n_rows
-    if n < 1:
-        raise ValueError("need at least one observation")
-    if not isinstance(y, CellSums):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (n,):
-            raise ValueError(f"y must have shape ({n},), got {y.shape}")
-        check_finite_y(y)
-        y = CellSums.of_units(y, x.cell_of_unit, x.cell_counts)
-    sums = y.values
-    if sums.ndim not in (1, 2) or sums.shape[0] != x.n_cells:
+    values, within = sums.values, sums.within
+    if values.ndim not in (1, 2) or values.shape[0] != x.n_cells:
         raise ValueError(f"cell sums must have shape ({x.n_cells},) or ({x.n_cells}, s), "
-                         f"got {sums.shape}")
-    if not np.isfinite(sums).all():
+                         f"got {values.shape}")
+    if not np.isfinite(values).all():
         raise ValueError("cell sums must be finite")
-    one_outcome = sums.ndim == 1
+    one_outcome = values.ndim == 1
     # the fit's own F-ordered copies, one column per outcome
     sums, within = (np.array(a[:, None] if one_outcome else a, order="F")
-                    for a in (sums, y.within))
+                    for a in (values, within))
 
     # one core from here: the outcomes' per-cell sums are the columns of the F-ordered sums
     k = x.n_cols
@@ -305,7 +295,7 @@ def fit(
         labels=x.labels,
         rank=rank,
         dropped_columns=dropped,
-        n=n,
+        n=x.n_rows,
         min_pivot_ratio=min_pivot_ratio,
         factor=factor,
         factor_columns=kept,

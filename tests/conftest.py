@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from netcrf import ModelSpec, SampleFrame, build_geometric_network, generate_positions
+from netcrf import (DesignMatrix, ModelSpec, SampleFrame, build_geometric_network,
+                    generate_positions)
+from netcrf.dgp import FrameCells
 from netcrf.lsq import CellSums
 from netcrf.rng import child_seeds, rng_from_seed
 
@@ -18,18 +20,30 @@ def make_frame(y, d, t, f, n_total=None):
     )
 
 
+def matrix_design(values, labels):
+    """A design whose cells are the rows of the matrix ``values``: cell ``i``
+    is unit ``i`` alone (count 1) at (d, t, f) = (0, 0, i + 1), so the
+    unit-level matrix ``values`` is the design's as given."""
+    values = np.array(values, dtype=float)
+    n = values.shape[0]
+    zeros, rows = np.zeros(n, dtype=np.int64), np.arange(n)
+    cells = FrameCells(d=zeros, t=zeros, f=rows + 1, counts=np.ones(n, dtype=np.int64),
+                       of_unit=rows)
+    return DesignMatrix(values, labels, cells)
+
+
 def cell_statistics(x, y):
     """The :class:`CellSums` of a unit-level outcome over the cells of design
     ``x``: per cell, the sum and the sum of squares about the cell mean of
     ``y``, shape ``(n,)``, or of each column of ``y``, shape ``(n, s)``."""
     y = np.asarray(y, dtype=float)
     sums, within = [], []
+    of_unit = x.cells.of_unit
     for column in y.reshape(y.shape[0], -1).T:
-        total = np.bincount(x.cell_of_unit, weights=column, minlength=x.n_cells)
-        deviations = column - (total / x.cell_counts)[x.cell_of_unit]
+        total = np.bincount(of_unit, weights=column, minlength=x.n_cells)
+        deviations = column - (total / x.cells.counts)[of_unit]
         sums.append(total)
-        within.append(np.bincount(x.cell_of_unit, weights=deviations * deviations,
-                                  minlength=x.n_cells))
+        within.append(np.bincount(of_unit, weights=deviations * deviations, minlength=x.n_cells))
     if y.ndim == 1:
         return CellSums(sums[0], within[0])
     return CellSums(np.column_stack(sums), np.column_stack(within))

@@ -25,8 +25,8 @@ from netcrf import (
     telescope_level_from_changes,
     true_aggregate_effects,
 )
-from netcrf.design import DesignMatrix
-from conftest import cell_means, make_frame, potential_outcome_grid, unit_fitted
+from conftest import (cell_means, cell_statistics, make_frame, matrix_design,
+                      potential_outcome_grid, unit_fitted)
 
 pytestmark = pytest.mark.acceptance
 
@@ -97,7 +97,8 @@ def test_criterion_2_zero_noise_exact_recovery():
     for scenario, overrides, spec, expected in checks:
         params = dgp_scenario(scenario, noise_sd=0.0, **overrides)
         frame = simulate_frame(net, params, MASTER_SEED + 1)
-        result = fit(build_design(frame, spec), frame.y)
+        x = build_design(frame, spec)
+        result = fit(x, cell_statistics(x, frame.y))
         for label, value in expected.items():
             worst = max(worst, abs(result.coef(label) - value))
     ok = worst < 1e-8
@@ -111,7 +112,8 @@ def test_criterion_3_saturated_oracle():
     frame = make_frame(frame.y[keep], frame.d[keep], frame.t[keep], frame.f[keep])
 
     long_spec = ModelSpec.crf1_long(f_max=6, t_max=6)
-    long_fit = fit(build_design(frame, long_spec), frame.y, on_rank_deficiency="drop")
+    long_x = build_design(frame, long_spec)
+    long_fit = fit(long_x, cell_statistics(long_x, frame.y), on_rank_deficiency="drop")
     means = cell_means(frame)
     fitted = unit_fitted(long_fit)
     worst_fit = max(
@@ -129,7 +131,8 @@ def test_criterion_3_saturated_oracle():
     for f_value in np.unique(frame.f).tolist():
         subframe = frame.restrict_to_f(f_value)
         short_spec = ModelSpec.crf1_short(f_value)
-        short_fit = fit(build_design(subframe, short_spec), subframe.y, on_rank_deficiency="drop")
+        short_x = build_design(subframe, short_spec)
+        short_fit = fit(short_x, cell_statistics(short_x, subframe.y), on_rank_deficiency="drop")
         short_table = recover_effect_table(short_fit)
         for t in range(1, f_value + 1):
             long_cell = long_table.cell(f_value, t)
@@ -271,8 +274,8 @@ def test_criterion_9_lsq_property_suite():
             continue
         beta = rng.standard_normal(k)
         y = x_mat @ beta + 0.2 * rng.standard_normal(n)
-        design = DesignMatrix(values=x_mat, labels=tuple(f"c{i}" for i in range(k)))
-        result = fit(design, y)
+        design = matrix_design(x_mat, tuple(f"c{i}" for i in range(k)))
+        result = fit(design, cell_statistics(design, y))
 
         oracle = np.linalg.solve(x_mat.T @ x_mat, x_mat.T @ y)
         worst_oracle = max(worst_oracle, float(np.max(np.abs(result.coefficients - oracle))))
@@ -287,7 +290,7 @@ def test_criterion_9_lsq_property_suite():
         if trial % 50 == 0:
             a = 2.0 + rng.random()
             c = rng.standard_normal(k)
-            shifted = fit(design, a * y + x_mat @ c)
+            shifted = fit(design, cell_statistics(design, a * y + x_mat @ c))
             worst_affine = max(worst_affine, float(np.max(np.abs(
                 shifted.coefficients - (a * result.coefficients + c)))))
     ok = worst_oracle < 1e-7 and worst_orth < 1.0 and worst_affine < 1e-9

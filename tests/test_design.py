@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from netcrf import (
-    DesignMatrix,
     ModelKind,
     ModelSpec,
     NumericalError,
@@ -16,6 +15,7 @@ from netcrf import (
     parse_model_spec,
     simulate_frame,
 )
+from netcrf.design import _non_finite, design_values
 from conftest import make_frame
 
 
@@ -248,12 +248,20 @@ class TestSpecStrings:
 class TestNonFiniteDesign:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_names_the_first_entry_by_row_and_column_label(self, value):
+        # the check build_design runs on its cell rows, here one cell per unit
         values = np.ones((6, 3))
         values[4, 2] = value
         values[5, 0] = np.nan
-        message = re.escape(f"design row 4, column 'c' is not finite ({value})")
-        with pytest.raises(ValueError, match=message):
-            DesignMatrix(values=values, labels=("a", "b", "c"))
+        message = f"design row 4, column 'c' is not finite ({value})"
+        assert _non_finite(values, ("a", "b", "c"), np.arange(6)) == message
+
+    def test_zero_times_an_overflowing_power_is_named_nan(self):
+        # D:F^193 at d = 0 is 0 * inf; a crf2 design names the F^193 overflow
+        # instead, since that column comes first
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = design_values(["D:F^193"], [0, 1], [0, 0], [40, 40])
+        assert (_non_finite(values, ["D:F^193"], np.arange(2))
+                == "design row 0, column 'D:F^193' is not finite (nan)")
 
     def test_overflowing_power_column_is_rejected(self):
         # 40.0 ** 193 is the first power of 40 beyond the float64 range; an
@@ -283,4 +291,3 @@ class TestOwnCell:
     def test_other_designs_have_no_own_cells(self):
         frame = make_frame(np.zeros(3), [0, 1, 1], [0, 1, 2], [1, 2, 2])
         assert build_design(frame, ModelSpec.tr_model()).own_cell is None
-        assert DesignMatrix(values=np.eye(2), labels=("a", "b")).own_cell is None

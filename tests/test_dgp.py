@@ -10,13 +10,16 @@ from netcrf import (
     DgpParams,
     Network,
     assign_treatment,
+    build_design,
     dgp_scenario,
+    parse_model_spec,
     simulate_frame,
     true_aggregate_effects,
 )
 from netcrf.dgp import _outcome_mean, frame_cells, simulate_cells
 from netcrf.graph import treated_neighbor_counts
-from conftest import make_frame, potential_outcome, potential_outcome_grid, unit_noise
+from conftest import (cell_statistics, make_frame, potential_outcome, potential_outcome_grid,
+                      unit_noise)
 
 
 class TestAssignTreatment:
@@ -228,9 +231,6 @@ class TestSimulateFrames:
             simulate_cells(network_1000, self.GRIDS[0] + self.GRIDS[1], 31)
         with pytest.raises(ValueError, match="p_treat"):
             simulate_cells(network_1000, (), 31)
-        # a frame holds one scenario's outcome
-        with pytest.raises(ValueError, match="one scenario"):
-            low.frame()
 
     def test_grid_noise_matches_frame(self, network_1000):
         params = self.GRIDS[0][2]
@@ -443,3 +443,16 @@ class TestFrameCells:
         assert np.array_equal(cells.of_unit, of_unit.reshape(-1))
         assert np.array_equal(cells.counts, counts)
         assert frame.cells is cells  # computed once per frame
+
+    @pytest.mark.parametrize("text", ["tr", "crf1long", "crf1short:f=3"])
+    def test_cell_sums_equal_the_independent_reduction_bitwise(self, network_1000, text):
+        # the frame's CellSums are the test suite's reduction of its unit-level
+        # outcome over the cells of any design built on it, on a subframe too
+        frame = simulate_frame(network_1000, dgp_scenario("iv", noise_sd=1.5), 23)
+        spec = parse_model_spec(text)
+        if spec.f is not None:
+            frame = frame.restrict_to_f(spec.f)
+        got, want = frame.cell_sums(), cell_statistics(build_design(frame, spec), frame.y)
+        for a, b in ((got.values, want.values), (got.within, want.within)):
+            assert a.shape == b.shape == (frame.cells.counts.size,)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netcrf import (
-    DesignMatrix,
     MCConfig,
     ModelSpec,
     build_design,
@@ -124,7 +123,7 @@ class TestCellMeans:
 
 def exact_fit(frame, spec, **kwargs):
     design = build_design(frame, spec)
-    return fit(design, frame.y, **kwargs)
+    return fit(design, cell_statistics(design, frame.y), **kwargs)
 
 
 class TestRecoverLinearModels:
@@ -427,18 +426,6 @@ class TestAggregateOracle:
         assert_aggregates_weight_the_t1_fields(
             frame, exact_fit(frame, spec, on_rank_deficiency="drop"))
 
-    def test_design_from_a_matrix_has_no_effect_table(self, noiseless_iii_frame):
-        # the friend counts come from the cells of a build_design design
-        frame = noiseless_iii_frame
-        x = build_design(frame, ModelSpec.tr_model())
-        assert x.cells is frame.cells
-        raw = DesignMatrix(x.values, x.labels)
-        assert raw.cells is None
-        result = fit(raw, frame.y)
-        for t_grid in (None, ()):
-            with pytest.raises(ValueError, match="build_design"):
-                recover_effect_table(result, t_grid=t_grid)
-
 
 class TestEffectTableOutput:
     def test_csv_layout(self, noiseless_iii_frame):
@@ -474,7 +461,8 @@ class TestMultiOutcomeAggregates:
         multi = recover_effect_table(multi, t_grid=())
         assert multi.cells == () and len(multi.aggregates) == 3
         for j, got in enumerate(multi.aggregates):
-            one = fit(build_design(frame, spec), y[:, j].copy(), on_rank_deficiency="drop")
+            fresh = build_design(frame, spec)
+            one = fit(fresh, cell_statistics(fresh, y[:, j].copy()), on_rank_deficiency="drop")
             want = recover_effect_table(one, t_grid=()).aggregates
             for name in ("direct", "network", "interaction"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -493,7 +481,8 @@ class TestMultiOutcomeAggregates:
         table = recover_effect_table(both, t_grid=())
         for j, agg in enumerate(table.aggregates):
             assert agg.network is not None and agg.skipped_units[1] == 2
-            one = fit(build_design(frame, spec), y[:, j].copy(), on_rank_deficiency="drop")
+            fresh = build_design(frame, spec)
+            one = fit(fresh, cell_statistics(fresh, y[:, j].copy()), on_rank_deficiency="drop")
             assert agg == recover_effect_table(one, t_grid=()).aggregates
 
     def test_per_cell_table_needs_one_outcome_fit(self, noisy_small_f_frame):
@@ -505,6 +494,16 @@ class TestMultiOutcomeAggregates:
             recover_effect_table(result)
         with pytest.raises(ValueError, match="one-outcome"):
             recover_effect_table(result, t_grid=(1,))
+
+    def test_json_needs_one_outcome_table(self, noisy_small_f_frame):
+        # a table of several outcomes has no JSON form; a named ValueError says so
+        frame = noisy_small_f_frame
+        design = build_design(frame, ModelSpec.tr_model())
+        result = fit(design, cell_statistics(design, np.column_stack([frame.y, 2.0 * frame.y])))
+        table = recover_effect_table(result, t_grid=())
+        for write in (table.to_json_dict, table.to_json):
+            with pytest.raises(ValueError, match="one-outcome table, got 2 outcomes"):
+                write()
 
 
 class TestAggregateContrastCache:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from netcrf import (
-    DesignMatrix,
     ModelSpec,
     NumericalError,
     RankDeficiencyError,
@@ -25,7 +24,7 @@ from netcrf.design import _pivoted_qr
 from netcrf.lsq import DEFAULT_RANK_TOL, CellSums, _solve_triangular
 from netcrf.dgp import check_finite_y, simulate_cells
 from conftest import (cell_means, cell_statistics, duplicated_frames, identified_effects,
-                      make_frame, sparse_saturated_fits, unit_fitted)
+                      make_frame, matrix_design, sparse_saturated_fits, unit_fitted)
 
 
 def normal_equations_oracle(x, y):
@@ -39,14 +38,14 @@ def random_system(rng, n=50, k=4):
     x[:, 0] = 1.0
     beta = rng.standard_normal(k)
     y = x @ beta + 0.1 * rng.standard_normal(n)
-    return DesignMatrix(values=x, labels=tuple(f"c{i}" for i in range(k))), y
+    return matrix_design(x, tuple(f"c{i}" for i in range(k))), y
 
 
 class TestFit:
     def test_exact_recovery_two_columns(self):
         d = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
-        x = DesignMatrix(values=np.column_stack([np.ones(5), d]), labels=("1", "D"))
-        result = fit(x, 3.0 + 2.0 * d)
+        x = matrix_design(np.column_stack([np.ones(5), d]), ("1", "D"))
+        result = fit(x, cell_statistics(x, 3.0 + 2.0 * d))
         assert result.coef("1") == pytest.approx(3.0, abs=1e-12)
         assert result.coef("D") == pytest.approx(2.0, abs=1e-12)
         assert result.rank == 2
@@ -54,34 +53,33 @@ class TestFit:
     def test_duplicated_column_dropped(self):
         rng = np.random.default_rng(0)
         base = rng.standard_normal((30, 2))
-        x = DesignMatrix(values=np.column_stack([np.ones(30), base, base[:, 0]]),
-                         labels=("1", "a", "b", "a_copy"))
+        x = matrix_design(np.column_stack([np.ones(30), base, base[:, 0]]),
+                          ("1", "a", "b", "a_copy"))
         y = rng.standard_normal(30)
-        result = fit(x, y, on_rank_deficiency="drop")
+        result = fit(x, cell_statistics(x, y), on_rank_deficiency="drop")
         assert result.rank == 3
         assert len(result.dropped_columns) == 1
         assert result.dropped_columns[0] in ("a", "a_copy")
         assert result.coef(result.dropped_columns[0]) is None
 
     def test_duplicated_column_error_mode(self):
-        x = DesignMatrix(values=np.column_stack([np.ones(10), np.ones(10)]),
-                         labels=("1", "1_copy"))
+        x = matrix_design(np.column_stack([np.ones(10), np.ones(10)]), ("1", "1_copy"))
         with pytest.raises(RankDeficiencyError) as info:
-            fit(x, np.zeros(10))
+            fit(x, cell_statistics(x, np.zeros(10)))
         assert len(info.value.dependent_columns) == 1
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
             x, y = random_system(rng)
-            result = fit(x, y)
+            result = fit(x, cell_statistics(x, y))
             expected = normal_equations_oracle(x.values, y)
             assert np.max(np.abs(result.coefficients - expected)) < 1e-8
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(1)
         x, y = random_system(rng, n=200, k=6)
-        residuals = y - unit_fitted(fit(x, y))
+        residuals = y - unit_fitted(fit(x, cell_statistics(x, y)))
         res_norm = np.linalg.norm(residuals)
         for col in range(x.n_cols):
             column = x.values[:, col]
@@ -91,35 +89,34 @@ class TestFit:
     def test_affine_equivariance(self):
         rng = np.random.default_rng(2)
         x, y = random_system(rng, n=80, k=5)
-        base = fit(x, y)
+        base = fit(x, cell_statistics(x, y))
         a = 3.5
         c = rng.standard_normal(5)
-        shifted = fit(x, a * y + x.values @ c)
+        shifted = fit(x, cell_statistics(x, a * y + x.values @ c))
         assert np.max(np.abs(shifted.coefficients - (a * base.coefficients + c))) < 1e-9
 
     def test_idempotence_on_fitted_values(self):
         rng = np.random.default_rng(3)
         x, y = random_system(rng)
-        first = fit(x, y)
+        first = fit(x, cell_statistics(x, y))
         fitted = unit_fitted(first)
-        second = fit(x, fitted)
+        second = fit(x, cell_statistics(x, fitted))
         assert np.max(np.abs(second.coefficients - first.coefficients)) < 1e-10
         assert np.max(np.abs(fitted - unit_fitted(second))) < 1e-10
 
     def test_dimension_mismatch(self):
-        x = DesignMatrix(values=np.ones((4, 1)), labels=("1",))
-        with pytest.raises(ValueError):
-            fit(x, np.ones(5))
+        x = matrix_design(np.ones((4, 1)), ("1",))
+        with pytest.raises(ValueError, match="shape"):
+            fit(x, CellSums(np.ones(5), np.zeros(5)))
 
     def test_unknown_policy(self):
-        x = DesignMatrix(values=np.ones((4, 1)), labels=("1",))
+        x = matrix_design(np.ones((4, 1)), ("1",))
         with pytest.raises(ValueError):
-            fit(x, np.ones(4), on_rank_deficiency="ignore")
+            fit(x, cell_statistics(x, np.ones(4)), on_rank_deficiency="ignore")
 
     def test_all_zero_column_dropped(self):
-        x = DesignMatrix(values=np.column_stack([np.ones(12), np.zeros(12)]),
-                         labels=("1", "empty"))
-        result = fit(x, np.arange(12.0), on_rank_deficiency="drop")
+        x = matrix_design(np.column_stack([np.ones(12), np.zeros(12)]), ("1", "empty"))
+        result = fit(x, cell_statistics(x, np.arange(12.0)), on_rank_deficiency="drop")
         assert result.dropped_columns == ("empty",)
         assert result.coef("1") == pytest.approx(5.5)
 
@@ -127,26 +124,26 @@ class TestFit:
         rng = np.random.default_rng(9)
         x, y1 = random_system(rng, n=200, k=5)
         y2 = rng.standard_normal(200)
-        shared = [fit(x, y1), fit(x, y2)]
-        fresh = [fit(DesignMatrix(values=x.values.copy(), labels=x.labels), y) for y in (y1, y2)]
+        shared = [fit(x, cell_statistics(x, y)) for y in (y1, y2)]
+        fresh = [fit(matrix_design(x.values.copy(), x.labels), cell_statistics(x, y))
+                 for y in (y1, y2)]
         for a, b in zip(shared, fresh):
             for name in ("coefficients", "cell_fitted", "vcov_classical", "vcov_robust"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert not np.array_equal(shared[0].coefficients, shared[1].coefficients)
 
     def test_design_values_are_read_only(self):
-        rng = np.random.default_rng(10)
-        raw = rng.standard_normal((20, 2))
-        x = DesignMatrix(values=raw, labels=("a", "b"))
-        raw[0, 0] = 99.0  # the design keeps its own copy
-        assert x.values[0, 0] != 99.0
+        frame = make_frame(np.zeros(4), [0, 1, 0, 1], [0, 1, 1, 2], [1, 2, 2, 3])
+        x = build_design(frame, ModelSpec.tr_model())
+        with pytest.raises(ValueError):
+            x.cell_values[0, 0] = 1.0
         with pytest.raises(ValueError):
             x.values[0, 0] = 1.0
 
     def test_serialization(self):
         rng = np.random.default_rng(4)
         x, y = random_system(rng)
-        payload = fit(x, y).to_json_dict()
+        payload = fit(x, cell_statistics(x, y)).to_json_dict()
         assert payload["rank"] == 4
         assert len(payload["coefficients"]) == 4
 
@@ -155,17 +152,17 @@ class TestVcov:
     def test_scaling_law(self):
         rng = np.random.default_rng(5)
         x, y = random_system(rng, n=120)
-        v1 = fit(x, y).vcov_classical
-        v2 = fit(x, 2.0 * y).vcov_classical
+        v1 = fit(x, cell_statistics(x, y)).vcov_classical
+        v2 = fit(x, cell_statistics(x, 2.0 * y)).vcov_classical
         assert np.max(np.abs(v2 - 4.0 * v1)) < 1e-10 * np.max(np.abs(v1))
-        r1 = fit(x, y).vcov_robust
-        r2 = fit(x, 2.0 * y).vcov_robust
+        r1 = fit(x, cell_statistics(x, y)).vcov_robust
+        r2 = fit(x, cell_statistics(x, 2.0 * y)).vcov_robust
         assert np.max(np.abs(r2 - 4.0 * r1)) < 1e-10 * np.max(np.abs(r1))
 
     def test_zero_residual_fit_has_zero_classical_vcov(self):
         d = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-        x = DesignMatrix(values=np.column_stack([np.ones(6), d]), labels=("1", "D"))
-        result = fit(x, 1.0 + 2.0 * d)
+        x = matrix_design(np.column_stack([np.ones(6), d]), ("1", "D"))
+        result = fit(x, cell_statistics(x, 1.0 + 2.0 * d))
         assert np.max(np.abs(result.vcov_classical)) < 1e-20
         assert np.max(np.abs(result.vcov_robust)) < 1e-20
 
@@ -174,15 +171,16 @@ class TestVcov:
         n = 10_000
         x_mat = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
         y = x_mat @ np.array([1.0, 2.0, -1.0]) + rng.standard_normal(n)
-        result = fit(DesignMatrix(values=x_mat, labels=("1", "a", "b")), y)
+        x = matrix_design(x_mat, ("1", "a", "b"))
+        result = fit(x, cell_statistics(x, y))
         classical = np.diag(result.vcov_classical)
         robust = np.diag(result.vcov_robust)
         assert np.all(np.abs(robust / classical - 1.0) < 0.2)
 
     def test_saturated_fit_has_no_classical_vcov(self):
         # n = rank leaves no residual degrees of freedom for s^2
-        x = DesignMatrix(values=np.eye(3), labels=("a", "b", "c"))
-        result = fit(x, np.arange(3.0))
+        x = matrix_design(np.eye(3), ("a", "b", "c"))
+        result = fit(x, cell_statistics(x, np.arange(3.0)))
         assert result.vcov_classical is None
         assert result.to_json_dict()["vcov_classical"] is None
         assert result.vcov_robust.shape == (3, 3)
@@ -190,7 +188,7 @@ class TestVcov:
     def test_symmetric_positive_semidefinite(self):
         rng = np.random.default_rng(7)
         x, y = random_system(rng, n=300, k=5)
-        result = fit(x, y)
+        result = fit(x, cell_statistics(x, y))
         for v in (result.vcov_classical, result.vcov_robust):
             assert np.max(np.abs(v - v.T)) == 0.0
             assert np.min(np.linalg.eigvalsh(v)) > -1e-12
@@ -205,9 +203,9 @@ def multi_outcome_designs():
     rng = np.random.default_rng(11)
     full, _ = random_system(rng, n=120, k=5)
     base = rng.standard_normal((120, 3))
-    deficient = DesignMatrix(values=np.column_stack([np.ones(120), base, base[:, 1], np.zeros(120)]),
-                             labels=("1", "a", "b", "c", "b_copy", "empty"))
-    rank_zero = DesignMatrix(values=np.zeros((120, 2)), labels=("z1", "z2"))
+    deficient = matrix_design(np.column_stack([np.ones(120), base, base[:, 1], np.zeros(120)]),
+                              ("1", "a", "b", "c", "b_copy", "empty"))
+    rank_zero = matrix_design(np.zeros((120, 2)), ("z1", "z2"))
     return {"full": full, "deficient": deficient, "rank_zero": rank_zero}
 
 
@@ -222,8 +220,8 @@ class TestMultiOutcome:
         assert multi.coefficients.shape == (x.n_cols, 4)
         assert multi.cell_fitted.shape == (x.n_cells, 4)
         for j in range(4):
-            fresh = DesignMatrix(values=x.values.copy(), labels=x.labels)
-            one = fit(fresh, y[:, j].copy(), on_rank_deficiency="drop")
+            fresh = matrix_design(x.values.copy(), x.labels)
+            one = fit(fresh, cell_statistics(fresh, y[:, j].copy()), on_rank_deficiency="drop")
             assert one.n_outcomes is None
             assert (one.rank, one.dropped_columns) == (multi.rank, multi.dropped_columns)
             assert same_bits(multi.coefficients[:, j], one.coefficients), j
@@ -245,7 +243,7 @@ class TestMultiOutcome:
         y = np.random.default_rng(14).standard_normal(x.n_rows)
         multi = fit(x, cell_statistics(x, y[:, None]))
         assert multi.n_outcomes == 1
-        assert same_bits(multi.coefficients[:, 0], fit(x, y).coefficients)
+        assert same_bits(multi.coefficients[:, 0], fit(x, cell_statistics(x, y)).coefficients)
 
     def test_error_policy_rejects_deficient_multi_outcome_fit(self):
         x = multi_outcome_designs()["deficient"]
@@ -263,22 +261,29 @@ class TestMultiOutcome:
             read(result)
 
     def test_bad_shapes_rejected(self):
-        # several outcomes come as cell statistics, never as unit-level columns
         x = multi_outcome_designs()["full"]
-        for shape in ((x.n_rows, 2), (x.n_rows, 2, 2), (x.n_rows + 1,)):
+        for shape in ((x.n_cells, 2, 2), (x.n_cells + 1,), (x.n_cells + 1, 2)):
             with pytest.raises(ValueError, match="shape"):
-                fit(x, np.ones(shape))
+                fit(x, CellSums(np.ones(shape), np.zeros(shape)))
+
+    def test_unit_level_outcomes_are_a_type_error(self):
+        # an outcome comes as cell statistics, never as a unit-level array
+        frame = saturated_frame(35)
+        x = build_design(frame, ModelSpec.tr_model())
+        for y in (frame.y, frame.y.tolist(), np.column_stack([frame.y, frame.y])):
+            with pytest.raises(TypeError, match=r"CellSums.*SampleFrame\.cell_sums\(\)"):
+                fit(x, y)
 
 
 class TestNonFiniteOutcome:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_one_outcome_names_row(self, value):
-        x = multi_outcome_designs()["full"]
-        y = np.ones(x.n_rows)
+        # a frame checks its outcome on entry, before any cell sums are made
+        y = np.ones(12)
         y[7] = value
         y[9] = np.nan
         with pytest.raises(ValueError, match=r"y\[7\] is not finite"):
-            fit(x, y)
+            make_frame(y, np.zeros(12), np.zeros(12), np.ones(12))
 
     def test_multi_outcome_names_row_and_column(self):
         # the check a draw of several scenarios runs on its unit-level outcomes
@@ -348,7 +353,7 @@ class TestBlockFit:
     def test_dropped_columns_are_the_columns_of_empty_cells(self, seed):
         frame = saturated_frame(seed)
         x = build_design(frame, ModelSpec.crf1_long())
-        result = fit(x, frame.y, on_rank_deficiency="drop")
+        result = fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")
         empty = tuple(label for label, own in zip(x.labels, x.own_cell) if own < 0)
         assert result.dropped_columns == empty
         assert result.rank == x.n_cells and result.min_pivot_ratio is None
@@ -360,7 +365,7 @@ class TestBlockFit:
         frame = saturated_frame(seed)
         spec = ModelSpec.crf1_long()
         x = build_design(frame, spec)
-        result = fit(x, frame.y, on_rank_deficiency="drop")
+        result = fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")
         dense = dense_fit(x, frame.y)
         assert len(dense["dropped_columns"]) == len(result.dropped_columns)
         assert_close(frame.y - unit_fitted(result), dense["residuals"])
@@ -386,13 +391,13 @@ class TestBlockFit:
 
     @pytest.mark.parametrize("text", ["t", "r", "tr", "crf2:J=2", "crf2:J=2,t_order=2"])
     def test_linear_designs_equal_a_direct_dense_factorization_bitwise(self, network_1000, text):
-        # a design built directly from values has one cell per row; its
-        # coefficients are the dense QR's bit for bit, and its variances,
-        # formed from per-cell residual sums, agree to roundoff
+        # a design with one cell per unit row: its coefficients are the dense
+        # QR's bit for bit, and its variances, formed from per-cell residual
+        # sums, agree to roundoff
         frame = simulate_frame(network_1000, dgp_scenario("iv"), 31)
         cells = build_design(frame, parse_model_spec(text))
-        x = DesignMatrix(values=cells.values, labels=cells.labels)
-        result = fit(x, frame.y)
+        x = matrix_design(cells.values, cells.labels)
+        result = fit(x, cell_statistics(x, frame.y))
         assert x.n_cells == x.n_rows
         dense = dense_fit(x, frame.y)
         assert result.dropped_columns == dense["dropped_columns"]
@@ -406,7 +411,7 @@ class TestBlockFit:
         frame = simulate_frame(network_1000, dgp_scenario("iv"), 31)
         x = build_design(frame, parse_model_spec(text))
         assert x.n_cells < x.n_rows / 10
-        result = fit(x, frame.y)
+        result = fit(x, cell_statistics(x, frame.y))
         dense = dense_fit(x, frame.y)
         assert result.dropped_columns == dense["dropped_columns"] == ()
         assert_close(frame.y - unit_fitted(result), dense["residuals"])
@@ -421,9 +426,9 @@ class TestBlockFit:
         values = np.zeros((6, 3))
         values[:4, 0] = 1.0
         values[2:4, 2] = 1.0
-        x = DesignMatrix(values=values, labels=("a", "empty", "c"))
+        x = matrix_design(values, ("a", "empty", "c"))
         y = np.arange(6.0)
-        result = fit(x, y, on_rank_deficiency="drop")
+        result = fit(x, cell_statistics(x, y), on_rank_deficiency="drop")
         assert result.dropped_columns == ("empty",)
         assert np.array_equal(result.cell_fitted[4:, 0], np.zeros(2))
         assert result.coef("a") == pytest.approx(0.5)
@@ -435,31 +440,31 @@ def near_collinear_system():
     rng = np.random.default_rng(25)
     a, b = rng.standard_normal((2, 200))
     values = np.column_stack([np.ones(200), a, a + 5e-10 * b])
-    return DesignMatrix(values=values, labels=("1", "a", "a_near")), rng.standard_normal(200)
+    return matrix_design(values, ("1", "a", "a_near")), rng.standard_normal(200)
 
 
 class TestMinPivotRatio:
     def test_well_conditioned_design(self):
         n = 64
-        x = DesignMatrix(values=np.column_stack([np.ones(n), np.resize([1.0, -1.0], n)]),
-                         labels=("1", "s"))
-        payload = fit(x, np.arange(n, dtype=float)).to_json_dict()
+        x = matrix_design(np.column_stack([np.ones(n), np.resize([1.0, -1.0], n)]), ("1", "s"))
+        payload = fit(x, cell_statistics(x, np.arange(n, dtype=float))).to_json_dict()
         assert payload["min_pivot_ratio"] == pytest.approx(1.0, abs=1e-12)
 
     def test_near_collinear_design_sits_just_above_rank_tol(self):
         x, y = near_collinear_system()
-        result = fit(x, y)
+        result = fit(x, cell_statistics(x, y))
         assert result.rank == 3
         assert DEFAULT_RANK_TOL < result.min_pivot_ratio < 10 * DEFAULT_RANK_TOL
         diag = np.abs(np.diag(scipy.linalg.qr(x.values, mode="r", pivoting=True)[0]))
         assert result.min_pivot_ratio == pytest.approx(diag[-1] / diag[0], rel=1e-6)
         # a tolerance just above the ratio drops the near twin
-        tighter = fit(x, y, on_rank_deficiency="drop", rank_tol=2 * result.min_pivot_ratio)
+        tighter = fit(x, cell_statistics(x, y), on_rank_deficiency="drop",
+                      rank_tol=2 * result.min_pivot_ratio)
         assert tighter.rank == 2 and tighter.min_pivot_ratio > 0.01
 
     def test_near_collinear_variances_match_the_oracles(self):
         x, y = near_collinear_system()
-        result = fit(x, y)
+        result = fit(x, cell_statistics(x, y))
         _, r, pivots = x.qr
         cond, eps = np.linalg.cond(r), np.finfo(float).eps
         # the sandwich oracle factors the columns afresh: a perturbation of X
@@ -478,14 +483,14 @@ class TestMinPivotRatio:
     def test_failed_triangular_inverse_is_a_numerical_error(self, monkeypatch):
         # retained pivots are nonzero, so dtrtri cannot fail here: fake its failure
         x, y = near_collinear_system()
-        result = fit(x, y)
+        result = fit(x, cell_statistics(x, y))
         monkeypatch.setattr(_lapack, "dtrtri", lambda r, lower: (r, 3))
         with pytest.raises(NumericalError, match=r"columns 1, a, a_near: LAPACK dtrtri info=3"):
             result.vcov_robust
 
     def test_rank_zero_has_no_ratio(self):
-        x = DesignMatrix(values=np.zeros((5, 2)), labels=("z1", "z2"))
-        payload = fit(x, np.ones(5), on_rank_deficiency="drop").to_json_dict()
+        x = matrix_design(np.zeros((5, 2)), ("z1", "z2"))
+        payload = fit(x, cell_statistics(x, np.ones(5)), on_rank_deficiency="drop").to_json_dict()
         assert payload["rank"] == 0 and payload["min_pivot_ratio"] is None
 
 
@@ -501,15 +506,15 @@ class TestCellFit:
             frame, text = frame.restrict_to_f(f_common), f"crf1short:f={f_common}"
         x = build_design(frame, parse_model_spec(text))
         assert x.n_cells == len({(a, b, c) for a, b, c in zip(frame.d, frame.t, frame.f)})
-        assert np.array_equal(x.values, x.cell_values[x.cell_of_unit])
-        result = fit(x, frame.y, on_rank_deficiency="drop")
+        assert np.array_equal(x.values, x.cell_values[x.cells.of_unit])
+        result = fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")
 
         retained = [i for i, label in enumerate(x.labels) if label not in result.dropped_columns]
         beta, _, rank, _ = np.linalg.lstsq(x.values[:, retained], frame.y, rcond=None)
         assert rank == len(retained) == result.rank
         residuals = frame.y - x.values[:, retained] @ beta
         assert_close(result.coefficients[retained], beta)
-        assert_close(result.cell_fitted[x.cell_of_unit, 0], frame.y - residuals)
+        assert_close(result.cell_fitted[x.cells.of_unit, 0], frame.y - residuals)
         if not retained:
             return
         classical, robust = sandwich(x, retained, residuals)
@@ -525,8 +530,8 @@ class TestCellFit:
         y = np.column_stack([frame.y, -2.0 * frame.y + 1.0, frame.f * 0.5])
         multi = fit(x, cell_statistics(x, y), on_rank_deficiency="drop")
         for j in range(y.shape[1]):
-            one = fit(build_design(frame, ModelSpec.crf1_long()), y[:, j].copy(),
-                      on_rank_deficiency="drop")
+            fresh = build_design(frame, ModelSpec.crf1_long())
+            one = fit(fresh, cell_statistics(fresh, y[:, j].copy()), on_rank_deficiency="drop")
             assert same_bits(multi.coefficients[:, j], one.coefficients), j
             assert same_bits(multi.cell_fitted[:, j], one.cell_fitted[:, 0]), j
 
@@ -560,7 +565,7 @@ class TestSaturatedFit:
     def test_equals_the_cell_mean_oracles(self, case):
         frame, spec = case
         x = build_design(frame, spec)
-        result = fit(x, frame.y, on_rank_deficiency="drop")
+        result = fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")
         means = cell_means(frame)
 
         own = x.own_cell
@@ -575,7 +580,7 @@ class TestSaturatedFit:
         assert result.to_json_dict()["min_pivot_ratio"] is None
         unit_means = np.array([means[key][0] for key in zip(frame.d.tolist(), frame.t.tolist(),
                                                              frame.f.tolist())])
-        assert_close(result.cell_fitted[x.cell_of_unit, 0], unit_means)
+        assert_close(result.cell_fitted[x.cells.of_unit, 0], unit_means)
 
         table = recover_effect_table(result)
         for cell in table.cells:
@@ -597,7 +602,8 @@ class TestSaturatedFit:
     @given(sparse_saturated_fits())
     def test_aggregates_average_only_identified_fields(self, case):
         frame, spec = case
-        result = fit(build_design(frame, spec), frame.y, on_rank_deficiency="drop")
+        x = build_design(frame, spec)
+        result = fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")
         aggregates = recover_effect_table(result, t_grid=()).aggregates
         means, counts = cell_means(frame), np.bincount(frame.f)
         for target, name, skipped in zip(("direct", "network", "interaction"),
@@ -618,9 +624,9 @@ class TestSaturatedFit:
         x = build_design(frame, ModelSpec.t_model())
         assert not x.cell_values[:, x.labels.index("T")].any()
         with pytest.raises(RankDeficiencyError) as info:
-            fit(x, frame.y)
+            fit(x, cell_statistics(x, frame.y))
         assert info.value.dependent_columns == ("T",)
-        dropped = fit(x, frame.y, on_rank_deficiency="drop")
+        dropped = fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")
         assert dropped.dropped_columns == ("T",) and dropped.min_pivot_ratio is not None
 
 
@@ -722,7 +728,7 @@ class TestResultsOnDemand:
         cell_fitted = first.cell_fitted
         stats.values[:] = 0.0
         stats.within[:] = 0.0
-        second = fit(build_design(frame, ModelSpec.tr_model()), frame.y)
+        second = fit(build_design(frame, ModelSpec.tr_model()), frame.cell_sums())
         robust, classical = second.vcov_robust, second.vcov_classical
         assert "cell_fitted" in second.__dict__
         assert same_bits(first.vcov_robust, robust)
@@ -731,8 +737,9 @@ class TestResultsOnDemand:
 
 
 class TestFitFromCellSums:
-    """A fit given the outcome's statistics per design cell is the fit of the
-    unit-level outcome, variances included."""
+    """A fit of a frame's own :class:`CellSums` (:meth:`SampleFrame.cell_sums`)
+    is the fit of the test suite's independent reduction of its unit-level
+    outcome, variances included."""
 
     @pytest.mark.parametrize("text", ["t", "r", "tr", "crf2:J=2", "crf2:J=1,t_order=2",
                                       "crf1long", "crf1long:f_max=7,t_max=7", "crf1short:f=4"])
@@ -744,7 +751,8 @@ class TestFitFromCellSums:
             frame = frame.restrict_to_f(spec.f)
         x = build_design(frame, spec)
         second = 0.5 - frame.y * frame.t
-        from_units = [fit(x, y, on_rank_deficiency="drop") for y in (frame.y, second)]
+        from_units = [fit(x, dataclasses.replace(frame, y=y).cell_sums(),
+                          on_rank_deficiency="drop") for y in (frame.y, second)]
         from_sums = fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")
         for name in ("coefficients", "cell_fitted", "vcov_classical", "vcov_robust"):
             assert same_bits(getattr(from_sums, name), getattr(from_units[0], name)), name
@@ -768,7 +776,7 @@ class TestFitFromCellSums:
         # fitted values or residuals, and no way to gather them
         frame = saturated_frame(33)
         x = build_design(frame, parse_model_spec(text))
-        for result in (fit(x, frame.y, on_rank_deficiency="drop"),
+        for result in (fit(x, frame.cell_sums(), on_rank_deficiency="drop"),
                        fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")):
             with pytest.raises(AttributeError):
                 read(result)
@@ -783,8 +791,9 @@ class TestFitFromCellSums:
         policy = "drop" if spec.saturated else "error"
         from_draw = fit(build_design(draw, spec), CellSums(stats.values[:, 0], stats.within[:, 0]),
                         on_rank_deficiency=policy)
-        frame = draw.frame()
-        from_units = fit(build_design(frame, spec), frame.y, on_rank_deficiency=policy)
+        frame = simulate_frame(network_1000, dgp_scenario("iv", noise_sd=1.5), 17)
+        x = build_design(frame, spec)
+        from_units = fit(x, cell_statistics(x, frame.y), on_rank_deficiency=policy)
         assert from_draw.dropped_columns == from_units.dropped_columns
         kept = ~np.isnan(from_units.coefficients)
         for name in ("vcov_classical", "vcov_robust"):
@@ -835,12 +844,13 @@ class TestRobustVariance:
     def test_saturated_fits_equal_the_unit_level_oracle(self, case):
         frame, spec = case
         x = build_design(frame, spec)
-        assert_unit_level_hc0(fit(x, frame.y, on_rank_deficiency="drop"), x, frame.y)
+        assert_unit_level_hc0(fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop"),
+                              x, frame.y)
 
     @settings(deadline=None, max_examples=150)
     @given(duplicated_frames(), st.sampled_from(["t", "r", "tr", "crf2:J=1"]))
     def test_linear_designs_equal_the_unit_level_oracle(self, frame, text):
         x = build_design(frame, parse_model_spec(text))
-        result = fit(x, frame.y, on_rank_deficiency="drop")
+        result = fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")
         if result.rank and np.linalg.cond(x.values[:, ~np.isnan(result.coefficients)]) < 1e4:
             assert_unit_level_hc0(result, x, frame.y)

@@ -18,6 +18,7 @@ from netcrf import (
 )
 from netcrf import dgp, montecarlo
 from netcrf.montecarlo import TARGETS, _replicate, _run_scenarios
+from conftest import cell_statistics
 
 ALL_FOUR = (ModelSpec.t_model(), ModelSpec.r_model(), ModelSpec.tr_model(), ModelSpec.crf2(2))
 
@@ -166,7 +167,8 @@ class TestRunStudy:
             seed_pos, seed_frame = child_seeds(config.master_seed, rep_index, 2)
             net = build_geometric_network(generate_positions(1000, seed_pos), 0.025)
             frame = simulate_frame(net, config.params(), seed_frame)
-            result = lsq_fit(build_design(frame, ModelSpec.tr_model()), frame.y)
+            x = build_design(frame, ModelSpec.tr_model())
+            result = lsq_fit(x, cell_statistics(x, frame.y))
             for label in extras:
                 extras[label].append(result.coef(label))
         for label, values in extras.items():
@@ -182,7 +184,6 @@ class TestCellPath:
 
         monkeypatch.setattr(dgp, "simulate_frame", unit_level)
         monkeypatch.setattr(dgp.CellDraw, "outcomes", unit_level)
-        monkeypatch.setattr(dgp.CellDraw, "frame", unit_level)
         monkeypatch.setattr(dgp.SampleFrame, "__post_init__", unit_level)
         comparison = replicate_table("table1", 3)
         assert len(comparison.cells) == 48
@@ -337,7 +338,8 @@ class TestSharedReplications:
                 assert tuple(true[s]) == (effects.direct, effects.network, effects.interaction)
                 assert not ok[s, -1]  # crf1long:f_max=1,t_max=1
                 for e, spec in enumerate(ALL_FOUR):
-                    one = fit(build_design(frame, spec), frame.y)
+                    x = build_design(frame, spec)
+                    one = fit(x, cell_statistics(x, frame.y))
                     agg = recover_effect_table(one, t_grid=()).aggregates
                     assert ok[s, e]
                     want = np.array([agg.direct, agg.network, agg.interaction])
