@@ -119,6 +119,14 @@ def _merged(args: argparse.Namespace, config: dict, key: str, default=None):
     return default
 
 
+def _reject_unread(args: argparse.Namespace, config: dict, mode: str, keys) -> None:
+    """Raise UsageError naming the options among ``keys``, given as flags or
+    in the config, that ``mode`` does not read."""
+    given = ["--" + key.replace("_", "-") for key in keys if _merged(args, config, key) is not None]
+    if given:
+        raise UsageError(f"{mode} does not read {', '.join(given)}")
+
+
 def _ensure_out_dir(path_text: str) -> Path:
     out = Path(path_text)
     try:
@@ -305,6 +313,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     nodes_path = _merged(args, config, "nodes")
     edges_path = _merged(args, config, "edges")
     if frame_path is not None:
+        _reject_unread(args, config, "--frame", ("nodes", "edges"))
         frame, frame_meta = read_frame_csv(frame_path)
         empty = f"frame CSV {frame_path} has no rows"
     elif nodes_path is not None and edges_path is not None:
@@ -403,13 +412,16 @@ def cmd_degree_stats(args: argparse.Namespace) -> int:
 
     target = _merged(args, config, "calibrate_mean_degree")
     if target is not None:
+        _reject_unread(args, config, "--calibrate-mean-degree",
+                       ("nodes", "edges", "radius", "treat_p"))
         n_units = int(_merged(args, config, "n_units", 1000))
         radius = calibrate_radius(n_units, float(target), seed)
         print(json.dumps({"n_units": n_units, "target_mean_f": float(target),
                           "calibrated_radius": radius, "seed": seed}))
         return 0
 
-    if nodes_path is not None and edges_path is not None:
+    if nodes_path is not None:
+        _reject_unread(args, config, "an ingested network", ("n_units", "radius"))
         network = ingest_network(nodes_path, edges_path)
     else:
         n_units = int(_merged(args, config, "n_units", 1000))

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _lapack
-from .dgp import CellDraw, FrameCells, SampleFrame
+from .dgp import FrameCells, SampleFrame
 from .errors import NumericalError, OutOfSupportError
 
 
@@ -176,9 +176,13 @@ class DesignMatrix:
     """
 
     def __init__(self, cell_values, labels, cells: FrameCells, own_cell=None):
-        cell_values = np.asarray(cell_values, dtype=float)
+        labels = tuple(labels)
+        cell_values = np.array(cell_values, dtype=float)  # a copy: the caller's stays writable
+        if cell_values.shape != (cells.counts.size, len(labels)):
+            raise ValueError(f"cell values must have shape ({cells.counts.size}, {len(labels)}), "
+                             f"got {cell_values.shape}")
         cell_values.setflags(write=False)
-        self.cell_values, self.labels, self.cells = cell_values, tuple(labels), cells
+        self.cell_values, self.labels, self.cells = cell_values, labels, cells
         self.cell_weights = np.sqrt(cells.counts)
         self.own_cell = own_cell
 
@@ -322,9 +326,8 @@ def _cell_index(owners, cells) -> np.ndarray:
     return own
 
 
-def build_design(frame: SampleFrame | CellDraw, spec: ModelSpec) -> DesignMatrix:
-    """Build the design matrix for ``spec`` on a frame, or on a frame drawn by
-    cell (:func:`netcrf.dgp.simulate_cells`), which has no unit-level outcome.
+def build_design(frame: SampleFrame, spec: ModelSpec) -> DesignMatrix:
+    """Build the design matrix for ``spec`` on a frame.
 
     Column orders (fixed):
       t          [1, D, T, F]

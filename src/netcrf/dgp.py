@@ -21,11 +21,11 @@ occupied cell ``c`` each scenario's outcome is ``y_is = mu_cs + sigma_s z_i``.
 Its cell sum is ``n_c mu_cs + sigma_s Z_c`` and its sum of squares about the
 cell mean ``sigma_s^2 W_c``, where ``Z_c`` sums the standard-normal draws of
 the cell's units and ``W_c`` is their sum of squares about their cell mean.
-:func:`simulate_cells` draws once and keeps the frame by cell
-(:class:`CellDraw`): the cells, the means ``mu_cs`` and the shared draws,
-whose :class:`CellSums` are all a fit of a design built on (d, t, f) needs.
-:func:`simulate_frame` is the one-scenario draw with its outcome gathered to
-units.
+:func:`draw_frame` draws once: a :class:`SampleFrame` whose outcome is ``z``,
+so ``Z_c`` and ``W_c`` are its :meth:`SampleFrame.cell_sums`, and
+:func:`scenario_cell_sums` maps them to each scenario's :class:`CellSums`,
+all a fit of a design built on the frame needs. :func:`simulate_frame` is
+the one-scenario frame, with its outcome gathered to units.
 """
 
 from __future__ import annotations
@@ -253,93 +253,53 @@ def _outcome_mean(params: DgpParams, f, d, t):
     )
 
 
-@dataclass(frozen=True)
-class CellDraw:
-    """One seed's frame for several scenarios, kept by (d, t, f) cell.
+def draw_frame(network: Network, p_treat: float, seed: int) -> SampleFrame:
+    """Draw treatments and the shared noise on a network; keep units with F > 0.
 
-    ``d``, ``t``, ``f`` and ``ids`` are the frame's unit columns (units with
-    f >= 1), ``z`` each unit's standard-normal draw and ``n_total`` the
-    population size. ``cells`` groups the units (None for a frame without
-    units); ``means`` holds each scenario's outcome mean per cell,
-    ``(n_cells, s)``, and ``noise_sd`` each scenario's noise scale. Like a
-    :class:`SampleFrame`, it has ``n_selected`` and ``cells``, so
-    :func:`netcrf.design.build_design` takes it.
-    """
-
-    d: np.ndarray
-    t: np.ndarray
-    f: np.ndarray
-    ids: np.ndarray
-    z: np.ndarray
-    n_total: int
-    cells: FrameCells | None
-    means: np.ndarray
-    noise_sd: np.ndarray
-
-    @property
-    def n_selected(self) -> int:
-        return int(self.f.shape[0])
-
-    def cell_sums(self) -> CellSums:
-        """Each scenario's :class:`CellSums`, ``(n_cells, s)``: the sums
-        ``n_c mu_cs + sigma_s Z_c`` and the within-cell squares
-        ``sigma_s^2 W_c``. A non-finite sum raises ValueError, naming the first
-        non-finite unit outcome ``y[i, s]`` where there is one."""
-        cells = self.cells
-        noise = CellSums.of_units(self.z, cells.of_unit, cells.counts)
-        sums = cells.counts[:, None] * self.means + noise.values[:, None] * self.noise_sd
-        if not np.isfinite(sums).all():
-            check_finite_y(self.outcomes())
-            raise ValueError("a cell sum of y is not finite, although every y is")
-        # (W sigma) sigma is never NaN, where W sigma^2 would be 0 * inf at a huge sigma
-        return CellSums(sums, noise.within[:, None] * self.noise_sd * self.noise_sd)
-
-    def outcomes(self) -> np.ndarray:
-        """The unit-level outcomes ``mu_cs + sigma_s z_i``, ``(n, s)``."""
-        if self.cells is None:
-            return np.zeros((0, self.means.shape[1]))
-        return self.means[self.cells.of_unit] + self.z[:, None] * self.noise_sd
-
-
-def simulate_cells(network: Network, scenarios: Sequence[DgpParams], seed: int) -> CellDraw:
-    """Draw the frame of ``scenarios`` from ``seed``, kept by cell.
-
-    The scenarios must share ``p_treat``, which fixes d and t.
+    The frame's outcome ``y`` is the standard-normal draw ``z``, the outcome
+    of the zero-mean, unit-variance scenario with ``p_treat``.
     """
     if network.n < 1:
         raise ValueError("network must contain at least one unit")
-    p_treat = {params.p_treat for params in scenarios}
-    if len(p_treat) != 1:
-        raise ValueError(f"scenarios of one frame must share p_treat, got {sorted(p_treat)}")
     seed_d, seed_u = child_seeds(seed, 0, 2)
-    d = (rng_from_seed(seed_d).random(network.n) < p_treat.pop()).astype(np.int64)
+    d = assign_treatment(network.n, p_treat, seed_d)
     z = rng_from_seed(seed_u).standard_normal(network.n)
-
     retained = network.degree > 0
-    d_sel, f_sel = d[retained], network.degree[retained]
-    t_sel = treated_neighbor_counts(network, d)[retained]
-    cells, means = None, np.zeros((0, len(scenarios)))
-    if d_sel.size:
-        cells = frame_cells(d_sel, t_sel, f_sel)
-        means = np.column_stack([_outcome_mean(params, cells.f, cells.d, cells.t)
-                                 for params in scenarios])
-    return CellDraw(d=d_sel, t=t_sel, f=f_sel, ids=np.flatnonzero(retained), z=z[retained],
-                    n_total=network.n, cells=cells, means=means,
-                    noise_sd=np.array([params.noise_sd for params in scenarios], dtype=float))
+    t = treated_neighbor_counts(network, d)
+    return SampleFrame(y=z[retained], d=d[retained], t=t[retained], f=network.degree[retained],
+                       ids=np.flatnonzero(retained), n_total=network.n)
+
+
+def scenario_cell_sums(frame: SampleFrame, scenarios: Sequence[DgpParams]) -> CellSums:
+    """Each scenario's :class:`CellSums` over the cells of a frame drawn by
+    :func:`draw_frame`, ``(n_cells, s)``: the sums ``n_c mu_cs + sigma_s Z_c``
+    and the within-cell squares ``sigma_s^2 W_c``. A non-finite sum raises
+    ValueError, naming the first non-finite unit outcome ``y[i, s]`` where
+    there is one."""
+    cells = frame.cells
+    means = np.column_stack([_outcome_mean(params, cells.f, cells.d, cells.t)
+                             for params in scenarios])
+    noise_sd = np.array([params.noise_sd for params in scenarios], dtype=float)
+    noise = frame.cell_sums()
+    sums = cells.counts[:, None] * means + noise.values[:, None] * noise_sd
+    if not np.isfinite(sums).all():
+        check_finite_y(means[cells.of_unit] + frame.y[:, None] * noise_sd)
+        raise ValueError("a cell sum of y is not finite, although every y is")
+    # (W sigma) sigma is never NaN, where W sigma^2 would be 0 * inf at a huge sigma
+    return CellSums(sums, noise.within[:, None] * noise_sd * noise_sd)
 
 
 def simulate_frame(network: Network, params: DgpParams, seed: int) -> SampleFrame:
     """Simulate treatments and outcomes on a network; keep units with F > 0.
 
-    The frame is the one-scenario draw of :func:`simulate_cells` with its
-    outcome gathered to units, and it shares the draw's cells.
+    The frame is :func:`draw_frame`'s with the outcome ``mu(d, t, f) + noise_sd z``.
     """
-    draw = simulate_cells(network, (params,), seed)
-    frame = SampleFrame(y=draw.outcomes()[:, 0], d=draw.d, t=draw.t, f=draw.f, ids=draw.ids,
-                        n_total=draw.n_total)
-    if draw.cells is not None:
-        object.__setattr__(frame, "cells", draw.cells)  # every design of the frame reuses them
-    return frame
+    frame = draw_frame(network, params.p_treat, seed)
+    if frame.n_selected == 0:
+        return frame
+    cells = frame.cells
+    y = _outcome_mean(params, cells.f, cells.d, cells.t)[cells.of_unit] + frame.y * params.noise_sd
+    return replace(frame, y=y)
 
 
 def true_aggregate_effects(params: DgpParams, f_values) -> TrueEffects:

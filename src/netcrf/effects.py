@@ -196,26 +196,22 @@ def _aggregate_map(fit: FitResult, unique_f: np.ndarray,
     return w, tuple(int(n) for n in counts.sum() - total)
 
 
-def recover_effect_table(fit: FitResult, t_grid=None) -> EffectTable:
+def recover_effect_table(fit: FitResult) -> EffectTable:
     """Build the effect table implied by a fit.
 
     The rows are the distinct friend counts of the fit's units, from its
-    design's cells (in ascending f order). ``t_grid`` restricts the treated
-    friend counts tabulated per f (default 1..f; an empty grid yields the
-    aggregates alone). The aggregates are :func:`_aggregate_map` applied to
-    the coefficients. A multi-outcome fit needs ``t_grid=()`` and yields a
-    tuple of aggregates, one per outcome column.
+    design's cells (in ascending f order), each tabulated at 1..f treated
+    friends. The aggregates are :func:`_aggregate_map` applied to the
+    coefficients. A multi-outcome fit yields a tuple of aggregates, one per
+    outcome column, and no cells.
     """
     design_cells = fit.design.cells
     unique_f, starts = np.unique(design_cells.f, return_index=True)
     counts = np.add.reduceat(design_cells.counts, starts)
 
-    pairs = [(int(f), int(t)) for f in unique_f
-             for t in (t_grid if t_grid is not None else range(1, int(f) + 1)) if 1 <= t <= f]
-    rows = []
-    if pairs:
-        if fit.n_outcomes is not None:
-            raise ValueError("per-cell effect tables need a one-outcome fit; pass t_grid=()")
+    cells = ()
+    if fit.n_outcomes is None:
+        pairs = [(int(f), t) for f in unique_f for t in range(1, int(f) + 1)]
         f_cells, t_cells = np.array(pairs, dtype=float).T
         weights = _contrasts(fit.labels, f_cells, t_cells)
         [coefficients] = _outcome_coefficients(fit)
@@ -223,8 +219,8 @@ def recover_effect_table(fit: FitResult, t_grid=None) -> EffectTable:
                                                   weights @ coefficients)
         tau1, delta_t = complete_effects(delta0, tau0, tau_pm)
         rows = np.column_stack([delta0, tau0, tau_pm, tau1, delta_t, baseline]).tolist()
-    cells = [EffectCell(f, t, *(None if math.isnan(v) else v for v in row))
-             for (f, t), row in zip(pairs, rows)]
+        cells = tuple(EffectCell(f, t, *(None if math.isnan(v) else v for v in row))
+                      for (f, t), row in zip(pairs, rows))
 
     w, skipped_units = _aggregate_map(fit, unique_f, counts)
     aggregates = tuple(
@@ -233,4 +229,4 @@ def recover_effect_table(fit: FitResult, t_grid=None) -> EffectTable:
         for coefficients in _outcome_coefficients(fit))
     if fit.n_outcomes is None:
         (aggregates,) = aggregates
-    return EffectTable(cells=tuple(cells), aggregates=aggregates)
+    return EffectTable(cells=cells, aggregates=aggregates)

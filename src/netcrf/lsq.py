@@ -28,7 +28,8 @@ over units, and the robust (HC0) meat is ``sum_c SSR_c x_c x_c'``.
 
 :func:`fit` takes the outcome as :class:`CellSums` only: a frame read from
 a file makes them with :meth:`SampleFrame.cell_sums`, and a Monte Carlo
-replication that draws its outcomes by cell with :meth:`CellDraw.cell_sums`.
+replication maps those of its frame's shared noise to every scenario's with
+:func:`netcrf.dgp.scenario_cell_sums`.
 One core fits from the statistics, so the same sums give the same
 coefficients bit for bit.
 

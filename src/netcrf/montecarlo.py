@@ -9,18 +9,19 @@ from (master_seed, replication index), so results are bit-identical across
 runs and across worker counts.
 
 Scenarios share each replication's draws (the streams ignore the scenario),
-so only the outcome differs between them. One replication loop serves
-every scenario of a grid, and it works on the frame's ~100 occupied
-(d, t, f) cells, never on its units' outcomes: it builds the network and
-draws the frame by cell (``simulate_cells``, which needs the scenarios to
-share ``p_treat``, since that fixes d and t), whose per-cell sums of ``y``,
-one column per scenario, are ``n_c mu_cs + sigma_s Z_c``. Then, per
-estimator, one design, one ``lsq.fit`` of those sums and one
-``recover_effect_table`` call without a table give every scenario's
-aggregates. ``run_study`` is its one-scenario case. A non-finite outcome
-fails the whole run before any fit; an estimator that raises
-:class:`NumericalError` or :class:`DataError` counts as failed in that
-replication, and any other exception fails the run.
+so only the outcome differs between them, and a study's scenarios must share
+``p_treat``, which fixes d and t. One replication loop serves every scenario
+of a grid, and it works on the frame's ~100 occupied (d, t, f) cells, never
+on its units' outcomes. It builds the network and draws one frame
+(``draw_frame``), whose outcome is the shared standard-normal draw ``z``;
+each scenario's per-cell sums of ``y`` are ``n_c mu_cs + sigma_s Z_c``
+(``scenario_cell_sums``), one column per scenario. Then, per estimator, one
+design on that frame, one ``lsq.fit`` of those sums and one
+``recover_effect_table`` call give every scenario's aggregates.
+``run_study`` is its one-scenario case. A non-finite outcome fails the whole
+run before any fit; an estimator that raises :class:`NumericalError` or
+:class:`DataError` counts as failed in that replication, and any other
+exception fails the run.
 
 ``replicate_table`` reruns the benchmark study grids and compares the
 reproduced bias/SD values against reference values shipped with the package
@@ -44,7 +45,8 @@ import numpy as np
 
 from . import __version__
 from .design import ModelKind, ModelSpec, build_design, format_model_spec, parse_model_spec
-from .dgp import DgpParams, dgp_scenario, simulate_cells, true_aggregate_effects
+from .dgp import (DgpParams, dgp_scenario, draw_frame, scenario_cell_sums,
+                  true_aggregate_effects)
 from .effects import recover_effect_table
 from .errors import DataError, NumericalError
 from .graph import DEFAULT_RADIUS, build_geometric_network, generate_positions
@@ -94,24 +96,24 @@ def _replicate(config: MCConfig, scenarios, rep_index: int):
     seed_positions, seed_frame = child_seeds(config.master_seed, rep_index, 2)
     positions = generate_positions(config.n_units, seed_positions)
     network = build_geometric_network(positions, config.radius)
-    draw = simulate_cells(network, scenarios, seed_frame)
-    if draw.n_selected == 0:
+    frame = draw_frame(network, scenarios[0].p_treat, seed_frame)
+    if frame.n_selected == 0:
         raise DataError(
             f"replication {rep_index}: no units with F > 0 "
             f"(n_units={config.n_units}, radius={config.radius})"
         )
-    sums = draw.cell_sums()
+    sums = scenario_cell_sums(frame, scenarios)
     true = np.empty((len(scenarios), len(TARGETS)))
     for s, params in enumerate(scenarios):
-        effects = true_aggregate_effects(params, draw.f)
+        effects = true_aggregate_effects(params, frame.f)
         true[s] = effects.direct, effects.network, effects.interaction
     estimates = np.zeros((len(scenarios), len(config.estimators), len(TARGETS)))
     ok = np.zeros(estimates.shape[:2], dtype=bool)
     for e, spec in enumerate(config.estimators):
         policy = "drop" if spec.saturated else "error"
         try:
-            result = lsq_fit(build_design(draw, spec), sums, on_rank_deficiency=policy)
-            aggregates = recover_effect_table(result, t_grid=()).aggregates
+            result = lsq_fit(build_design(frame, spec), sums, on_rank_deficiency=policy)
+            aggregates = recover_effect_table(result).aggregates
         except (NumericalError, DataError):
             continue
         for s, agg in enumerate(aggregates):
@@ -230,6 +232,10 @@ class _Summary:
 def _run_scenarios(config: MCConfig, scenarios) -> _Summary:
     """The statistics of every scenario; ``config`` supplies everything but the scenario."""
     params = tuple(replace(config, scenario=scenario).params() for scenario in scenarios)
+    p_treat = {scenario.p_treat for scenario in params}
+    if len(p_treat) != 1:
+        # p_treat fixes d and t, so only scenarios that share it share a frame
+        raise ValueError(f"scenarios of one study must share p_treat, got {sorted(p_treat)}")
     indices = range(config.repetitions)
     if config.n_jobs > 1 and config.repetitions > 1:
         # imported here: the pool's modules cost a one-worker run ~20 ms of start-up

@@ -163,6 +163,41 @@ class TestConfigFile:
         assert not (tmp_path / "out").exists()
 
 
+class TestUnreadOptions:
+    @pytest.mark.parametrize("argv, config, message", [
+        (["fit", "--frame", "FRAME", "--nodes", "NODES", "--edges", "EDGES"], {},
+         "--frame does not read --nodes, --edges"),
+        (["fit", "--nodes", "NODES", "--edges", "EDGES"], {"frame": "FRAME"},
+         "--frame does not read --nodes, --edges"),
+        (["degree-stats", "--nodes", "NODES", "--edges", "EDGES", "--calibrate-mean-degree", "2"],
+         {}, "--calibrate-mean-degree does not read --nodes, --edges"),
+        (["degree-stats", "--calibrate-mean-degree", "3", "--radius", "0.05", "--treat-p", "0.5"],
+         {}, "--calibrate-mean-degree does not read --radius, --treat-p"),
+        (["degree-stats", "--calibrate-mean-degree", "3"], {"treat_p": 0.5},
+         "--calibrate-mean-degree does not read --treat-p"),
+        (["degree-stats", "--nodes", "NODES", "--edges", "EDGES", "--radius", "0.5"], {},
+         "an ingested network does not read --radius"),
+        (["degree-stats", "--nodes", "NODES", "--edges", "EDGES"], {"n_units": 50},
+         "an ingested network does not read --n-units"),
+    ])
+    def test_option_the_mode_ignores_is_usage_error(self, tmp_path, capsys, argv, config,
+                                                    message):
+        # an option, from a flag or the config, that the chosen input or mode
+        # would never read fails the run instead of being ignored
+        files = {"NODES": "id,y,d\n1,0.5,1\n2,1.0,0\n", "EDGES": "src,dst\n1,2\n",
+                 "FRAME": "id,y,d,t,f\n1,0.5,0,0,1\n2,1.0,1,0,1\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        paths = {name: str(tmp_path / name) for name in files}
+        argv = [paths.get(item, item) for item in argv]
+        config = {key: paths.get(value, value) for key, value in config.items()}
+        if argv[0] == "fit":
+            config |= {"models": ["t"], "out": str(tmp_path / "out")}
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *argv, "--config", str(tmp_path / "run.json"))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestFit:
     @pytest.fixture()
     def noiseless_frame_path(self, tmp_path, capsys):

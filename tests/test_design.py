@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from netcrf import (
+    DesignMatrix,
     ModelKind,
     ModelSpec,
     NumericalError,
@@ -16,7 +17,7 @@ from netcrf import (
     simulate_frame,
 )
 from netcrf.design import _non_finite, design_values
-from conftest import make_frame
+from conftest import make_frame, matrix_design
 
 
 def eval_label_oracle(label, d, t, f):
@@ -273,6 +274,22 @@ class TestNonFiniteDesign:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=message):
                 build_design(frame, ModelSpec.crf2(200))
+
+
+class TestDesignMatrixInput:
+    CELLS = matrix_design(np.zeros((3, 1)), ("a",)).cells  # three cells of one unit each
+
+    def test_keeps_a_read_only_copy(self):
+        mine = np.arange(6.0).reshape(3, 2)
+        x = DesignMatrix(mine, ("a", "b"), self.CELLS)
+        assert mine.flags.writeable and not x.cell_values.flags.writeable
+        mine[0, 0] = 9.0
+        assert x.cell_values[0, 0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 2), (2, 1), (3,), (1, 3, 1)])
+    def test_shape_must_be_cells_by_labels(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shape (3, 1), got {shape}")):
+            DesignMatrix(np.zeros(shape), ("a",), self.CELLS)
 
 
 class TestOwnCell:

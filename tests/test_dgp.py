@@ -16,7 +16,7 @@ from netcrf import (
     simulate_frame,
     true_aggregate_effects,
 )
-from netcrf.dgp import _outcome_mean, frame_cells, simulate_cells
+from netcrf.dgp import _outcome_mean, draw_frame, frame_cells, scenario_cell_sums
 from netcrf.graph import treated_neighbor_counts
 from conftest import (cell_statistics, make_frame, potential_outcome, potential_outcome_grid,
                       unit_noise)
@@ -191,7 +191,8 @@ class TestSimulateFrame:
 
 
 class TestSimulateFrames:
-    """Frames of several scenarios drawn at once, kept by cell (simulate_cells)."""
+    """One frame drawn for several scenarios (draw_frame), whose outcome is the
+    shared noise, and each scenario's cell sums from it (scenario_cell_sums)."""
 
     GRIDS = (
         (dgp_scenario("i"), dgp_scenario("iv"), dgp_scenario("ii", noise_sd=2.5)),
@@ -199,17 +200,17 @@ class TestSimulateFrames:
     )
 
     def test_each_frame_equals_simulate_frame_bitwise(self, network_1000):
-        # each scenario's outcomes are simulate_frame's bit for bit, and its
-        # cell sums and within-cell squares are bincounts of them to roundoff
+        # each scenario's outcomes mu + sigma z are simulate_frame's bit for
+        # bit, and its cell sums and within-cell squares are bincounts of them
+        # to roundoff
         for scenarios in self.GRIDS:
-            draw = simulate_cells(network_1000, scenarios, 31)
-            outcomes, stats = draw.outcomes(), draw.cell_sums()
+            draw = draw_frame(network_1000, scenarios[0].p_treat, 31)
+            stats = scenario_cell_sums(draw, scenarios)
             of_unit, n_cells = draw.cells.of_unit, draw.cells.counts.size
-            assert outcomes.shape == (draw.n_selected, len(scenarios))
             assert stats.values.shape == stats.within.shape == (n_cells, len(scenarios))
             for column, params in enumerate(scenarios):
                 alone = simulate_frame(network_1000, params, 31)
-                y = np.ascontiguousarray(outcomes[:, column])
+                y = _outcome_mean(params, draw.f, draw.d, draw.t) + draw.y * params.noise_sd
                 assert y.dtype == alone.y.dtype and y.tobytes() == alone.y.tobytes()
                 for name in ("d", "t", "f", "ids"):
                     got, want = getattr(draw, name), getattr(alone, name)
@@ -223,14 +224,12 @@ class TestSimulateFrames:
                     assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
     def test_frames_with_equal_p_treat_share_units(self, network_1000):
-        # p_treat fixes d and t, so scenarios with another p_treat need their own frame
-        low, high = (simulate_cells(network_1000, grid, 31) for grid in self.GRIDS)
+        # p_treat fixes d and t, so scenarios with another p_treat need their own
+        # frame (a study rejects such a grid; see test_montecarlo)
+        low, high = (draw_frame(network_1000, grid[0].p_treat, 31) for grid in self.GRIDS)
         assert not np.array_equal(low.d, high.d)
         assert np.array_equal(low.f, high.f)
-        with pytest.raises(ValueError, match="p_treat"):
-            simulate_cells(network_1000, self.GRIDS[0] + self.GRIDS[1], 31)
-        with pytest.raises(ValueError, match="p_treat"):
-            simulate_cells(network_1000, (), 31)
+        assert np.array_equal(low.y, high.y)
 
     def test_grid_noise_matches_frame(self, network_1000):
         params = self.GRIDS[0][2]

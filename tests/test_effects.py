@@ -312,7 +312,7 @@ class TestAbsentCells:
         frame = simulate_frame(network_2000, params, seed)
         spec = ModelSpec.crf1_long()
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
-        got = recover_effect_table(result, t_grid=()).aggregates
+        got = recover_effect_table(result).aggregates
         true = true_aggregate_effects(params, frame.f)
         for name in ("direct", "network", "interaction"):
             assert abs(getattr(got, name) - getattr(true, name)) < 0.5, name
@@ -361,12 +361,16 @@ class TestAbsentCells:
         ModelSpec.crf2(1, t_order=2), ModelSpec.crf1_long(f_max=6, t_max=6),
     ])
     def test_empty_t_grid_gives_full_table_aggregates(self, noisy_small_f_frame, spec):
+        # a multi-outcome fit tabulates no cells; a one-column one has the
+        # aggregates of the one-outcome table
         frame = noisy_small_f_frame
         result = exact_fit(frame, spec, on_rank_deficiency="drop")
         full = recover_effect_table(result)
-        aggregates_only = recover_effect_table(result, t_grid=())
+        one_column = fit(result.design, cell_statistics(result.design, frame.y[:, None]),
+                         on_rank_deficiency="drop")
+        aggregates_only = recover_effect_table(one_column)
         assert aggregates_only.cells == ()
-        assert aggregates_only.aggregates == full.aggregates
+        assert aggregates_only.aggregates == (full.aggregates,)
 
     def test_friend_counts_follow_the_rule_of_the_true_effects(self):
         # whole numbers >= 1, as integers or floats
@@ -458,12 +462,12 @@ class TestMultiOutcomeAggregates:
                              2.0 * frame.y - 1.0])
         design = build_design(frame, spec)
         multi = fit(design, cell_statistics(design, y), on_rank_deficiency="drop")
-        multi = recover_effect_table(multi, t_grid=())
+        multi = recover_effect_table(multi)
         assert multi.cells == () and len(multi.aggregates) == 3
         for j, got in enumerate(multi.aggregates):
             fresh = build_design(frame, spec)
             one = fit(fresh, cell_statistics(fresh, y[:, j].copy()), on_rank_deficiency="drop")
-            want = recover_effect_table(one, t_grid=()).aggregates
+            want = recover_effect_table(one).aggregates
             for name in ("direct", "network", "interaction"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a == b and (a is None or math.copysign(1.0, a) == math.copysign(1.0, b))
@@ -478,29 +482,19 @@ class TestMultiOutcomeAggregates:
         y = np.column_stack([frame.y, frame.y * 3.0])
         design = build_design(frame, spec)
         both = fit(design, cell_statistics(design, y), on_rank_deficiency="drop")
-        table = recover_effect_table(both, t_grid=())
+        table = recover_effect_table(both)
         for j, agg in enumerate(table.aggregates):
             assert agg.network is not None and agg.skipped_units[1] == 2
             fresh = build_design(frame, spec)
             one = fit(fresh, cell_statistics(fresh, y[:, j].copy()), on_rank_deficiency="drop")
-            assert agg == recover_effect_table(one, t_grid=()).aggregates
-
-    def test_per_cell_table_needs_one_outcome_fit(self, noisy_small_f_frame):
-        frame = noisy_small_f_frame
-        spec = ModelSpec.tr_model()
-        design = build_design(frame, spec)
-        result = fit(design, cell_statistics(design, np.column_stack([frame.y, frame.y])))
-        with pytest.raises(ValueError, match="one-outcome"):
-            recover_effect_table(result)
-        with pytest.raises(ValueError, match="one-outcome"):
-            recover_effect_table(result, t_grid=(1,))
+            assert agg == recover_effect_table(one).aggregates
 
     def test_json_needs_one_outcome_table(self, noisy_small_f_frame):
         # a table of several outcomes has no JSON form; a named ValueError says so
         frame = noisy_small_f_frame
         design = build_design(frame, ModelSpec.tr_model())
         result = fit(design, cell_statistics(design, np.column_stack([frame.y, 2.0 * frame.y])))
-        table = recover_effect_table(result, t_grid=())
+        table = recover_effect_table(result)
         for write in (table.to_json_dict, table.to_json):
             with pytest.raises(ValueError, match="one-outcome table, got 2 outcomes"):
                 write()

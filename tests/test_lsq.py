@@ -22,7 +22,7 @@ from netcrf import (
 from netcrf import _lapack
 from netcrf.design import _pivoted_qr
 from netcrf.lsq import DEFAULT_RANK_TOL, CellSums, _solve_triangular
-from netcrf.dgp import check_finite_y, simulate_cells
+from netcrf.dgp import check_finite_y, draw_frame, scenario_cell_sums
 from conftest import (cell_means, cell_statistics, duplicated_frames, identified_effects,
                       make_frame, matrix_design, sparse_saturated_fits, unit_fitted)
 
@@ -604,7 +604,7 @@ class TestSaturatedFit:
         frame, spec = case
         x = build_design(frame, spec)
         result = fit(x, cell_statistics(x, frame.y), on_rank_deficiency="drop")
-        aggregates = recover_effect_table(result, t_grid=()).aggregates
+        aggregates = recover_effect_table(result).aggregates
         means, counts = cell_means(frame), np.bincount(frame.f)
         for target, name, skipped in zip(("direct", "network", "interaction"),
                                          ("delta0", "tau0", "tau_pm"), aggregates.skipped_units):
@@ -712,7 +712,7 @@ class TestResultsOnDemand:
         x = build_design(frame, ModelSpec.crf1_long())
         y = np.column_stack([frame.y, 3.0 - frame.y, frame.f * 0.25])
         result = fit(x, cell_statistics(x, y), on_rank_deficiency="drop")
-        recover_effect_table(result, t_grid=())
+        recover_effect_table(result)
         # a fit keeps its cell statistics and nothing of unit length
         assert "cell_fitted" not in result.__dict__ and "values" not in x.__dict__
         assert not any(hasattr(result, name) for name in ("y", "fitted", "residuals"))
@@ -785,8 +785,8 @@ class TestFitFromCellSums:
     def test_one_scenario_draw_equals_the_unit_level_fit(self, network_1000, text):
         # the draw's statistics n_c mu_c + sigma Z_c and sigma^2 W_c are its
         # gathered outcome's to roundoff, and so are the fit and both variances
-        draw = simulate_cells(network_1000, (dgp_scenario("iv", noise_sd=1.5),), 17)
-        stats = draw.cell_sums()
+        draw = draw_frame(network_1000, 0.5, 17)
+        stats = scenario_cell_sums(draw, (dgp_scenario("iv", noise_sd=1.5),))
         spec = parse_model_spec(text)
         policy = "drop" if spec.saturated else "error"
         from_draw = fit(build_design(draw, spec), CellSums(stats.values[:, 0], stats.within[:, 0]),

@@ -60,15 +60,34 @@ class TestRunReplication:
         b = run_replication(config, 1)
         assert a.estimates != b.estimates
 
-    def test_zero_noise_t_model_recovers_network_exactly(self):
-        config = small_config(
-            scenario=dgp_scenario("i", noise_sd=0.0),
-            estimators=(ModelSpec.t_model(),),
-            n_units=800,
-        )
-        rep = run_replication(config, 0)
-        assert rep.estimates["t"][1] == pytest.approx(0.2, abs=1e-8)
-        assert rep.estimates["t"][0] == pytest.approx(2.0, abs=1e-8)
+    @pytest.mark.parametrize("text, scenario, targets", [
+        ("t", "i", "all"), ("tr", "i", "all"), ("tr", "ii", "all"), ("tr", "iii", "all"),
+        ("crf2:J=2", "i", "all"), ("crf1long", "i", "all"),
+        ("crf1long", "ii", "direct"), ("crf1long", "iii", "direct"),
+    ])
+    def test_zero_noise_aggregates_equal_the_truth(self, text, scenario, targets):
+        # without noise a correctly specified estimator is exact: each aggregate
+        # it specifies equals the true effect to roundoff, both from a frame's
+        # unit outcomes and from the shared draw's per-scenario cell sums
+        from netcrf import (build_design, build_geometric_network, fit, generate_positions,
+                            recover_effect_table, simulate_frame, true_aggregate_effects)
+        from netcrf.dgp import draw_frame, scenario_cell_sums
+
+        spec, params = parse_model_spec(text), dgp_scenario(scenario, noise_sd=0.0)
+        policy = "drop" if spec.saturated else "error"
+        for seed in range(4):
+            network = build_geometric_network(generate_positions(2000, seed), 0.025)
+            frame = simulate_frame(network, params, seed)
+            draw = draw_frame(network, params.p_treat, seed)
+            one = fit(build_design(frame, spec), frame.cell_sums(), on_rank_deficiency=policy)
+            multi = fit(build_design(draw, spec), scenario_cell_sums(draw, (params,)),
+                        on_rank_deficiency=policy)
+            true = true_aggregate_effects(params, frame.f)
+            for agg in (recover_effect_table(one).aggregates,
+                        *recover_effect_table(multi).aggregates):
+                for target in TARGETS if targets == "all" else (targets,):
+                    want = getattr(true, target)
+                    assert abs(getattr(agg, target) - want) <= 1e-12 * max(1.0, abs(want)), target
 
     def test_count_and_ratio_models_report_zero_interaction(self):
         config = small_config(scenario="iii")
@@ -179,12 +198,28 @@ class TestRunStudy:
 
 class TestCellPath:
     def test_builds_no_unit_level_outcome(self, monkeypatch):
+        # a replication's one frame holds the shared noise; no scenario's
+        # outcome mean is gathered from its cells to the units
         def unit_level(*args, **kwargs):
             raise AssertionError("the Monte Carlo built a unit-level outcome")
 
+        class CellMeans(np.ndarray):
+            """Outcome means per cell, and every array made from them, which
+            no index array (a cell per unit) may gather."""
+
+            def __getitem__(self, index):
+                if isinstance(index, np.ndarray):
+                    unit_level()
+                return super().__getitem__(index)
+
+            def __array_function__(self, func, types, args, kwargs):
+                result = super().__array_function__(func, types, args, kwargs)
+                return result.view(CellMeans) if isinstance(result, np.ndarray) else result
+
+        real_mean = dgp._outcome_mean
         monkeypatch.setattr(dgp, "simulate_frame", unit_level)
-        monkeypatch.setattr(dgp.CellDraw, "outcomes", unit_level)
-        monkeypatch.setattr(dgp.SampleFrame, "__post_init__", unit_level)
+        monkeypatch.setattr(dgp, "_outcome_mean",
+                            lambda *args: real_mean(*args).view(CellMeans))
         comparison = replicate_table("table1", 3)
         assert len(comparison.cells) == 48
         report = run_study(small_config(repetitions=3))
@@ -306,6 +341,8 @@ class TestSharedReplications:
         scenarios = (dgp_scenario("iii"), dgp_scenario("iii", p_treat=0.3))
         with pytest.raises(ValueError, match="p_treat"):
             _run_scenarios(small_config(repetitions=3), scenarios)
+        with pytest.raises(ValueError, match="p_treat"):
+            _run_scenarios(small_config(repetitions=3), ())
 
     def test_grid_replication_equals_one_scenario_pipeline(self):
         # the public one-scenario functions, composed per scenario on
@@ -340,7 +377,7 @@ class TestSharedReplications:
                 for e, spec in enumerate(ALL_FOUR):
                     x = build_design(frame, spec)
                     one = fit(x, cell_statistics(x, frame.y))
-                    agg = recover_effect_table(one, t_grid=()).aggregates
+                    agg = recover_effect_table(one).aggregates
                     assert ok[s, e]
                     want = np.array([agg.direct, agg.network, agg.interaction])
                     assert (np.abs(estimates[s, e] - want)
