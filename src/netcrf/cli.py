@@ -420,8 +420,12 @@ def cmd_degree_stats(args: argparse.Namespace) -> int:
                           "calibrated_radius": radius, "seed": seed}))
         return 0
 
+    treat_p = _merged(args, config, "treat_p")
     if nodes_path is not None:
-        _reject_unread(args, config, "an ingested network", ("n_units", "radius"))
+        # the seed draws the positions and treatments; an ingested network
+        # without --treat-p draws neither
+        _reject_unread(args, config, "an ingested network",
+                       ("n_units", "radius") + (("seed",) if treat_p is None else ()))
         network = ingest_network(nodes_path, edges_path)
     else:
         n_units = int(_merged(args, config, "n_units", 1000))
@@ -429,7 +433,6 @@ def cmd_degree_stats(args: argparse.Namespace) -> int:
         positions = generate_positions(n_units, seed)
         network = build_geometric_network(positions, radius)
     treatment = None
-    treat_p = _merged(args, config, "treat_p")
     if treat_p is not None:
         treatment = assign_treatment(network.n, float(treat_p), seed)
     summary = degree_stats(network, treatment)

@@ -149,6 +149,13 @@ class FrameCells:
     counts: np.ndarray
     of_unit: np.ndarray
 
+    @cached_property
+    def friend_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct friend counts of the cells, ascending, and the units
+        with each, computed on first use and shared by every fit on them."""
+        starts = np.flatnonzero(np.diff(self.f, prepend=-1))
+        return self.f[starts], np.add.reduceat(self.counts, starts)
+
 
 def frame_cells(d, t, f) -> FrameCells:
     """Group units by (d, t, f) through one integer key ``(f * width + t) * 2 + d``

@@ -205,9 +205,7 @@ def recover_effect_table(fit: FitResult) -> EffectTable:
     coefficients. A multi-outcome fit yields a tuple of aggregates, one per
     outcome column, and no cells.
     """
-    design_cells = fit.design.cells
-    unique_f, starts = np.unique(design_cells.f, return_index=True)
-    counts = np.add.reduceat(design_cells.counts, starts)
+    unique_f, counts = fit.design.cells.friend_counts
 
     cells = ()
     if fit.n_outcomes is None:

@@ -5,15 +5,17 @@ Euclidean distance is at most the connection radius (inclusive comparison,
 plain geometry with no wraparound at the square boundary). The per-node
 friend counts feed the sampling frames used by every estimator downstream.
 
-Neighbor search buckets the points into a uniform grid with cell size equal
-to the radius and sorts them by cell key (a radix sort when the keys fit 16
-bits). Each point's candidate partners in its own cell and in each of four
-forward cells are then one contiguous range of the sorted points, read from
-a table of the occupied cells' first and last sorted positions. Each forward
-offset costs one binary search per occupied cell, and its candidates are
-filtered by distance before they are mapped back to point indices.
-Construction thus costs O(n log n) plus time linear in the candidate count;
-the test suite keeps a brute-force all-pairs oracle.
+Neighbor search sorts the points into vertical strips as wide as the radius,
+and within a strip into bins of one height, through one integer key (radix
+sorted when it fits 16 bits). A table of each bin's first sorted position
+gives each point's candidate partners as two contiguous ranges of the sorted
+points: those after it in its own strip, up to the bin one radius above it,
+and those in the next strip's bins within one radius of its height. The
+candidates are expanded and filtered by distance a block of sorted points at
+a time, so that every temporary stays small, and the kept pairs are mapped
+back to int32 point indices. Construction thus costs a sort plus time linear
+in the candidate count and the number of bins; the test suite checks it
+against a brute-force all-pairs oracle.
 
 :class:`Network` alone puts index pairs of any order, orientation or
 multiplicity into edge-list form and derives the degrees. A geometric build
@@ -81,16 +83,17 @@ class Network:
     ``radius`` records the connection radius when the network was built
     geometrically.
 
-    A geometric build hands over its distinct pairs as found; they are sorted
-    into ``edges`` only when ``edges`` is first read. ``degree``,
-    ``edge_count`` and :func:`treated_neighbor_counts` read the stored
-    pairs, whose order does not change their values.
+    The distinct pairs are stored as two contiguous endpoint arrays. A
+    geometric build hands them over as found; they are sorted into ``edges``
+    only when ``edges`` is first read. ``degree``, ``edge_count`` and
+    :func:`treated_neighbor_counts` read the stored endpoints, whose order
+    does not change their values.
     """
 
     n: int
     radius: float | None
     degree: np.ndarray
-    _pairs: np.ndarray = field(repr=False)
+    _ends: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     def __init__(self, n: int, edges, radius: float | None = None):
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -98,33 +101,35 @@ class Network:
             raise ValueError("edge endpoints out of range")
         if (pairs[:, 0] == pairs[:, 1]).any():
             raise ValueError("edges must join distinct units (no self-loops)")
-        keys = _sorted_pair_keys(pairs, n)
+        keys = _sorted_pair_keys(pairs[:, 0], pairs[:, 1], n)
         # a repeat equals its predecessor
-        canonical = np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) > 0], n))
-        self._store(n, canonical, radius)
-        self.__dict__["edges"] = canonical
+        ends = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
+        self._store(n, ends, radius)
+        self.__dict__["edges"] = np.column_stack(ends)
 
     @classmethod
-    def _from_distinct_pairs(cls, n: int, pairs: np.ndarray, radius: float) -> "Network":
-        """The network of ``pairs``, an (m, 2) int64 array of distinct in-range
-        pairs ``i != j``, in any order and orientation, taken without checks."""
+    def _from_distinct_pairs(cls, n: int, ends: tuple[np.ndarray, np.ndarray],
+                             radius: float) -> "Network":
+        """The network of the distinct in-range pairs ``(ends[0][k], ends[1][k])``,
+        ``i != j``, in any order and orientation, taken without checks."""
         network = cls.__new__(cls)
-        network._store(n, pairs, radius)
+        network._store(n, ends, radius)
         return network
 
-    def _store(self, n: int, pairs: np.ndarray, radius: float | None) -> None:
+    def _store(self, n: int, ends: tuple[np.ndarray, np.ndarray], radius: float | None) -> None:
+        i, j = ends
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "degree", np.bincount(pairs.ravel(), minlength=n))
-        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "degree", np.bincount(i, minlength=n) + np.bincount(j, minlength=n))
+        object.__setattr__(self, "_ends", (i, j))
 
     @cached_property
     def edges(self) -> np.ndarray:
-        return np.column_stack(np.divmod(_sorted_pair_keys(self._pairs, self.n), self.n))
+        return np.column_stack(np.divmod(_sorted_pair_keys(*self._ends, self.n), self.n))
 
     @property
     def edge_count(self) -> int:
-        return int(self._pairs.shape[0])
+        return int(self._ends[0].shape[0])
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "radius": self.radius, "edges": self.edges.tolist()}
@@ -141,11 +146,14 @@ class Network:
         return cls.from_json_dict(json.loads(text))
 
 
-def _sorted_pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
-    """The keys ``lo * n + hi`` of the (lo, hi)-ordered pairs, sorted: sorting
-    the keys sorts the pairs lexicographically."""
-    a, b = pairs.T
-    return np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+def _sorted_pair_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The keys ``lo * n + hi`` of the (lo, hi)-ordered pairs ``(a[k], b[k])``,
+    sorted: sorting the keys sorts the pairs lexicographically."""
+    keys = np.minimum(a, b).astype(np.int64)
+    keys *= n
+    keys += np.maximum(a, b)
+    keys.sort()
+    return keys
 
 
 @dataclass(frozen=True)
@@ -168,55 +176,98 @@ def generate_positions(n: int, seed: int) -> PositionSet:
     return PositionSet(n=n, coords=rng.random((n, 2)))
 
 
-def _close_pairs(coords: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each unordered pair of points at distance <= ``radius``, once.
+# the sorted points whose candidate pairs are expanded and filtered together:
+# at N=5000 and radius 0.025 a block's ~10,000 candidates keep every
+# temporary near 80 KB, in cache and below glibc's mmap threshold (2,048
+# points per block brought back ~500 page faults per two-replication op)
+_BLOCK = 1024
+# bins per radius in a strip, at most, and bins per point in the whole table,
+# which bounds the table for small radii (4, 8 or 16 per radius and 2, 4 or 8
+# per point built N=2000 and N=5000 networks equally fast)
+_BINS_PER_RADIUS, _BINS_PER_POINT = 4, 2
 
-    Cell edge equals the radius, so every pair within the radius falls in the
-    same cell or one of the 8 adjacent cells. With the points sorted by cell
-    key, the points in the cell ``delta`` keys ahead of point p's cell form
-    one range of sorted positions; p's own cell (positions after p) plus 4
-    forward offsets visit each unordered pair of nearby points once. The
-    ranges are looked up per occupied cell, and each offset's pairs are
-    filtered by distance before they are mapped back to point indices.
+
+def _close_pairs(coords: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each unordered pair of points at distance <= ``radius``, once, as two
+    int32 arrays of point indices (int64 from 2**31 points on).
+
+    The points fall into vertical strips of width ``radius`` (column
+    ``floor(x / radius)``), and each strip into bins of height ``1 / m``:
+    ``radius / 4``, or taller where that would make more than about two bins
+    per point (``_BINS_PER_RADIUS``, ``_BINS_PER_POINT``). The points are
+    sorted by (column, bin) through one integer key, so that every bin is one
+    contiguous range of sorted positions, looked up in a table of each bin's
+    first position. A pair within the radius lies in one strip or in two
+    adjacent ones, and its ``y`` differ by at most the radius. So point p's
+    candidate partners are two contiguous ranges of the sorted points: in its
+    own strip, the points after p up to the end of the bin that holds
+    ``y_p + pad``; in the next strip, the points of the bins from the one that
+    holds ``y_p - pad`` to the one that holds ``y_p + pad``. ``pad`` exceeds
+    the radius by more than the rounding of ``y_p +- pad``, so no range drops
+    a pair, and each pair is a candidate once. The candidates, about
+    ``3 radius^2 + 1.5 radius / m`` of area per point, are expanded and
+    filtered by distance ``_BLOCK`` sorted points at a time; the kept pairs are
+    mapped back to point indices.
     """
     n = len(coords)
-    cells = np.floor(coords / radius).astype(np.int64)
-    # one more key per row than there are cells, so that no offset wraps a row
-    width = int(math.floor(1.0 / radius)) + 2
-    keys = cells[:, 0] * width + cells[:, 1]
-    # the narrowest type that holds the keys gives the same stable order, and
-    # keys of 16 bits or fewer are radix sorted
-    order = np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
-    sorted_keys = keys[order]
+    pad = radius * (1 + 1e-9) + 1e-12
+    columns = math.floor(1.0 / radius) + 1
+    m = max(1, min(math.floor(_BINS_PER_RADIUS / radius), _BINS_PER_POINT * n // columns))
+    rows = m + 1  # y = 1 falls in bin m
+    column = np.floor(coords[:, 0] / radius).astype(np.intp)
+    keys = np.floor(coords[:, 1] * m).astype(np.intp)
+    keys += column * rows
+    # the narrowest type that holds the keys gives the same order, and keys of
+    # 16 bits or fewer are radix sorted
+    order = np.argsort(keys.astype(np.min_scalar_type(columns * rows)), kind="stable")
+    # first[c], the first sorted position of bin c, is n past the last strip
+    first = np.full(columns * rows + rows + 1, n, dtype=np.intp)
+    first[0] = 0
+    np.cumsum(np.bincount(keys, minlength=columns * rows), out=first[1:columns * rows + 1])
+    start = column[order] * rows  # the first bin of each sorted point's strip
     x, y = coords[:, 0][order], coords[:, 1][order]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    first = np.flatnonzero(starts)
-    cell_keys = sorted_keys[first]
-    # bounds[c] is the first sorted position of occupied cell c, and bounds[c + 1]
-    # one past its last; cell[p] is the occupied cell of sorted position p
-    bounds = np.append(first, n)
-    cell = np.cumsum(starts) - 1
-    p = np.arange(n)
+    # int32 endpoints, where they hold every index, halve the pair lists
+    index = order.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    # the bins that y + pad and y - pad fall in, clipped to the strip
+    top = np.minimum(np.floor((y + pad) * m), m).astype(np.intp)
+    top += start
+    bottom = np.maximum(np.floor((y - pad) * m), 0).astype(np.intp)
+    bottom += start
+    # row p: sorted point p's range in its own strip, then in the next strip,
+    # each as its first sorted position and its length
+    lo = np.empty((n, 2), dtype=np.intp)
+    lo[:, 0] = np.arange(1, n + 1)
+    lo[:, 1] = first[bottom + rows]
+    counts = np.column_stack([first[top + 1], first[top + (rows + 1)]])
+    counts -= lo
+    lo, counts = lo.ravel(), counts.ravel()
+    ends = np.cumsum(counts)
+    # range k fills the candidate slots ends[k] - counts[k] .. ends[k] - 1 with
+    # lo[k] onwards: slot s holds sorted position s + shift[k]
+    shift = lo - ends
+    shift += counts
+    per_point = counts[0::2] + counts[1::2]
     i_parts, j_parts = [], []
-    for delta in (0, 1, width - 1, width, width + 1):
-        if delta == 0:
-            lo, hi = p + 1, bounds[cell + 1]
-        else:
-            lo = bounds[np.searchsorted(cell_keys, cell_keys + delta)][cell]
-            hi = bounds[np.searchsorted(cell_keys, cell_keys + delta + 1)][cell]
-        counts = hi - lo
-        # p's partners, sorted positions lo..hi-1, fill the output slots
-        # from cumsum(counts) - counts on
-        shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        i = np.repeat(p, counts)
-        j = shift + np.arange(shift.size)
-        dx, dy = x[i] - x[j], y[i] - y[j]
-        # a gather at the kept positions beats a boolean mask, whose ~40% hit
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        j = np.repeat(shift[2 * a:2 * b], counts[2 * a:2 * b])
+        slot = int(ends[2 * a - 1]) if a else 0
+        j += np.arange(slot, slot + j.size)
+        i = np.repeat(np.arange(a, b), per_point[a:b])
+        dx = x[i]
+        dx -= x[j]
+        dx *= dx
+        dy = y[i]
+        dy -= y[j]
+        dy *= dy
+        dx += dy
+        # a gather at the kept positions beats a boolean mask, whose ~47% hit
         # rate defeats branch prediction
-        close = np.flatnonzero(dx ** 2 + dy ** 2 <= radius * radius)
-        i_parts.append(order[i[close]])
-        j_parts.append(order[j[close]])
+        close = np.flatnonzero(dx <= radius * radius)
+        i_parts.append(index[i[close]])
+        j_parts.append(index[j[close]])
+    if not i_parts:
+        return np.empty(0, dtype=index.dtype), np.empty(0, dtype=index.dtype)
     return np.concatenate(i_parts), np.concatenate(j_parts)
 
 
@@ -224,8 +275,8 @@ def build_geometric_network(positions: PositionSet, radius: float) -> Network:
     """Connect every pair at Euclidean distance <= ``radius`` (ties included)."""
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    ci, cj = _close_pairs(positions.coords, radius)
-    return Network._from_distinct_pairs(positions.n, np.column_stack([ci, cj]), radius)
+    return Network._from_distinct_pairs(positions.n, _close_pairs(positions.coords, radius),
+                                        radius)
 
 
 def treated_neighbor_counts(network: Network, d: np.ndarray) -> np.ndarray:
@@ -237,9 +288,10 @@ def treated_neighbor_counts(network: Network, d: np.ndarray) -> np.ndarray:
         raise ValueError("treatment vector entries must be 0 or 1")
     # each edge (i, j) adds d_j to T_i and d_i to T_j; the sums of 0/1 weights
     # are exact in any order
-    i, j = np.ascontiguousarray(network._pairs.T)
-    return (np.bincount(i, weights=d[j], minlength=network.n)
-            + np.bincount(j, weights=d[i], minlength=network.n)).astype(np.int64)
+    weights = d.astype(float)
+    i, j = network._ends
+    return (np.bincount(i, weights=weights[j], minlength=network.n)
+            + np.bincount(j, weights=weights[i], minlength=network.n)).astype(np.int64)
 
 
 def degree_stats(network: Network, treatment: np.ndarray | None = None) -> DegreeSummary:

@@ -179,6 +179,11 @@ class TestUnreadOptions:
          "an ingested network does not read --radius"),
         (["degree-stats", "--nodes", "NODES", "--edges", "EDGES"], {"n_units": 50},
          "an ingested network does not read --n-units"),
+        # without --treat-p an ingested network draws nothing for a seed to fix
+        (["degree-stats", "--nodes", "NODES", "--edges", "EDGES", "--seed", "5"], {},
+         "an ingested network does not read --seed"),
+        (["degree-stats", "--nodes", "NODES", "--edges", "EDGES"], {"seed": 5},
+         "an ingested network does not read --seed"),
     ])
     def test_option_the_mode_ignores_is_usage_error(self, tmp_path, capsys, argv, config,
                                                     message):
@@ -521,6 +526,20 @@ class TestDegreeStats:
         payload = json.loads(out)
         assert payload["n"] == 1000
         assert payload["summary"]["mean_t"] is not None
+
+    @pytest.mark.parametrize("argv", [["--treat-p", "0.5"], ["--calibrate-mean-degree", "3"]])
+    def test_seed_with_a_draw_is_read(self, tmp_path, capsys, argv):
+        # --treat-p draws treatments on an ingested network and calibration draws
+        # positions, so both read --seed
+        (tmp_path / "nodes.csv").write_text("id\n1\n2\n3\n")
+        (tmp_path / "edges.csv").write_text("src,dst\n1,2\n")
+        if argv[0] == "--treat-p":
+            argv = ["--nodes", str(tmp_path / "nodes.csv"), "--edges", str(tmp_path / "edges.csv"),
+                    *argv]
+        else:
+            argv = ["--n-units", "300", *argv]
+        code, out, _ = run_cli(capsys, "degree-stats", *argv, "--seed", "5")
+        assert code == 0 and json.loads(out)["seed"] == 5
 
     def test_ingested_summary(self, tmp_path, capsys):
         (tmp_path / "nodes.csv").write_text("id\n1\n2\n3\n")

@@ -20,8 +20,33 @@ from netcrf import (
 from netcrf.graph import _close_pairs, parse_rows, treated_neighbor_counts
 
 
+def all_pairs_oracle(coords, radius):
+    """Every pair i < j at distance <= ``radius``, sorted lexicographically,
+    found by testing all n(n - 1)/2 pairs with the build's arithmetic
+    (dx^2 + dy^2 <= radius^2), a block of rows at a time: an oracle that
+    shares nothing with the neighbour search."""
+    n = len(coords)
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for a in range(0, n, 200):
+        dx = coords[a:a + 200, None, 0] - coords[None, :, 0]
+        dy = coords[a:a + 200, None, 1] - coords[None, :, 1]
+        i, j = np.nonzero(dx ** 2 + dy ** 2 <= radius * radius)
+        i += a
+        parts.append(np.column_stack([i[i < j], j[i < j]]))
+    return np.concatenate(parts)
+
+
+def assert_matches_oracle(coords, radius):
+    net = build_geometric_network(PositionSet(n=len(coords), coords=coords), radius)
+    expected = all_pairs_oracle(coords, radius)
+    assert net.edges.dtype == np.int64 and np.array_equal(net.edges, expected)
+    assert net.degree.dtype == np.int64
+    assert np.array_equal(net.degree, np.bincount(expected.ravel(), minlength=len(coords)))
+    return net
+
+
 def brute_force_edges(coords, radius):
-    """Independent all-pairs oracle for the grid-bucketed neighbor search."""
+    """Independent all-pairs oracle for the neighbor search, in pure Python."""
     n = len(coords)
     edges = set()
     for i in range(n):
@@ -112,19 +137,35 @@ class TestBuildGeometricNetwork:
 
     @pytest.mark.parametrize("n,radius", [(300, 0.05), (2000, 0.025), (5000, 0.025)])
     def test_edges_equal_lexsort_reference(self, n, radius):
-        # reference: the same pairs, refiltered with 2-D differences
-        # and ordered by lexsort, as the build did before key sorting
+        # reference: every pair i < j tested, in lexicographic order; at the
+        # benchmark's N=2000 and N=5000 the search spans several blocks
         rng = np.random.default_rng(n)
         for _ in range(3):
-            pos = PositionSet(n=n, coords=rng.random((n, 2)))
-            ci, cj = _close_pairs(pos.coords, radius)
-            diff = pos.coords[ci] - pos.coords[cj]
-            close = diff[:, 0] ** 2 + diff[:, 1] ** 2 <= radius * radius
-            lo, hi = np.minimum(ci, cj)[close], np.maximum(ci, cj)[close]
-            order = np.lexsort((hi, lo))
-            reference = np.column_stack([lo[order], hi[order]])
-            edges = build_geometric_network(pos, radius).edges
-            assert edges.dtype == reference.dtype and np.array_equal(edges, reference)
+            assert_matches_oracle(rng.random((n, 2)), radius)
+
+    @pytest.mark.parametrize("spacing,radius", [(2.0 ** -6, 2.0 ** -6), (2.0 ** -6, 2.0 ** -5),
+                                                (1 / 8, 1 / 8), (1 / 8, 1 / 4)])
+    def test_lattice_ties_on_strip_boundaries(self, spacing, radius):
+        # a square lattice of spacing 2^-k: lattice neighbours are exact
+        # distance ties, and every column of points (every other one at twice
+        # the spacing) lies on a strip boundary. The 65 x 65 lattice spans
+        # five blocks of the search
+        side = round(1 / spacing) + 1
+        grid = np.arange(side) * spacing
+        coords = np.column_stack([np.repeat(grid, side), np.tile(grid, side)])
+        net = assert_matches_oracle(coords, radius)
+        if radius == spacing:
+            assert net.edge_count == 2 * side * (side - 1)
+
+    @pytest.mark.parametrize("radius", [0.5, 0.75, 1.0, 1.5, 1e-3])
+    def test_one_strip_and_many_strips(self, radius):
+        # radius >= 0.5 leaves at most three strips, radius 1e-3 a thousand
+        assert_matches_oracle(np.random.default_rng(11).random((600, 2)), radius)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewest_points(self, n):
+        for radius in (0.025, 0.5, 1.5):
+            assert_matches_oracle(np.random.default_rng(n).random((n, 2)), radius)
 
     def test_degree_moments_match_binomial_oracle(self):
         # closed-form oracle: the marginal degree is Binomial(n-1, p) with
@@ -177,7 +218,7 @@ class TestCandidatePairs:
         coords, radius = case
         n = len(coords)
         ci, cj = _close_pairs(coords, radius)
-        assert ci.shape == cj.shape and ci.dtype == cj.dtype == np.int64
+        assert ci.shape == cj.shape and ci.dtype == cj.dtype == np.int32
         assert not (ci == cj).any()
         keys = np.sort(np.minimum(ci, cj) * n + np.maximum(ci, cj))
         diff = coords[:, None, :] - coords[None, :, :]
